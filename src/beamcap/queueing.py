@@ -17,6 +17,9 @@ import numpy as np
 from .radio import pair_coverage_area
 
 _LOG_EPS_FLOOR = -745.0  # below exp() underflow; treated as impossible state
+# steady_state block sizes: the cap keeps each temporary array near 0.5 MB
+_BLOCK_MIN = 1_024
+_BLOCK_MAX = 65_536
 
 
 class Variant(Enum):
@@ -82,14 +85,14 @@ def rejection_prob(n, gamma: float, variant: Variant = Variant.EXPONENTIAL) -> f
     return -math.expm1(-2.0 * x)
 
 
-def _log_accept(n, gamma: float, variant: Variant) -> float:
-    """log(1 - Q_n), exact in log space for every variant."""
+def _log_accept(n: np.ndarray, gamma: float, variant: Variant) -> np.ndarray:
+    """log(1 - Q_n) for an array of states n, exact in log space for every variant."""
     x = n * gamma
     if variant is Variant.PIECEWISE_LINEAR:
-        return math.log1p(-x) if x < 1.0 else -math.inf
+        return np.log1p(-x, out=np.full(x.shape, -np.inf), where=x < 1.0)
     if variant is Variant.LOGISTIC:
         # 1 - tanh(x) = 2 exp(-2x) / (1 + exp(-2x))
-        return math.log(2.0) - 2.0 * x - math.log1p(math.exp(-2.0 * x))
+        return math.log(2.0) - 2.0 * x - np.logaddexp(0.0, -2.0 * x)
     return -2.0 * x
 
 
@@ -119,6 +122,23 @@ class SteadyState:
         return self.probs.size - 1
 
 
+def _first_block(params: ChainParams) -> int:
+    """Size of steady_state's first block of states.
+
+    The Lambert-W mean is exact for the exponential shape only.  The logistic
+    shape rejects less, and its mean sits up to about 9% above it at paper
+    scale, so the block covers 1.1 times the mean plus eight square roots of
+    it.  A short first block costs one more block, never a different answer.
+    """
+    try:
+        mean = mean_pairs_closed_form(params)
+    except OverflowError:  # exp(gamma) overflows: the mean is below one pair
+        return _BLOCK_MIN
+    if not mean < _BLOCK_MAX:  # also a nan from an overflowing Lambert-W argument
+        return _BLOCK_MAX
+    return min(max(_BLOCK_MIN, math.ceil(1.1 * mean + 8.0 * math.sqrt(mean))), _BLOCK_MAX)
+
+
 def steady_state(params: ChainParams, epsilon: float = 1e-9,
                  max_states: int = 10_000_000) -> SteadyState:
     """Solve the chain by the ratio recurrence, truncating by a tail bound.
@@ -126,8 +146,20 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     Successive state weights obey w_{m+1} = w_m * (lambda/mu)(1-Q_m)/(m+1);
     the recurrence runs in log space so loads around 1e7 cannot overflow.
     Because the step ratio is non-increasing in m, once it drops below one
-    the remaining mass is bounded by a geometric series; iteration stops at
-    the first state where that bound falls below epsilon of the total.
+    the remaining mass is bounded by a geometric series.  The solve stops at
+    the first state m where the birth rate vanishes (the truncation is then
+    exact) or where that bound falls below epsilon of the total mass
+    including states 0..m.  States 0..max_states are examined before
+    NonConvergenceError is raised.
+
+    States are evaluated in array blocks.  The first block is sized from the
+    Lambert-W mean (at least 1,024 states); each later block doubles, up to
+    65,536 states, so no temporary array exceeds about 0.5 MB.  Within a
+    block, log w_m is carried by cumsum and the running log-sum by
+    logaddexp.accumulate, each seeded with the previous block's last value.
+    Both accumulate strictly left to right, so they round exactly as the
+    state-by-state recurrence does, and the stopping rule is tested on every
+    state of the block at once.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -136,33 +168,39 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
         return SteadyState(np.array([1.0]), 0.0, params)
     log_a = math.log(a)
     log_eps = math.log(epsilon)
-    logw = 0.0
-    logws = [0.0]
-    log_sum = 0.0
-    log_tail = -math.inf
-    m = 0
+    logws = []
+    logw, log_sum = 0.0, -math.inf  # log weight of state m0; log of the summed weights below m0
+    m0, size = 0, _first_block(params)
     while True:
+        m = np.arange(m0, min(m0 + size, max_states + 1))
         la = _log_accept(m, params.gamma, params.variant)
-        if la == -math.inf or la < _LOG_EPS_FLOOR:
-            log_tail = -math.inf  # birth rate vanished: truncation is exact
+        log_r = log_a + la - np.log(m + 1)
+        w = np.cumsum(np.concatenate(([logw], log_r)))
+        block_logw = w[:-1]
+        block_sum = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1:]
+        # where log_r >= 0 the bound is undefined (nan or inf) and the test is masked
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            block_tail = block_logw + log_r - np.log1p(-np.exp(log_r))
+            converged = (log_r < 0.0) & (block_tail - np.logaddexp(block_sum, block_tail) <= log_eps)
+        dead = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
+        stop = np.flatnonzero(dead | converged)
+        if stop.size:
+            k = int(stop[0])
+            logws.append(block_logw[:k + 1])
+            log_sum = block_sum[k]
+            log_tail = -math.inf if dead[k] else block_tail[k]
             break
-        log_r = log_a + la - math.log(m + 1)
-        if log_r < 0.0:
-            r = math.exp(log_r)
-            log_tail = logw + log_r - math.log1p(-r)
-            if log_tail - np.logaddexp(log_sum, log_tail) <= log_eps:
-                break
-        m += 1
-        if m > max_states:
+        if m0 + m.size > max_states:
             raise NonConvergenceError(
                 f"steady state not truncated within {max_states} states "
                 f"(load lambda/mu = {a:g}, gamma = {params.gamma:g})"
             )
-        logw += log_r
-        logws.append(logw)
-        log_sum = np.logaddexp(log_sum, logw)
+        logws.append(block_logw)
+        logw, log_sum = w[-1], block_sum[-1]
+        m0 += m.size
+        size = min(2 * size, _BLOCK_MAX)
     log_z = np.logaddexp(log_sum, log_tail)
-    probs = np.exp(np.asarray(logws) - log_z)
+    probs = np.exp(np.concatenate(logws) - log_z)
     tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
     total = float(probs.sum()) + tail
     probs /= total

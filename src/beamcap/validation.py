@@ -44,9 +44,8 @@ def check_telescoping() -> CheckResult:
     worst = 0.0
     for gamma in (1e-4, 1e-2, 0.1, 1.0):
         for m in range(2, 201):
-            factors = [math.exp(queueing._log_accept(n, gamma, Variant.EXPONENTIAL))
-                       for n in range(1, m)]
-            product_log = math.fsum(math.log(f) for f in factors)
+            factors = np.exp(queueing._log_accept(np.arange(1, m), gamma, Variant.EXPONENTIAL))
+            product_log = math.fsum(np.log(factors))
             telescoped_log = -gamma * m * (m - 1)
             worst = max(worst, abs(math.expm1(product_log - telescoped_log)))
     return CheckResult("telescoping-identity", worst <= 1e-12, worst, 1e-12,

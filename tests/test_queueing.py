@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
@@ -17,6 +18,40 @@ VARIANTS = [Variant.PIECEWISE_LINEAR, Variant.LOGISTIC, Variant.EXPONENTIAL]
 
 def chain(lam=1.0, mu=1.0, gamma=0.1, variant=Variant.EXPONENTIAL):
     return ChainParams(lam, mu, gamma, variant)
+
+
+def reference_steady_state(params, epsilon):
+    """State-by-state ratio recurrence with scalar libm calls: the reference
+    that the block solver must reproduce.  Returns (probs, tail_bound)."""
+    def log_accept(n):
+        x = n * params.gamma
+        if params.variant is Variant.PIECEWISE_LINEAR:
+            return math.log1p(-x) if x < 1.0 else -math.inf
+        if params.variant is Variant.LOGISTIC:
+            return math.log(2.0) - 2.0 * x - math.log1p(math.exp(-2.0 * x))
+        return -2.0 * x
+
+    log_a, log_eps = math.log(params.load), math.log(epsilon)
+    logws, logw, log_sum, m = [0.0], 0.0, 0.0, 0
+    while True:
+        la = log_accept(m)
+        if la < -745.0:
+            log_tail = -math.inf
+            break
+        log_r = log_a + la - math.log(m + 1)
+        if log_r < 0.0:
+            log_tail = logw + log_r - math.log1p(-math.exp(log_r))
+            if log_tail - np.logaddexp(log_sum, log_tail) <= log_eps:
+                break
+        m += 1
+        logw += log_r
+        logws.append(logw)
+        log_sum = np.logaddexp(log_sum, logw)
+    log_z = np.logaddexp(log_sum, log_tail)
+    probs = np.exp(np.asarray(logws) - log_z)
+    tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
+    total = float(probs.sum()) + tail
+    return probs / total, tail / total
 
 
 class TestGammaFromGeometry:
@@ -129,6 +164,47 @@ class TestSteadyState:
         with pytest.raises(NonConvergenceError, match="lambda/mu"):
             steady_state(chain(lam=1e6, gamma=0.0), max_states=1000)
 
+    def test_non_convergence_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergenceError) as err:
+            steady_state(chain(lam=1e8, gamma=0.0), max_states=10_000_000)
+        assert time.perf_counter() - t0 < 5.0
+        assert str(err.value) == ("steady state not truncated within 10000000 states "
+                                  "(load lambda/mu = 1e+08, gamma = 0)")
+
+    def test_max_states_is_the_last_state_examined(self):
+        params = chain(lam=50.0, gamma=0.0)
+        last = steady_state(params).truncation_index
+        assert np.array_equal(steady_state(params, max_states=last).probs,
+                              steady_state(params).probs)
+        with pytest.raises(NonConvergenceError):
+            steady_state(params, max_states=last - 1)
+
+    @pytest.mark.parametrize("lam, gamma", [(1e300, 0.5), (1.0, 1000.0)])
+    def test_closed_form_overflow_only_sizes_blocks(self, lam, gamma):
+        # the Lambert-W argument 2*gamma*load*e^gamma overflows here
+        params = chain(lam=lam, gamma=gamma)
+        probs, tail = reference_steady_state(params, 1e-9)
+        ss = steady_state(params)
+        np.testing.assert_allclose(ss.probs, probs, rtol=1e-12, atol=1e-300)
+        assert ss.tail_bound == pytest.approx(tail, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(0.01, 1e4), gamma=st.floats(0.0, 1.0),
+           epsilon=st.sampled_from([1e-12, 1e-9, 1e-6]))
+    @example(a=2e5, gamma=0.0, epsilon=1e-9)   # four blocks for every shape
+    @example(a=1e5, gamma=1e-4, epsilon=1e-9)  # logistic, piecewise: two blocks
+    def test_matches_reference_recurrence(self, variant, a, gamma, epsilon):
+        # vectorised exp/log may round the last bit unlike libm; the log
+        # weights then drift by a few ulp, far inside this tolerance
+        params = chain(lam=a, gamma=gamma, variant=variant)
+        probs, tail = reference_steady_state(params, epsilon)
+        ss = steady_state(params, epsilon=epsilon)
+        assert ss.truncation_index == probs.size - 1
+        np.testing.assert_allclose(ss.probs, probs, rtol=1e-12, atol=1e-300)
+        assert ss.tail_bound == pytest.approx(tail, rel=1e-12, abs=1e-300)
+
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
             steady_state(chain(), epsilon=0.0)
@@ -172,6 +248,32 @@ class TestMetrics:
         params = chain(lam=a, gamma=gamma, variant=variant)
         ss = steady_state(params, epsilon=1e-12)
         assert acceptance_prob(ss) == pytest.approx(mean_pairs(ss) / a, rel=1e-8)
+
+
+class TestChainProperties:
+    """Invariants of the solved chain over random load, footprint and shape."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(load=st.floats(0.01, 1e5), mu=st.floats(0.01, 100.0),
+           gamma=st.floats(0.0, 1.0), variant=st.sampled_from(VARIANTS))
+    def test_littles_law_and_tail_bound(self, load, mu, gamma, variant):
+        params = ChainParams(load * mu, mu, gamma, variant)
+        ss = steady_state(params, epsilon=1e-12)
+        assert ss.tail_bound <= 1e-12
+        assert params.lambda_total * acceptance_prob(ss) == pytest.approx(
+            params.mu * mean_pairs(ss), rel=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(load=st.floats(0.01, 100.0), gamma=st.floats(0.0, 1.0))
+    def test_exponential_matches_telescoped_weights(self, load, gamma):
+        # an independent route: closed-form weights, no recurrence.  Rounding
+        # in the recurrence grows with |log w| ~ load, hence loads <= 100
+        params = chain(lam=load, gamma=gamma)
+        ss = steady_state(params)
+        weights = np.array([telescoped_state_weight(m, params) for m in range(ss.probs.size)])
+        normal = weights > 1e-290
+        ratio = ss.probs[normal] / weights[normal]
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
 
 class TestLambertW:
