@@ -1,4 +1,9 @@
-"""Byte-exact `analyze` output for every preset, pinned in tests/golden/.
+"""Byte-exact CLI output, pinned in tests/golden/.
+
+`analyze` is pinned for every preset.  `simulate` and a measured-noise
+`sweep-power` are pinned on short fixed-seed runs that cover both check
+modes, both sweep values of desk-fig5, and a table antenna whose peak
+(21 dBi) exceeds the analytic maximum directivity at the same beamwidth.
 
 Regenerate only for an intended change of output, and say which file moved:
 
@@ -13,19 +18,41 @@ from beamcap import cli_rows
 from beamcap.scenario import PRESETS, load_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = {f"analyze-{preset}.csv": (preset, {}) for preset in PRESETS}
-CASES.update({f"analyze-paper-fig6-{variant}.csv": ("paper-fig6", {"variant": variant})
+SHORT = {"replications": "2", "warmup_s": "4", "horizon_s": "12", "seed": "7"}
+
+CASES = {f"analyze-{preset}.csv": ("analyze", preset, {}) for preset in PRESETS}
+CASES.update({f"analyze-paper-fig6-{variant}.csv": ("analyze", "paper-fig6", {"variant": variant})
               for variant in ("logistic", "piecewise-linear")})
+SIM_CASES = {
+    "simulate-desk-fig4.csv": ("simulate", "desk-fig4", SHORT),
+    "simulate-desk-fig5.csv": ("simulate", "desk-fig5",
+                               {**SHORT, "warmup_s": "1", "horizon_s": "2.5"}),
+    "simulate-desk-fig4-one-way.csv": ("simulate", "desk-fig4",
+                                       {**SHORT, "check_mode": "one-way"}),
+    "simulate-table-antenna.csv": ("simulate", "desk-fig5",
+                                   {**SHORT, "sweep_param": "", "lambda_per_m2": "0.005",
+                                    "antenna": f"table:{GOLDEN / 'antenna-peak-21dbi.csv'}"}),
+    "sweep-power-measured.csv": ("sweep-power", "desk-fig4",
+                                 {**SHORT, "noise_mode": "measured", "p_tx_step_db": "2"}),
+}
+CASES.update(SIM_CASES)
+
+ROWS = {"analyze": cli_rows.analyze_rows, "simulate": cli_rows.simulate_rows,
+        "sweep-power": cli_rows.sweep_power_rows}
 
 
 def render(name: str) -> str:
-    preset, overrides = CASES[name]
-    return cli_rows.render_csv(cli_rows.analyze_rows(load_scenario(preset=preset,
-                                                                   overrides=overrides)))
+    command, preset, overrides = CASES[name]
+    return cli_rows.render_csv(ROWS[command](load_scenario(preset=preset, overrides=overrides)))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(set(CASES) - set(SIM_CASES)))
 def test_analyze_matches_golden(name):
+    assert render(name).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+def test_simulate_matches_golden(name):
     assert render(name).encode() == (GOLDEN / name).read_bytes()
 
 
