@@ -16,7 +16,8 @@ import sys
 
 from . import cli_rows, validation
 from .queueing import NonConvergenceError
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, check_simulation_budget, load_scenario, sweep_points
+from .throughput import NoiseMode
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,6 +56,9 @@ def main(argv=None) -> int:
         scenario = None
         if args.command != "validate" or args.config or args.preset:
             scenario = load_scenario(path=args.config, preset=args.preset)
+        if args.command == "simulate" or (args.command == "sweep-power" and
+                                          scenario.rate_model.noise_mode is NoiseMode.MEASURED):
+            check_simulation_budget(scn for _, _, scn in sweep_points(scenario))
         if args.command == "analyze":
             rows = cli_rows.analyze_rows(scenario)
         elif args.command == "simulate":
@@ -66,6 +70,7 @@ def main(argv=None) -> int:
                 scenario = validation.desk_scenario(seed=args.seed)
             elif args.seed is not None:
                 scenario = scenario.with_value("seed", args.seed)
+            check_simulation_budget([scenario])
             results = validation.run_all(scenario, jobs=args.jobs)
             if args.format == "json":
                 rows = [{"name": r.name, "passed": r.passed, "measured": r.measured,

@@ -11,7 +11,6 @@ import io
 import json
 import math
 
-
 from . import queueing, simulator, throughput
 from .queueing import ChainParams
 from .radio import coverage_radius

@@ -148,6 +148,12 @@ class AntennaModel:
         g_db = np.interp(np.asarray(alpha), self.angles, self.gains_dbi)
         return 10.0 ** (g_db / 10.0)
 
+    def peak_gain_linear(self, radio: RadioParams) -> float:
+        """Largest gain at any angle; a table's largest sample may exceed D0."""
+        if self.variant is AntennaVariant.ANALYTIC:
+            return max_directivity(radio.theta)
+        return float(10.0 ** (self.gains_dbi.max() / 10.0))
+
 
 def directivity_reduction(alpha: float, theta: float) -> float:
     """Linear gain roll-off with deviation from boresight; zero beyond theta."""

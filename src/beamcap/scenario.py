@@ -170,6 +170,13 @@ def _parse_float(kv: dict[str, str], key: str) -> float:
     return v
 
 
+def _parse_positive(kv: dict[str, str], key: str) -> float:
+    v = _parse_float(kv, key)
+    if v <= 0:
+        raise ScenarioError(f"{key}: must be positive, got {v}")
+    return v
+
+
 def _parse_int(kv: dict[str, str], key: str) -> int:
     try:
         return int(kv[key])
@@ -210,15 +217,9 @@ def build_scenario(kv: dict[str, str]) -> Scenario:
     theta_deg = _parse_float(merged, "theta_deg")
     if not 0.0 < theta_deg <= 180.0:
         raise ScenarioError(f"theta_deg: must be in (0, 180], got {theta_deg}")
-    kappa = _parse_float(merged, "kappa")
-    if kappa <= 0:
-        raise ScenarioError(f"kappa: must be positive, got {kappa}")
-    c_const = _parse_float(merged, "c_const")
-    if c_const <= 0:
-        raise ScenarioError(f"c_const: must be positive, got {c_const}")
-    bandwidth = _parse_float(merged, "bandwidth_hz")
-    if bandwidth <= 0:
-        raise ScenarioError(f"bandwidth_hz: must be positive, got {bandwidth}")
+    kappa = _parse_positive(merged, "kappa")
+    c_const = _parse_positive(merged, "c_const")
+    bandwidth = _parse_positive(merged, "bandwidth_hz")
     p_tx = _parse_float(merged, "p_tx_dbm")
     n_thr = _parse_float(merged, "n_thr_dbm")
     if p_tx <= n_thr:
@@ -227,15 +228,11 @@ def build_scenario(kv: dict[str, str]) -> Scenario:
     radio = RadioParams(p_tx, n_thr, math.radians(theta_deg), kappa, c_const,
                         bandwidth, snr_max)
 
-    r_d = _parse_float(merged, "r_d_m")
-    if r_d <= 0:
-        raise ScenarioError(f"r_d_m: must be positive, got {r_d}")
+    r_d = _parse_positive(merged, "r_d_m")
     lam = _parse_float(merged, "lambda_per_m2")
     if lam < 0:
         raise ScenarioError(f"lambda_per_m2: must be >= 0, got {lam}")
-    mu = _parse_float(merged, "mu_per_s")
-    if mu <= 0:
-        raise ScenarioError(f"mu_per_s: must be positive, got {mu}")
+    mu = _parse_positive(merged, "mu_per_s")
     deployment = DeploymentParams(r_d, lam, mu, _parse_pair_model(merged["pair_model"]))
 
     antenna_spec = merged["antenna"]
@@ -275,12 +272,8 @@ def build_scenario(kv: dict[str, str]) -> Scenario:
     p_max = _parse_float(merged, "p_tx_max_dbm")
     if p_max < p_min:
         raise ScenarioError(f"p_tx_max_dbm: empty range [{p_min}, {p_max}]")
-    p_step = _parse_float(merged, "p_tx_step_db")
-    if p_step <= 0:
-        raise ScenarioError(f"p_tx_step_db: must be positive, got {p_step}")
-    opt_tol = _parse_float(merged, "opt_tol_db")
-    if opt_tol <= 0:
-        raise ScenarioError(f"opt_tol_db: must be positive, got {opt_tol}")
+    p_step = _parse_positive(merged, "p_tx_step_db")
+    opt_tol = _parse_positive(merged, "opt_tol_db")
 
     sweep = None
     if merged["sweep_param"]:
@@ -336,3 +329,16 @@ def sweep_points(scenario: Scenario):
     param, values = scenario.sweep
     for v in values:
         yield param, v, scenario.with_value(param, v)
+
+
+MAX_SIM_ARRIVALS = 1e9
+
+
+def check_simulation_budget(scenarios) -> None:
+    """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals."""
+    for scn in scenarios:
+        arrivals = scn.deployment.lambda_total * scn.horizon_s * scn.replications
+        if arrivals > MAX_SIM_ARRIVALS:
+            raise ScenarioError(f"lambda_per_m2, horizon_s, replications: {arrivals:.3g} expected "
+                                f"arrivals (lambda_per_m2 * disk area * horizon_s * replications) "
+                                f"exceed the limit of {MAX_SIM_ARRIVALS:.0e}")

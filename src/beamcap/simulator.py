@@ -5,10 +5,15 @@ pass a listen-before-talk admission test against every active device,
 and depart after an exponential service time.  Rejected arrivals are
 cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
+
+One kernel computes received power for admission, interference and the
+audit.  Admission skips active devices beyond the peak-gain boresight
+range of both candidate devices: they cannot deliver the threshold.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import heapq
 import math
@@ -244,51 +249,50 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
             ay = ay + off[0, 1]
         if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
             continue
-        bore_ab = math.atan2(by - ay, bx - ax)
-        bore_ba = math.atan2(ay - by, ax - bx)
-        return PairPlacement((ax, ay), (bx, by), bore_ab, bore_ba)
+        return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
+                             math.atan2(ay - by, ax - bx))
     raise RuntimeError(
         f"no placement inside the disk after {_PLACEMENT_RETRIES} attempts "
         f"(region_radius={r_d}, pair_model={model})"
     )
 
 
-def _powers_from_devices(pos, bore, target, radio: RadioParams, antenna: AntennaModel):
-    """Received power [mW] at one target point from each device in pos/bore."""
-    vec = target - pos
-    dist = np.hypot(vec[:, 0], vec[:, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - bore))
+def _received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
+    """Power [mW] at omnidirectional receivers over transmitter-to-receiver
+    vectors (dx, dy) from transmitters with boresight bore; inf where d == 0."""
+    dist = np.hypot(dx, dy)
+    alpha = np.abs(_wrap_angle(np.arctan2(dy, dx) - bore))
     gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
-def _powers_at_devices(tx_pos, tx_bore, pos, radio: RadioParams, antenna: AntennaModel):
-    """Received power [mW] at each device in pos from one transmitter."""
-    vec = pos - tx_pos
-    dist = np.hypot(vec[:, 0], vec[:, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - tx_bore))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore"):
-        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
+def _reach(radio: RadioParams, antenna: AntennaModel) -> float:
+    """Farthest any transmitter delivers the threshold (gain <= peak), plus a rounding margin."""
+    ratio = radio.p_tx_mw * antenna.peak_gain_linear(radio) / (radio.n_thr_mw * radio.c_const)
+    return ratio ** (1.0 / radio.kappa) * (1.0 + 1e-9)
 
 
 def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams,
-           antenna: AntennaModel, mode: CheckMode) -> bool:
-    if pos.shape[0] == 0:
+           antenna: AntennaModel, mode: CheckMode, reach: float) -> bool:
+    (ax, ay), (bx, by) = candidate.pos_a, candidate.pos_b
+    mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+    # devices beyond reach of both candidate devices cannot decide (+ midpoint rounding)
+    limit = reach + 0.5 * math.hypot(bx - ax, by - ay) + 1e-12 * (abs(mx) + abs(my))
+    dx, dy = pos[:, 0] - mx, pos[:, 1] - my
+    near = (dx * dx + dy * dy <= limit * limit).nonzero()[0]
+    if near.size == 0:
         return True
+    (px, py), near_bore = pos.take(near, 0).T, bore.take(near)
+    cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
     thr = radio.n_thr_mw
-    for victim in (candidate.pos_a, candidate.pos_b):
-        p = _powers_from_devices(pos, bore, np.asarray(victim), radio, antenna)
-        if np.any(p >= thr):
-            return False
-    if mode is CheckMode.TWO_WAY:
-        for tx, tx_bore in ((candidate.pos_a, candidate.boresight_ab),
-                            (candidate.pos_b, candidate.boresight_ba)):
-            p = _powers_at_devices(np.asarray(tx), tx_bore, pos, radio, antenna)
-            if np.any(p >= thr):
-                return False
-    return True
+    # one-way: near transmitters at both candidate devices, one (2, K) pass
+    if (_received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
+        return False
+    if mode is CheckMode.ONE_WAY:
+        return True
+    cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
+    return not (_received_power_mw(px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
@@ -302,19 +306,13 @@ def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
     device.
     """
     pos, bore = _placements_to_arrays(active)
-    return _admit(candidate, pos, bore, radio, antenna, mode)
+    return _admit(candidate, pos, bore, radio, antenna, mode, _reach(radio, antenna))
 
 
 def _placements_to_arrays(placements: Sequence[PairPlacement]):
-    n = len(placements)
-    pos = np.empty((2 * n, 2))
-    bore = np.empty(2 * n)
-    for i, p in enumerate(placements):
-        pos[2 * i] = p.pos_a
-        pos[2 * i + 1] = p.pos_b
-        bore[2 * i] = p.boresight_ab
-        bore[2 * i + 1] = p.boresight_ba
-    return pos, bore
+    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
+    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)], dtype=float)
+    return pos.reshape(-1, 2), bore
 
 
 class _ActiveSet:
@@ -330,13 +328,10 @@ class _ActiveSet:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    @property
-    def pos(self):
-        return self._pos[: 2 * len(self._pairs)]
-
-    @property
-    def bore(self):
-        return self._bore[: 2 * len(self._pairs)]
+    def arrays(self):
+        """Positions (2n, 2) and boresights (2n,) of the active devices."""
+        n = 2 * len(self._pairs)
+        return self._pos[:n], self._bore[:n]
 
     def placements(self) -> tuple[PairPlacement, ...]:
         return tuple(self._placements[pid] for pid in self._pairs)
@@ -346,10 +341,8 @@ class _ActiveSet:
         if 2 * (blk + 1) > self._pos.shape[0]:
             self._pos = np.resize(self._pos, (2 * self._pos.shape[0], 2))
             self._bore = np.resize(self._bore, 2 * self._bore.shape[0])
-        self._pos[2 * blk] = placement.pos_a
-        self._pos[2 * blk + 1] = placement.pos_b
-        self._bore[2 * blk] = placement.boresight_ab
-        self._bore[2 * blk + 1] = placement.boresight_ba
+        self._pos[2 * blk: 2 * blk + 2] = placement.pos_a, placement.pos_b
+        self._bore[2 * blk: 2 * blk + 2] = placement.boresight_ab, placement.boresight_ba
         self._pairs.append(pair_id)
         self._block_of[pair_id] = blk
         self._placements[pair_id] = placement
@@ -367,19 +360,20 @@ class _ActiveSet:
         self._pairs.pop()
 
 
+def _cross_pair_powers(pos, bore, radio: RadioParams, antenna: AntennaModel):
+    """Power [mW] from each device i (row) at each device j, own pair zeroed."""
+    p = _received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
+                           bore[:, None], radio, antenna)
+    blk = np.arange(pos.shape[0]) // 2
+    p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
+    return p
+
+
 def _aggregate_interference_mw(pos, radio: RadioParams, antenna: AntennaModel, bore) -> float:
     """Mean over devices of the summed power received from other pairs."""
-    n_dev = pos.shape[0]
-    if n_dev < 4:
+    if pos.shape[0] < 4:
         return math.nan
-    diff = pos[None, :, :] - pos[:, None, :]           # tx i -> victim j
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(diff[:, :, 1], diff[:, :, 0]) - bore[:, None]))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa)
-    blk = np.arange(n_dev) // 2
-    p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
+    p = _cross_pair_powers(pos, bore, radio, antenna)
     p[~np.isfinite(p)] = 0.0
     return float(p.sum(axis=0).mean())
 
@@ -407,11 +401,7 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
     snapshots: list[tuple[PairPlacement, ...]] = []
     interference_num = 0.0
     interference_den = 0.0
-    trace_file = open(trace_path, "w", newline="") if trace_path else None
-    writer = None
-    if trace_file:
-        writer = csv.writer(trace_file, lineterminator="\n")
-        writer.writerow(["t", "event", "n_active", "accepted"])
+    reach = _reach(config.radio, config.antenna)
 
     def integrate_to(t_end: float) -> None:
         nonlocal interference_num, interference_den
@@ -421,7 +411,8 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
             n = len(active)
             state_time[n] = state_time.get(n, 0.0) + (hi - lo)
             if collect_interference and n >= 2:
-                agg = _aggregate_interference_mw(active.pos, config.radio, config.antenna, active.bore)
+                pos, bore = active.arrays()
+                agg = _aggregate_interference_mw(pos, config.radio, config.antenna, bore)
                 if not math.isnan(agg):
                     interference_num += agg * (hi - lo)
                     interference_den += hi - lo
@@ -430,50 +421,53 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
         heapq.heappush(heap, (rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
         seq += 1
 
-    while heap:
-        t, _, kind, pid = heapq.heappop(heap)
-        while next_snap is not None and next_snap < min(t, horizon):
-            snapshots.append(active.placements())
-            next_snap = next(snap_iter, None)
-        integrate_to(t)
-        if t > horizon:
-            t_prev = horizon
-            break
-        t_prev = t
-        if kind == _ARRIVAL:
-            placement = place_pair(rng, dep)
-            post = t >= warmup
-            if post:
-                observed += 1
-            ok = _admit(placement, active.pos, active.bore, config.radio,
-                        config.antenna, config.check_mode)
-            if ok:
-                active.add(next_pair_id, placement)
-                admitted_total += 1
+    with (open(trace_path, "w", newline="") if trace_path
+          else contextlib.nullcontext()) as trace_file:
+        writer = csv.writer(trace_file, lineterminator="\n") if trace_file else None
+        if writer:
+            writer.writerow(["t", "event", "n_active", "accepted"])
+        while heap:
+            t, _, kind, pid = heapq.heappop(heap)
+            while next_snap is not None and next_snap < min(t, horizon):
+                snapshots.append(active.placements())
+                next_snap = next(snap_iter, None)
+            integrate_to(t)
+            if t > horizon:
+                t_prev = horizon
+                break
+            t_prev = t
+            if kind == _ARRIVAL:
+                placement = place_pair(rng, dep)
+                post = t >= warmup
                 if post:
-                    accepted += 1
-                heapq.heappush(heap, (t + rng.exponential(1.0 / dep.mu), seq, _DEPARTURE, next_pair_id))
+                    observed += 1
+                ok = _admit(placement, *active.arrays(), config.radio, config.antenna,
+                            config.check_mode, reach)
+                if ok:
+                    active.add(next_pair_id, placement)
+                    admitted_total += 1
+                    if post:
+                        accepted += 1
+                    heapq.heappush(heap, (t + rng.exponential(1.0 / dep.mu), seq, _DEPARTURE, next_pair_id))
+                    seq += 1
+                    next_pair_id += 1
+                heapq.heappush(heap, (t + rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
                 seq += 1
-                next_pair_id += 1
-            heapq.heappush(heap, (t + rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
-            seq += 1
-            if writer:
-                writer.writerow([repr(t), "arrival", len(active), int(ok)])
+                if writer:
+                    writer.writerow([repr(t), "arrival", len(active), int(ok)])
+            else:
+                active.remove(pid)
+                departed_total += 1
+                if writer:
+                    writer.writerow([repr(t), "departure", len(active), ""])
+            assert admitted_total - departed_total == len(active)
         else:
-            active.remove(pid)
-            departed_total += 1
-            if writer:
-                writer.writerow([repr(t), "departure", len(active), ""])
-        assert admitted_total - departed_total == len(active)
-    else:
-        integrate_to(horizon)
-        t_prev = horizon
+            integrate_to(horizon)
+            t_prev = horizon
 
     while next_snap is not None and next_snap <= horizon:
         snapshots.append(active.placements())
         next_snap = next(snap_iter, None)
-    if trace_file:
-        trace_file.close()
 
     measured = horizon - warmup
     mean_n = sum(n * dt for n, dt in state_time.items()) / measured
@@ -490,9 +484,7 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
 
 def _rep_worker(args):
     config, idx, trace_dir = args
-    trace_path = None
-    if trace_dir is not None:
-        trace_path = f"{trace_dir}/replication_{idx:03d}.csv"
+    trace_path = None if trace_dir is None else f"{trace_dir}/replication_{idx:03d}.csv"
     return run_replication(config, idx, trace_path=trace_path)
 
 
@@ -609,14 +601,6 @@ def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams
     """
     if len(placements) < 2:
         return 0.0
-    pos, bore = _placements_to_arrays(placements)
-    diff = pos[None, :, :] - pos[:, None, :]
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(diff[:, :, 1], diff[:, :, 0]) - bore[:, None]))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa)
-    blk = np.arange(pos.shape[0]) // 2
-    p[blk[:, None] == blk[None, :]] = 0.0
+    p = _cross_pair_powers(*_placements_to_arrays(placements), radio, antenna)
     p[~np.isfinite(p)] = np.inf
     return float(p.max())

@@ -1,13 +1,15 @@
 import json
 import math
+import time
 
 import pytest
 
 from beamcap import CheckMode, Variant
 from beamcap.cli import main
 from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
-from beamcap.scenario import (DEFAULTS, PRESETS, ScenarioError, build_scenario,
-                              load_scenario, parse_config_text)
+from beamcap.scenario import (DEFAULTS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
+                              build_scenario, check_simulation_budget, load_scenario,
+                              parse_config_text)
 
 
 class TestConfigParsing:
@@ -242,3 +244,36 @@ class TestCliEntry:
         assert main(["analyze", "--preset", "desk-fig4", "--out", str(out)]) == 0
         assert out.read_text().startswith("sweep_param,")
         capsys.readouterr()
+
+
+class TestSimulationBudget:
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_paper_scale_simulation_fails_fast(self, command, capsys):
+        # paper-fig4 expects ~1.4e10 arrivals at its first sweep point alone
+        t0 = time.perf_counter()
+        assert main([command, "--preset", "paper-fig4"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        for key in ("lambda_per_m2", "horizon_s", "replications"):
+            assert key in err
+
+    def test_measured_noise_sweep_power_fails_fast(self, tmp_path, capsys):
+        # measured noise runs the simulator at paper scale; the default
+        # noise rule does not simulate and is not limited
+        cfg = tmp_path / "measured.cfg"
+        cfg.write_text("noise_mode = measured\n")
+        t0 = time.perf_counter()
+        assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "expected arrivals" in capsys.readouterr().err
+        assert main(["sweep-power", "--preset", "paper-fig5"]) == 0
+        capsys.readouterr()
+
+    def test_limit_is_on_expected_arrivals(self):
+        area = math.pi * 300.0 ** 2
+        below = load_scenario(preset="desk-fig4", overrides={
+            "lambda_per_m2": repr(0.99 * MAX_SIM_ARRIVALS / (area * 100.0 * 10)),
+            "horizon_s": "100", "replications": "10"})
+        check_simulation_budget([below])
+        with pytest.raises(ScenarioError, match="replications"):
+            check_simulation_budget([below.with_value("replications", 11)])

@@ -247,6 +247,21 @@ class TestRun:
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["replication_000.csv", "replication_001.csv"]
 
+    def test_trace_file_closed_when_replication_raises(self, tmp_path, monkeypatch):
+        from beamcap import simulator
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(simulator, "open", recording_open, raising=False)
+        # partner 50 m away never fits in a 10 m disk: place_pair raises
+        cfg = sim_config(lam=1.0, r_d=10.0, model=FixedDistance(50.0), reps=1)
+        with pytest.raises(RuntimeError, match="100 attempts"):
+            run_replication(cfg, 0, trace_path=tmp_path / "trace.csv")
+        assert len(opened) == 1 and opened[0].closed
+
     def test_trace_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         cfg = sim_config(seed=3, reps=1, warmup=5.0, horizon=20.0)
