@@ -12,8 +12,6 @@ import json
 import math
 
 from . import queueing, simulator, throughput
-from .queueing import ChainParams
-from .radio import coverage_radius
 from .scenario import Scenario, sweep_points
 from .throughput import NoiseMode
 
@@ -56,17 +54,13 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
     """Per sweep value: footprint ratio, both mean-pair engines, acceptance."""
     rows = []
     for param, value, scn in sweep_points(scenario):
-        r = coverage_radius(scn.radio)
-        gamma = queueing.gamma_from_geometry(r, scn.radio.kappa, scn.radio.theta,
-                                             scn.deployment.area)
-        chain = ChainParams(scn.deployment.lambda_total, scn.deployment.mu, gamma,
-                            scn.variant)
+        chain = queueing.chain_params(scn.radio, scn.deployment, scn.variant)
         ss = queueing.steady_state(chain)
         e_series = queueing.mean_pairs(ss)
         rows.append({
             "sweep_param": param,
             "sweep_value": value,
-            "gamma": gamma,
+            "gamma": chain.gamma,
             "mean_pairs_series": e_series,
             "mean_pairs_closed": queueing.mean_pairs_closed_form(chain),
             "mean_pairs_per_m2": e_series / scn.deployment.area,
@@ -105,10 +99,7 @@ def sweep_power_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None)
     for param, value, scn in sweep_points(scenario):
         measured = None
         if scn.rate_model.noise_mode is NoiseMode.MEASURED:
-            measured = throughput.measured_noise_power(
-                scn.rate_scenario(), warmup=scn.warmup_s, horizon=scn.horizon_s,
-                replications=scn.replications,
-                seed=scn.seed if seed is None else seed, check_mode=scn.check_mode)
+            measured = throughput.measured_noise_power(scn.sim_config(seed))
         rate_scn = scn.rate_scenario(measured_noise_mw=measured)
         n_steps = max(int(round((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db)), 0)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]

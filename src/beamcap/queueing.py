@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .radio import pair_coverage_area
+from .radio import RadioParams, coverage_radius, pair_coverage_area
+from .simulator import DeploymentParams
 
 _LOG_EPS_FLOOR = -745.0  # below exp() underflow; treated as impossible state
 # steady_state block sizes: the cap keeps each temporary array near 0.5 MB
@@ -65,6 +66,13 @@ def gamma_from_geometry(r: float, kappa: float, theta: float, area: float) -> fl
     if area <= 0:
         raise ValueError(f"area must be positive, got {area}")
     return pair_coverage_area(r, theta, kappa) / area
+
+
+def chain_params(radio: RadioParams, deployment: DeploymentParams,
+                 variant: Variant = Variant.EXPONENTIAL) -> ChainParams:
+    """Chain of a deployment: footprint ratio from the coverage radius at radio's power."""
+    gamma = gamma_from_geometry(coverage_radius(radio), radio.kappa, radio.theta, deployment.area)
+    return ChainParams(deployment.lambda_total, deployment.mu, gamma, variant)
 
 
 def rejection_prob(n, gamma: float, variant: Variant = Variant.EXPONENTIAL) -> float:

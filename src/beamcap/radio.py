@@ -60,6 +60,8 @@ class RadioParams:
             )
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        if not math.isfinite(self.snr_max_db):
+            raise ValueError(f"snr_max_db must be finite, got {self.snr_max_db}")
 
     @property
     def p_tx_mw(self) -> float:
@@ -155,15 +157,6 @@ class AntennaModel:
         return float(10.0 ** (self.gains_dbi.max() / 10.0))
 
 
-def directivity_reduction(alpha: float, theta: float) -> float:
-    """Linear gain roll-off with deviation from boresight; zero beyond theta."""
-    if alpha < 0:
-        raise ValueError(f"deviation angle must be non-negative, got {alpha}")
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return max(1.0 - alpha / theta, 0.0)
-
-
 def max_directivity(theta: float) -> float:
     """Peak directivity of a beam with half-power beamwidth theta."""
     if not 0.0 < theta < 2.0 * math.pi:
@@ -171,16 +164,23 @@ def max_directivity(theta: float) -> float:
     return 2.0 / (1.0 - math.cos(theta / 2.0))
 
 
-def receive_power(params: RadioParams, antenna: AntennaModel, d: float, alpha: float) -> float:
-    """Received power [mW] at distance d and deviation angle alpha.
+def _wrap_angle(x):
+    """Fold angles into [-pi, pi)."""
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
-    The directional end contributes the composite gain; the other end is
-    omnidirectional with unit gain.
+
+def received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
+    """Power [mW] at omnidirectional receivers over transmitter-to-receiver
+    vectors (dx, dy) from transmitters with boresight bore; inf where d == 0.
+
+    The directional transmitter contributes the composite gain; the
+    receiving end has unit gain.
     """
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    gain = float(antenna.gain_linear(alpha, params))
-    return params.p_tx_mw * gain / (params.c_const * d ** params.kappa)
+    dist = np.hypot(dx, dy)
+    alpha = np.abs(_wrap_angle(np.arctan2(dy, dx) - bore))
+    gain = antenna.gain_linear(alpha, radio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
 def coverage_radius(params: RadioParams) -> float:

@@ -14,7 +14,7 @@ from .queueing import Variant
 from .radio import AntennaModel, RadioParams
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairModel, SimConfig, TruncatedDistribution)
-from .throughput import NoiseMode, RateModel, RateScenario
+from .throughput import MeanEngine, NoiseMode, RateModel, RateScenario
 
 
 class ScenarioError(ValueError):
@@ -106,7 +106,7 @@ class Scenario:
     rate_model: RateModel
     variant: Variant
     check_mode: CheckMode
-    mean_engine: str
+    mean_engine: MeanEngine
     seed: int
     replications: int
     warmup_s: float
@@ -127,11 +127,8 @@ class Scenario:
 
     def rate_scenario(self, measured_noise_mw: float | None = None) -> RateScenario:
         return RateScenario(
-            radio=self.radio, antenna=self.antenna,
-            region_radius=self.deployment.region_radius,
-            lambda_density=self.deployment.lambda_density, mu=self.deployment.mu,
-            pair_model=self.deployment.pair_model, rate_model=self.rate_model,
-            variant=self.variant, mean_engine=self.mean_engine,
+            radio=self.radio, antenna=self.antenna, deployment=self.deployment,
+            rate_model=self.rate_model, variant=self.variant, mean_engine=self.mean_engine,
             measured_noise_mw=measured_noise_mw,
         )
 
@@ -249,13 +246,11 @@ def build_scenario(kv: dict[str, str]) -> Scenario:
     k = _parse_int(merged, "k_neighbors")
     if k < 1:
         raise ScenarioError(f"k_neighbors: must be >= 1, got {k}")
-    rate_model = RateModel(k, snr_max, _parse_enum(merged, "noise_mode", NoiseMode))
+    rate_model = RateModel(k, _parse_enum(merged, "noise_mode", NoiseMode))
 
     variant = _parse_enum(merged, "variant", Variant)
     check_mode = _parse_enum(merged, "check_mode", CheckMode)
-    mean_engine = merged["mean_engine"]
-    if mean_engine not in ("closed", "series"):
-        raise ScenarioError(f"mean_engine: expected closed or series, got {mean_engine!r}")
+    mean_engine = _parse_enum(merged, "mean_engine", MeanEngine)
 
     seed = _parse_int(merged, "seed")
     if seed < 0:

@@ -6,9 +6,10 @@ and depart after an exponential service time.  Rejected arrivals are
 cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
 
-One kernel computes received power for admission, interference and the
-audit.  Admission skips active devices beyond the peak-gain boresight
-range of both candidate devices: they cannot deliver the threshold.
+One kernel, radio.received_power_mw, computes received power for
+admission, interference and the audit.  Admission skips active devices
+beyond the peak-gain boresight range of both candidate devices: they
+cannot deliver the threshold.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate, stats
 
-from .radio import AntennaModel, RadioParams
+from .radio import AntennaModel, RadioParams, received_power_mw
 
 _PLACEMENT_RETRIES = 100
 
@@ -211,11 +212,6 @@ class ReplicationResult:
     snapshots: tuple[tuple[PairPlacement, ...], ...] = ()
 
 
-def _wrap_angle(x):
-    """Fold angles into [-pi, pi)."""
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
 def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPlacement:
     """Draw one pair: anchor uniform in the disk, partner by the pair model.
 
@@ -257,16 +253,6 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
     )
 
 
-def _received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
-    """Power [mW] at omnidirectional receivers over transmitter-to-receiver
-    vectors (dx, dy) from transmitters with boresight bore; inf where d == 0."""
-    dist = np.hypot(dx, dy)
-    alpha = np.abs(_wrap_angle(np.arctan2(dy, dx) - bore))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
-
-
 def _reach(radio: RadioParams, antenna: AntennaModel) -> float:
     """Farthest any transmitter delivers the threshold (gain <= peak), plus a rounding margin."""
     ratio = radio.p_tx_mw * antenna.peak_gain_linear(radio) / (radio.n_thr_mw * radio.c_const)
@@ -287,12 +273,12 @@ def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams,
     cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
     thr = radio.n_thr_mw
     # one-way: near transmitters at both candidate devices, one (2, K) pass
-    if (_received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
+    if (received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
         return False
     if mode is CheckMode.ONE_WAY:
         return True
     cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
-    return not (_received_power_mw(px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()
+    return not (received_power_mw(px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
@@ -362,8 +348,8 @@ class _ActiveSet:
 
 def _cross_pair_powers(pos, bore, radio: RadioParams, antenna: AntennaModel):
     """Power [mW] from each device i (row) at each device j, own pair zeroed."""
-    p = _received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
-                           bore[:, None], radio, antenna)
+    p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
+                          bore[:, None], radio, antenna)
     blk = np.arange(pos.shape[0]) // 2
     p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
     return p

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import queueing, simulator
-from .queueing import ChainParams, Variant
-from .radio import AntennaModel, RadioParams, coverage_radius, dbm_to_mw, receive_power
-from .simulator import CheckMode, DeploymentParams, PairModel, SimConfig, run_replication
+from .queueing import Variant
+from .radio import AntennaModel, RadioParams, dbm_to_mw, received_power_mw
+from .simulator import DeploymentParams, SimConfig, run_replication
 
 
 class NoiseMode(Enum):
@@ -24,19 +24,21 @@ class NoiseMode(Enum):
     MEASURED = "measured"
 
 
+class MeanEngine(Enum):
+    CLOSED = "closed"
+    SERIES = "series"
+
+
 @dataclass(frozen=True)
 class RateModel:
-    """Noise model and rate cap for link-rate estimates."""
+    """Noise model for link-rate estimates; the SNR cap is RadioParams.snr_max_db."""
 
     k_neighbors: int = 6
-    snr_max_db: float = 20.0
     noise_mode: NoiseMode = NoiseMode.THRESHOLD_K
 
     def __post_init__(self) -> None:
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if not math.isfinite(self.snr_max_db):
-            raise ValueError(f"snr_max_db must be finite, got {self.snr_max_db}")
 
 
 def noise_power(n_thr_dbm: float, k: int) -> float:
@@ -61,35 +63,21 @@ def link_rate(radio: RadioParams, p_rx_mw: float, p_n_mw: float) -> float:
 class RateScenario:
     """Inputs for area-rate evaluation and power sweeps.
 
-    mean_engine selects how E[N] is computed: "closed" uses the Lambert-W
-    form (cheap, accurate in dense regimes), "series" sums the truncated
-    chain (exact per variant, costly at very high loads).
+    mean_engine selects how E[N] is computed.  CLOSED uses the Lambert-W
+    mean of the exponential shape whatever variant says (cheap, accurate
+    in dense regimes).  SERIES sums the truncated chain of variant: exact,
+    but it walks about one state per expected pair, and past 1e7 states
+    steady_state raises NonConvergenceError (paper-fig6 at 52 deg and
+    -20 dBm: load 5.65e7, mean 1.21e7).
     """
 
     radio: RadioParams
     antenna: AntennaModel
-    region_radius: float
-    lambda_density: float
-    mu: float
-    pair_model: PairModel
+    deployment: DeploymentParams
     rate_model: RateModel = RateModel()
     variant: Variant = Variant.EXPONENTIAL
-    mean_engine: str = "closed"
+    mean_engine: MeanEngine = MeanEngine.CLOSED
     measured_noise_mw: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.region_radius <= 0:
-            raise ValueError(f"region_radius must be positive, got {self.region_radius}")
-        if self.lambda_density < 0:
-            raise ValueError(f"lambda_density must be >= 0, got {self.lambda_density}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.mean_engine not in ("closed", "series"):
-            raise ValueError(f"mean_engine must be 'closed' or 'series', got {self.mean_engine}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.region_radius ** 2
 
 
 @dataclass(frozen=True)
@@ -108,19 +96,14 @@ def rate_components(scn: RateScenario, p_tx_dbm: float | None = None) -> RatePoi
     boresight; E[N] comes from the selected queueing engine and reacts to
     transmit power through the coverage radius and footprint ratio.
     """
-    radio = scn.radio
-    if p_tx_dbm is not None:
-        radio = replace(radio, p_tx_dbm=p_tx_dbm)
-    radio = replace(radio, snr_max_db=scn.rate_model.snr_max_db)
-    r = coverage_radius(radio)
-    gamma = queueing.gamma_from_geometry(r, radio.kappa, radio.theta, scn.area)
-    chain = ChainParams(scn.lambda_density * scn.area, scn.mu, gamma, scn.variant)
-    if scn.mean_engine == "closed":
+    radio = scn.radio if p_tx_dbm is None else replace(scn.radio, p_tx_dbm=p_tx_dbm)
+    chain = queueing.chain_params(radio, scn.deployment, scn.variant)
+    if scn.mean_engine is MeanEngine.CLOSED:
         e_n = queueing.mean_pairs_closed_form(chain)
     else:
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
-    e_d = simulator.mean_projected_distance(scn.pair_model)
-    p_rx = receive_power(radio, scn.antenna, e_d, 0.0)
+    e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
+    p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
     if scn.rate_model.noise_mode is NoiseMode.THRESHOLD_K:
         p_n = noise_power(radio.n_thr_dbm, scn.rate_model.k_neighbors)
     else:
@@ -129,7 +112,7 @@ def rate_components(scn: RateScenario, p_tx_dbm: float | None = None) -> RatePoi
                              "(see measured_noise_power)")
         p_n = scn.measured_noise_mw
     c = link_rate(radio, p_rx, p_n)
-    return RatePoint(radio.p_tx_dbm, gamma, e_n, c, c * e_n / scn.area)
+    return RatePoint(radio.p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
 
 
 def area_rate(scn: RateScenario, p_tx_dbm: float | None = None) -> float:
@@ -182,25 +165,18 @@ def optimize_power(scn: RateScenario, p_min_dbm: float, p_max_dbm: float,
     return PowerOptimum(best_p, best_v, flat=False)
 
 
-def measured_noise_power(scn: RateScenario, warmup: float, horizon: float,
-                         replications: int, seed: int,
-                         check_mode: CheckMode = CheckMode.TWO_WAY) -> float:
+def measured_noise_power(config: SimConfig) -> float:
     """Noise level [mW] from simulator-sampled aggregate interference.
 
     Time-averaged interference at active devices (desired-link power
     excluded) plus the sensitivity floor.
     """
-    config = SimConfig(
-        deployment=DeploymentParams(scn.region_radius, scn.lambda_density, scn.mu, scn.pair_model),
-        radio=scn.radio, antenna=scn.antenna, check_mode=check_mode,
-        warmup=warmup, horizon=horizon, replications=replications, seed=seed,
-    )
     samples = []
-    for i in range(replications):
+    for i in range(config.replications):
         rep = run_replication(config, i, collect_interference=True)
         if not math.isnan(rep.interference_mw):
             samples.append(rep.interference_mw)
-    floor = scn.radio.n_thr_mw
+    floor = config.radio.n_thr_mw
     if not samples:
         return floor
     return sum(samples) / len(samples) + floor

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from . import cli_rows, queueing, simulator, throughput
 from .queueing import ChainParams, Variant
-from .radio import beam_area, coverage_radius
+from .radio import beam_area
 from .scenario import Scenario, load_scenario
 
 
@@ -123,12 +123,9 @@ def desk_scenario(seed: int | None = None) -> Scenario:
 
 def analytic_reference(scn: Scenario) -> tuple[float, float, float]:
     """(gamma, series mean pairs, acceptance probability) for a scenario."""
-    r = coverage_radius(scn.radio)
-    gamma = queueing.gamma_from_geometry(r, scn.radio.kappa, scn.radio.theta,
-                                         scn.deployment.area)
-    params = ChainParams(scn.deployment.lambda_total, scn.deployment.mu, gamma, scn.variant)
+    params = queueing.chain_params(scn.radio, scn.deployment, scn.variant)
     ss = queueing.steady_state(params)
-    return gamma, queueing.mean_pairs(ss), queueing.acceptance_prob(ss)
+    return params.gamma, queueing.mean_pairs(ss), queueing.acceptance_prob(ss)
 
 
 def check_cross_engine(scn: Scenario | None = None, jobs: int = 1,

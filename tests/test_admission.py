@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamcap import AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check
-from beamcap.radio import max_directivity
+from beamcap.radio import _wrap_angle, max_directivity
 from beamcap.simulator import (_aggregate_interference_mw, _placements_to_arrays, _reach,
-                               _wrap_angle, max_cross_pair_power)
+                               max_cross_pair_power)
 
 
 def _powers_from_devices(pos, bore, target, radio, antenna):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from beamcap import CheckMode, Variant
+from beamcap import CheckMode, MeanEngine, Variant
 from beamcap.cli import main
 from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
 from beamcap.scenario import (DEFAULTS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
@@ -42,6 +42,11 @@ class TestConfigParsing:
     def test_bad_pair_model(self):
         with pytest.raises(ScenarioError, match="pair_model"):
             build_scenario({"pair_model": "sphere:1"})
+
+    def test_mean_engine_is_an_enum(self):
+        assert build_scenario({"mean_engine": "series"}).mean_engine is MeanEngine.SERIES
+        with pytest.raises(ScenarioError, match="mean_engine: expected one of closed, series"):
+            build_scenario({"mean_engine": "exact"})
 
     def test_bad_number(self):
         with pytest.raises(ScenarioError, match="kappa"):

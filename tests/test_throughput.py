@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from beamcap import (AntennaModel, NoiseMode, RadioParams, RateModel, RateScenario,
-                     TruncatedDistribution, area_rate, link_rate, noise_power,
-                     optimize_power, rate_components)
+from beamcap import (AntennaModel, DeploymentParams, MeanEngine, NoiseMode, RadioParams,
+                     RateModel, RateScenario, SimConfig, TruncatedDistribution, area_rate,
+                     link_rate, noise_power, optimize_power, rate_components)
 from beamcap.throughput import measured_noise_power
 
 DEG = math.pi / 180.0
@@ -16,15 +16,20 @@ def radio(p_tx=10.0, theta_deg=30.0, bandwidth=2.16e9, snr_max=20.0):
 
 
 def scenario(lam=2.0, theta_deg=30.0, r_d=3000.0, d_max=5.0, bandwidth=2.16e9,
-             engine="closed", noise_mode=NoiseMode.THRESHOLD_K, measured=None):
+             engine=MeanEngine.CLOSED, noise_mode=NoiseMode.THRESHOLD_K, measured=None,
+             snr_max=20.0):
     return RateScenario(
-        radio=radio(theta_deg=theta_deg, bandwidth=bandwidth),
+        radio=radio(theta_deg=theta_deg, bandwidth=bandwidth, snr_max=snr_max),
         antenna=AntennaModel.analytic(),
-        region_radius=r_d, lambda_density=lam, mu=1.0,
-        pair_model=TruncatedDistribution.uniform(d_max),
-        rate_model=RateModel(6, 20.0, noise_mode),
+        deployment=DeploymentParams(r_d, lam, 1.0, TruncatedDistribution.uniform(d_max)),
+        rate_model=RateModel(6, noise_mode),
         mean_engine=engine, measured_noise_mw=measured,
     )
+
+
+def sim_config(scn, seed):
+    return SimConfig(scn.deployment, scn.radio, scn.antenna, warmup=5.0, horizon=25.0,
+                     replications=2, seed=seed)
 
 
 class TestNoisePower:
@@ -83,8 +88,9 @@ class TestAreaRate:
 
     def test_upper_bound(self):
         scn = scenario()
+        dep = scn.deployment
         bound = (scn.radio.bandwidth_hz * math.log2(1 + 100.0)
-                 * scn.lambda_density * scn.area / scn.mu / scn.area)
+                 * dep.lambda_density * dep.area / dep.mu / dep.area)
         for p in (-20.0, -5.0, 10.0, 20.0):
             assert area_rate(scn, p) <= bound * (1 + 1e-12)
 
@@ -95,9 +101,15 @@ class TestAreaRate:
     def test_series_engine_close_to_closed_in_dense_regime(self):
         dense = scenario(lam=2e-3, r_d=300.0)
         closed = rate_components(dense, 10.0)
-        series = rate_components(scenario(lam=2e-3, r_d=300.0, engine="series"), 10.0)
+        series = rate_components(scenario(lam=2e-3, r_d=300.0, engine=MeanEngine.SERIES), 10.0)
         assert series.mean_pairs == pytest.approx(closed.mean_pairs, rel=0.05)
         assert series.link_rate_bps == closed.link_rate_bps
+
+    def test_link_rate_capped_at_radio_snr_max(self):
+        # 22 dB boresight SNR at 10 dBm: the radio's cap binds, not a default
+        for snr_max, cap in ((10.0, 11.0), (20.0, 101.0)):
+            pt = rate_components(scenario(snr_max=snr_max), 10.0)
+            assert pt.link_rate_bps == 2.16e9 * math.log2(cap)
 
     def test_gamma_tracks_power(self):
         scn = scenario()
@@ -148,14 +160,14 @@ class TestOptimizePower:
 class TestMeasuredNoise:
     def test_sparse_system_sits_at_floor(self):
         scn = scenario(lam=1e-7, r_d=300.0, noise_mode=NoiseMode.MEASURED)
-        p_n = measured_noise_power(scn, warmup=5.0, horizon=25.0, replications=2, seed=3)
+        p_n = measured_noise_power(sim_config(scn, seed=3))
         floor = scn.radio.n_thr_mw
         assert floor <= p_n <= 2.0 * floor
 
     def test_dense_system_above_floor_and_rate_finite(self):
         scn = scenario(lam=30.0 / (math.pi * 200.0**2), r_d=200.0, d_max=0.5,
                        noise_mode=NoiseMode.MEASURED)
-        p_n = measured_noise_power(scn, warmup=5.0, horizon=25.0, replications=2, seed=4)
+        p_n = measured_noise_power(sim_config(scn, seed=4))
         assert p_n > scn.radio.n_thr_mw
         scn_used = scenario(lam=30.0 / (math.pi * 200.0**2), r_d=200.0, d_max=0.5,
                             noise_mode=NoiseMode.MEASURED, measured=p_n)
@@ -171,7 +183,3 @@ class TestRateModelInvariants:
     def test_k_floor(self):
         with pytest.raises(ValueError):
             RateModel(k_neighbors=0)
-
-    def test_snr_finite(self):
-        with pytest.raises(ValueError):
-            RateModel(snr_max_db=math.inf)
