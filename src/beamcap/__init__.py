@@ -10,9 +10,9 @@ from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
                        acceptance_prob, chain_params, gamma_from_geometry, lambert_w0, mean_pairs,
                        mean_pairs_closed_form, rejection_prob, steady_state,
                        telescoped_state_weight)
-from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, beam_boundary,
-                    coverage_radius, dbm_to_mw, max_directivity, mw_to_dbm,
-                    pair_coverage_area, received_power_mw)
+from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
+                    dbm_to_mw, max_directivity, mw_to_dbm, pair_coverage_area,
+                    received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairPlacement, SimConfig, SimStats, TruncatedDistribution,
                         admission_check, expected_pair_distance, place_pair, run,

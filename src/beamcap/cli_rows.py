@@ -101,10 +101,10 @@ def sweep_power_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None)
         if scn.rate_model.noise_mode is NoiseMode.MEASURED:
             measured = throughput.measured_noise_power(scn.sim_config(seed))
         rate_scn = scn.rate_scenario(measured_noise_mw=measured)
-        n_steps = max(int(round((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db)), 0)
+        n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]
-        if not grid or grid[-1] < scn.p_tx_max_dbm - 1e-9:
-            grid.append(scn.p_tx_max_dbm)
+        # a step that does not divide the range ends on the maximum itself
+        grid = [p for p in grid if p < scn.p_tx_max_dbm - 1e-9] + [scn.p_tx_max_dbm]
         for p in grid:
             pt = throughput.rate_components(rate_scn, p)
             rows.append({

@@ -189,14 +189,6 @@ def coverage_radius(params: RadioParams) -> float:
     return (params.p_tx_mw * d0 / (params.n_thr_mw * params.c_const)) ** (1.0 / params.kappa)
 
 
-def beam_boundary(r: float, theta: float, kappa: float, alpha: float) -> tuple[float, float]:
-    """Cartesian point of the coverage border at deviation angle alpha."""
-    if not 0.0 <= alpha <= theta:
-        raise ValueError(f"alpha must lie in [0, theta], got {alpha} (theta={theta})")
-    d = r * (1.0 - alpha / theta) ** (1.0 / kappa)
-    return d * math.cos(alpha), d * math.sin(alpha)
-
-
 def beam_area(r: float, theta: float, kappa: float) -> float:
     """Area enclosed by the beam coverage border."""
     return r * r * kappa * theta / (2.0 + kappa)

@@ -8,7 +8,9 @@ converted to the internal units (radians, linear milliwatts) on load.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 
 from .queueing import Variant
 from .radio import AntennaModel, RadioParams
@@ -21,35 +23,98 @@ class ScenarioError(ValueError):
     """Configuration problem; message names the offending key or line."""
 
 
-DEFAULTS: dict[str, str] = {
-    "p_tx_dbm": "10",
-    "n_thr_dbm": "-78",
-    "theta_deg": "52",
-    "kappa": "2",
-    "c_const": "6.3e6",
-    "bandwidth_hz": "2.16e9",
-    "snr_max_db": "20",
-    "r_d_m": "3000",
-    "lambda_per_m2": "1.0",
-    "mu_per_s": "1.0",
-    "pair_model": "cuboid:0.3x0.5x0.6",
-    "antenna": "analytic",
-    "check_mode": "two-way",
-    "variant": "exponential",
-    "k_neighbors": "6",
-    "noise_mode": "threshold-k",
-    "mean_engine": "closed",
-    "seed": "1",
-    "replications": "20",
-    "warmup_s": "20",
-    "horizon_s": "120",
-    "p_tx_min_dbm": "-20",
-    "p_tx_max_dbm": "20",
-    "p_tx_step_db": "0.5",
-    "opt_tol_db": "0.1",
-    "sweep_param": "",
-    "sweep_values": "",
+def _float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {text!r}")
+    return v
+
+
+def _int(text: str) -> int:
+    """An integer; integral floats pass too, so a float sweep value can set k_neighbors."""
+    try:
+        return int(text)
+    except ValueError:
+        v = _float(text)
+        if not v.is_integer():
+            raise ValueError(f"not an integer: {text!r}") from None
+        return int(v)
+
+
+def _choice(enum_cls):
+    def parse(text: str):
+        try:
+            return enum_cls(text)
+        except ValueError:
+            choices = ", ".join(e.value for e in enum_cls)
+            raise ValueError(f"expected one of {choices}, got {text!r}") from None
+    return parse
+
+
+def _pair_model(spec: str) -> PairModel:
+    kind, _, arg = spec.partition(":")
+    if kind == "fixed":
+        return FixedDistance(_float(arg))
+    if kind == "uniform":
+        return TruncatedDistribution.uniform(_float(arg))
+    if kind == "cuboid":
+        dx, dy, dz = (_float(p) for p in arg.split("x"))
+        return CuboidProjection(dx, dy, dz)
+    raise ValueError(f"expected fixed:<d>, uniform:<d_max>, or cuboid:<dx>x<dy>x<dz>, got {spec!r}")
+
+
+def _antenna(spec: str) -> AntennaModel:
+    if spec == "analytic":
+        return AntennaModel.analytic()
+    if not spec.startswith("table:"):
+        raise ValueError(f"expected 'analytic' or 'table:<path>', got {spec!r}")
+    return AntennaModel.from_pattern_file(spec[len("table:"):])
+
+
+def _sweep_values(text: str) -> tuple[float, ...]:
+    return tuple(_float(v) for v in text.split(",")) if text else ()
+
+
+# key -> (default text, parser, sweepable).  Parsers turn text into values
+# and raise ValueError (OSError for an unreadable antenna table); range
+# checks belong to the dataclass that takes the value, and build_scenario
+# names the key in either failure.
+KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
+    "p_tx_dbm": ("10", _float, True),
+    "n_thr_dbm": ("-78", _float, True),
+    "theta_deg": ("52", _float, True),
+    "kappa": ("2", _float, True),
+    "c_const": ("6.3e6", _float, True),
+    "bandwidth_hz": ("2.16e9", _float, True),
+    "snr_max_db": ("20", _float, True),
+    "r_d_m": ("3000", _float, True),
+    "lambda_per_m2": ("1.0", _float, True),
+    "mu_per_s": ("1.0", _float, True),
+    "pair_model": ("cuboid:0.3x0.5x0.6", _pair_model, False),
+    "antenna": ("analytic", _antenna, False),
+    "check_mode": ("two-way", _choice(CheckMode), False),
+    "variant": ("exponential", _choice(Variant), False),
+    "k_neighbors": ("6", _int, True),
+    "noise_mode": ("threshold-k", _choice(NoiseMode), False),
+    "mean_engine": ("closed", _choice(MeanEngine), False),
+    "seed": ("1", _int, False),
+    "replications": ("20", _int, False),
+    "warmup_s": ("20", _float, False),
+    "horizon_s": ("120", _float, False),
+    "p_tx_min_dbm": ("-20", _float, False),
+    "p_tx_max_dbm": ("20", _float, False),
+    "p_tx_step_db": ("0.5", _float, False),
+    "opt_tol_db": ("0.1", _float, False),
+    "sweep_param": ("", str, False),
+    "sweep_values": ("", _sweep_values, False),
 }
+DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in KEYS.items()}
+SWEEPABLE_KEYS = frozenset(key for key, (_, _, sweepable) in KEYS.items() if sweepable)
+
+# dataclass field -> config key, where the names differ; every dataclass
+# check message starts with its field name
+_FIELD_KEYS = {"theta": "theta_deg", "region_radius": "r_d_m", "lambda_density": "lambda_per_m2",
+               "mu": "mu_per_s", "horizon": "horizon_s", "warmup": "warmup_s"}
 
 # paper-* presets use the full-scale 3 km deployment; desk-*
 # variants shrink the region so cross-validation runs in minutes
@@ -89,11 +154,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "sweep_values": "0.005,0.02",
     },
 }
-
-SWEEPABLE_KEYS = frozenset({
-    "p_tx_dbm", "n_thr_dbm", "theta_deg", "kappa", "c_const", "bandwidth_hz",
-    "snr_max_db", "r_d_m", "lambda_per_m2", "mu_per_s", "k_neighbors",
-})
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,150 +211,58 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
         kv[key] = value
     return kv
-
-
-def _parse_float(kv: dict[str, str], key: str) -> float:
-    try:
-        v = float(kv[key])
-    except ValueError:
-        raise ScenarioError(f"{key}: not a number: {kv[key]!r}") from None
-    if not math.isfinite(v):
-        raise ScenarioError(f"{key}: must be finite, got {kv[key]!r}")
-    return v
-
-
-def _parse_positive(kv: dict[str, str], key: str) -> float:
-    v = _parse_float(kv, key)
-    if v <= 0:
-        raise ScenarioError(f"{key}: must be positive, got {v}")
-    return v
-
-
-def _parse_int(kv: dict[str, str], key: str) -> int:
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ScenarioError(f"{key}: not an integer: {kv[key]!r}") from None
-
-
-def _parse_pair_model(spec: str) -> PairModel:
-    kind, _, arg = spec.partition(":")
-    try:
-        if kind == "fixed":
-            return FixedDistance(float(arg))
-        if kind == "uniform":
-            return TruncatedDistribution.uniform(float(arg))
-        if kind == "cuboid":
-            dx, dy, dz = (float(p) for p in arg.split("x"))
-            return CuboidProjection(dx, dy, dz)
-    except (ValueError, ScenarioError) as exc:
-        raise ScenarioError(f"pair_model: {exc}") from None
-    raise ScenarioError(
-        f"pair_model: expected fixed:<d>, uniform:<d_max>, or cuboid:<dx>x<dy>x<dz>, got {spec!r}"
-    )
-
-
-def _parse_enum(kv: dict[str, str], key: str, enum_cls):
-    try:
-        return enum_cls(kv[key])
-    except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        raise ScenarioError(f"{key}: expected one of {choices}, got {kv[key]!r}") from None
 
 
 def build_scenario(kv: dict[str, str]) -> Scenario:
     """Validate a key-value mapping (defaults applied) into a Scenario."""
     merged = dict(DEFAULTS)
     merged.update(kv)
-
-    theta_deg = _parse_float(merged, "theta_deg")
-    if not 0.0 < theta_deg <= 180.0:
-        raise ScenarioError(f"theta_deg: must be in (0, 180], got {theta_deg}")
-    kappa = _parse_positive(merged, "kappa")
-    c_const = _parse_positive(merged, "c_const")
-    bandwidth = _parse_positive(merged, "bandwidth_hz")
-    p_tx = _parse_float(merged, "p_tx_dbm")
-    n_thr = _parse_float(merged, "n_thr_dbm")
-    if p_tx <= n_thr:
-        raise ScenarioError(f"p_tx_dbm: must exceed n_thr_dbm, got {p_tx} <= {n_thr}")
-    snr_max = _parse_float(merged, "snr_max_db")
-    radio = RadioParams(p_tx, n_thr, math.radians(theta_deg), kappa, c_const,
-                        bandwidth, snr_max)
-
-    r_d = _parse_positive(merged, "r_d_m")
-    lam = _parse_float(merged, "lambda_per_m2")
-    if lam < 0:
-        raise ScenarioError(f"lambda_per_m2: must be >= 0, got {lam}")
-    mu = _parse_positive(merged, "mu_per_s")
-    deployment = DeploymentParams(r_d, lam, mu, _parse_pair_model(merged["pair_model"]))
-
-    antenna_spec = merged["antenna"]
-    if antenna_spec == "analytic":
-        antenna = AntennaModel.analytic()
-    elif antenna_spec.startswith("table:"):
+    v = {}
+    for key, (_, parse, _) in KEYS.items():
         try:
-            antenna = AntennaModel.from_pattern_file(antenna_spec[len("table:"):])
+            v[key] = parse(merged[key])
         except (OSError, ValueError) as exc:
-            raise ScenarioError(f"antenna: {exc}") from None
-    else:
-        raise ScenarioError(f"antenna: expected 'analytic' or 'table:<path>', got {antenna_spec!r}")
+            raise ScenarioError(f"{key}: {exc}") from None
 
-    k = _parse_int(merged, "k_neighbors")
-    if k < 1:
-        raise ScenarioError(f"k_neighbors: must be >= 1, got {k}")
-    rate_model = RateModel(k, _parse_enum(merged, "noise_mode", NoiseMode))
-
-    variant = _parse_enum(merged, "variant", Variant)
-    check_mode = _parse_enum(merged, "check_mode", CheckMode)
-    mean_engine = _parse_enum(merged, "mean_engine", MeanEngine)
-
-    seed = _parse_int(merged, "seed")
-    if seed < 0:
-        raise ScenarioError(f"seed: must be >= 0, got {seed}")
-    replications = _parse_int(merged, "replications")
-    if replications < 1:
-        raise ScenarioError(f"replications: must be >= 1, got {replications}")
-    warmup = _parse_float(merged, "warmup_s")
-    horizon = _parse_float(merged, "horizon_s")
-    if not horizon > warmup > 0:
-        raise ScenarioError(f"horizon_s: need horizon_s > warmup_s > 0, got {horizon} vs {warmup}")
-
-    p_min = _parse_float(merged, "p_tx_min_dbm")
-    p_max = _parse_float(merged, "p_tx_max_dbm")
-    if p_max < p_min:
-        raise ScenarioError(f"p_tx_max_dbm: empty range [{p_min}, {p_max}]")
-    p_step = _parse_positive(merged, "p_tx_step_db")
-    opt_tol = _parse_positive(merged, "opt_tol_db")
-
+    for key in ("p_tx_step_db", "opt_tol_db"):
+        if v[key] <= 0:
+            raise ScenarioError(f"{key}: must be positive, got {v[key]}")
+    if v["p_tx_max_dbm"] < v["p_tx_min_dbm"]:
+        raise ScenarioError(f"p_tx_max_dbm: empty range [{v['p_tx_min_dbm']}, {v['p_tx_max_dbm']}]")
     sweep = None
-    if merged["sweep_param"]:
-        param = merged["sweep_param"]
+    param = v["sweep_param"]
+    if param:
         if param not in SWEEPABLE_KEYS:
             raise ScenarioError(
                 f"sweep_param: {param!r} is not a sweepable scalar key "
                 f"(choose from {', '.join(sorted(SWEEPABLE_KEYS))})"
             )
-        if not merged["sweep_values"]:
+        if not v["sweep_values"]:
             raise ScenarioError("sweep_values: required when sweep_param is set")
-        try:
-            values = tuple(float(v) for v in merged["sweep_values"].split(","))
-        except ValueError:
-            raise ScenarioError(f"sweep_values: not a number list: {merged['sweep_values']!r}") from None
-        if not values or not all(math.isfinite(v) for v in values):
-            raise ScenarioError("sweep_values: must be non-empty and finite")
-        sweep = (param, values)
+        sweep = (param, v["sweep_values"])
 
-    return Scenario(
-        radio=radio, deployment=deployment, antenna=antenna, rate_model=rate_model,
-        variant=variant, check_mode=check_mode, mean_engine=mean_engine, seed=seed,
-        replications=replications, warmup_s=warmup, horizon_s=horizon,
-        p_tx_min_dbm=p_min, p_tx_max_dbm=p_max, p_tx_step_db=p_step,
-        opt_tol_db=opt_tol, sweep=sweep, raw=merged,
-    )
+    try:
+        scenario = Scenario(
+            radio=RadioParams(v["p_tx_dbm"], v["n_thr_dbm"], math.radians(v["theta_deg"]),
+                              v["kappa"], v["c_const"], v["bandwidth_hz"], v["snr_max_db"]),
+            deployment=DeploymentParams(v["r_d_m"], v["lambda_per_m2"], v["mu_per_s"],
+                                        v["pair_model"]),
+            antenna=v["antenna"], rate_model=RateModel(v["k_neighbors"], v["noise_mode"]),
+            variant=v["variant"], check_mode=v["check_mode"], mean_engine=v["mean_engine"],
+            seed=v["seed"], replications=v["replications"], warmup_s=v["warmup_s"],
+            horizon_s=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],
+            p_tx_max_dbm=v["p_tx_max_dbm"], p_tx_step_db=v["p_tx_step_db"],
+            opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
+        )
+        scenario.sim_config()
+    except ValueError as exc:
+        field = str(exc).split(" ", 1)[0]
+        raise ScenarioError(f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
+    return scenario
 
 
 def load_scenario(path=None, preset: str | None = None,
@@ -307,7 +275,7 @@ def load_scenario(path=None, preset: str | None = None,
         kv.update(PRESETS[preset])
     if path is not None:
         try:
-            text = open(path).read()
+            text = Path(path).read_text()
         except OSError as exc:
             raise ScenarioError(str(exc)) from None
         kv.update(parse_config_text(text, source=str(path)))

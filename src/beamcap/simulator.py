@@ -50,10 +50,10 @@ class FixedDistance:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedDistribution:
-    """Pair distance drawn from a truncated density on [0, d_max].
+    """Pair distance drawn from a CDF tabulated on a grid over [0, d_max].
 
-    The density is tabulated into an inverse CDF at construction so the
-    model is picklable and sampling costs one uniform draw.
+    Sampling inverts the table by linear interpolation, so the model is
+    picklable and costs one uniform draw.
     """
 
     d_grid: np.ndarray
@@ -65,20 +65,8 @@ class TruncatedDistribution:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
 
     @classmethod
-    def from_density(cls, density, d_max: float, grid_points: int = 4097) -> "TruncatedDistribution":
-        if d_max <= 0:
-            raise ValueError(f"d_max must be positive, got {d_max}")
-        grid = np.linspace(0.0, d_max, grid_points)
-        pdf = np.asarray([max(float(density(d)), 0.0) for d in grid])
-        if not np.all(np.isfinite(pdf)) or pdf.sum() == 0:
-            raise ValueError("density must be finite and not identically zero")
-        cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2.0 * np.diff(grid))))
-        cdf /= cdf[-1]
-        return cls(grid, cdf, float(d_max))
-
-    @classmethod
     def uniform(cls, d_max: float) -> "TruncatedDistribution":
-        return cls.from_density(lambda d: 1.0, d_max, grid_points=3)
+        return cls(np.linspace(0.0, d_max, 3), np.array([0.0, 0.5, 1.0]), float(d_max))
 
     def sample(self, rng: np.random.Generator, size=None):
         return np.interp(rng.random(size), self.cdf, self.d_grid)
@@ -160,7 +148,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.horizon > self.warmup > 0:
             raise ValueError(
-                f"need horizon > warmup > 0, got horizon={self.horizon} warmup={self.warmup}"
+                f"horizon must exceed warmup > 0, got horizon={self.horizon} warmup={self.warmup}"
             )
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamcap import (AntennaModel, RadioParams, beam_area, beam_boundary, coverage_radius,
+from beamcap import (AntennaModel, RadioParams, beam_area, coverage_radius,
                      dbm_to_mw, max_directivity, mw_to_dbm, pair_coverage_area,
                      received_power_mw)
 
@@ -148,25 +148,6 @@ class TestCoverageRadius:
 
 
 class TestBeamGeometry:
-    def test_boundary_boresight(self):
-        assert beam_boundary(2.0, 1.0, 2.0, 0.0) == pytest.approx((2.0, 0.0))
-
-    def test_boundary_edge(self):
-        x, y = beam_boundary(2.0, 1.0, 2.0, 1.0)
-        assert (x, y) == pytest.approx((0.0, 0.0), abs=1e-15)
-
-    def test_boundary_example(self):
-        # 2 * sqrt(0.5) * (cos 0.5, sin 0.5)
-        x, y = beam_boundary(2.0, 1.0, 2.0, 0.5)
-        assert x == pytest.approx(1.2410891611274912, rel=1e-12)
-        assert y == pytest.approx(0.67801009884208973, rel=1e-12)
-
-    def test_boundary_domain(self):
-        with pytest.raises(ValueError):
-            beam_boundary(2.0, 1.0, 2.0, 1.1)
-        with pytest.raises(ValueError):
-            beam_boundary(2.0, 1.0, 2.0, -0.1)
-
     def test_area_vanishes_with_beamwidth(self):
         assert beam_area(10.0, 1e-12, 2.0) < 1e-9
 
@@ -180,14 +161,6 @@ class TestBeamGeometry:
         assert pair_coverage_area(44.5, 52 * DEG, 2.0) == pytest.approx(
             2 * beam_area(44.5, 52 * DEG, 2.0), rel=1e-15)
         assert pair_coverage_area(1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
-
-    @given(r=st.floats(0.1, 100.0), theta=st.floats(0.01, math.pi),
-           kappa=st.floats(1.0, 6.0))
-    def test_boundary_curve_closes(self, r, theta, kappa):
-        x0, y0 = beam_boundary(r, theta, kappa, 0.0)
-        xe, ye = beam_boundary(r, theta, kappa, theta)
-        assert math.hypot(x0, y0) == pytest.approx(r, rel=1e-12)
-        assert math.hypot(xe, ye) == pytest.approx(0.0, abs=1e-12)
 
     def test_area_scaling(self):
         # linear in theta, quadratic in R

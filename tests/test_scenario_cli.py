@@ -1,15 +1,49 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from beamcap import CheckMode, MeanEngine, Variant
 from beamcap.cli import main
 from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
-from beamcap.scenario import (DEFAULTS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
+from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
                               build_scenario, check_simulation_budget, load_scenario,
-                              parse_config_text)
+                              parse_config_text, sweep_points)
+
+# one bad value per key: (overrides, key the error must name); a cross-key
+# failure names the key the range check is attached to
+BAD_VALUES = {
+    "p_tx_dbm": ({"p_tx_dbm": "-90"}, "p_tx_dbm"),
+    "n_thr_dbm": ({"n_thr_dbm": "20"}, "p_tx_dbm"),
+    "theta_deg": ({"theta_deg": "0"}, "theta_deg"),
+    "kappa": ({"kappa": "-1"}, "kappa"),
+    "c_const": ({"c_const": "0"}, "c_const"),
+    "bandwidth_hz": ({"bandwidth_hz": "-5"}, "bandwidth_hz"),
+    "snr_max_db": ({"snr_max_db": "inf"}, "snr_max_db"),
+    "r_d_m": ({"r_d_m": "0"}, "r_d_m"),
+    "lambda_per_m2": ({"lambda_per_m2": "-1"}, "lambda_per_m2"),
+    "mu_per_s": ({"mu_per_s": "0"}, "mu_per_s"),
+    "pair_model": ({"pair_model": "fixed:-1"}, "pair_model"),
+    "antenna": ({"antenna": "omni"}, "antenna"),
+    "check_mode": ({"check_mode": "three-way"}, "check_mode"),
+    "variant": ({"variant": "quadratic"}, "variant"),
+    "k_neighbors": ({"k_neighbors": "0"}, "k_neighbors"),
+    "noise_mode": ({"noise_mode": "none"}, "noise_mode"),
+    "mean_engine": ({"mean_engine": "exact"}, "mean_engine"),
+    "seed": ({"seed": "-1"}, "seed"),
+    "replications": ({"replications": "0"}, "replications"),
+    "warmup_s": ({"warmup_s": "200"}, "horizon_s"),
+    "horizon_s": ({"horizon_s": "10"}, "horizon_s"),
+    "p_tx_min_dbm": ({"p_tx_min_dbm": "30"}, "p_tx_max_dbm"),
+    "p_tx_max_dbm": ({"p_tx_max_dbm": "-30"}, "p_tx_max_dbm"),
+    "p_tx_step_db": ({"p_tx_step_db": "0"}, "p_tx_step_db"),
+    "opt_tol_db": ({"opt_tol_db": "-0.1"}, "opt_tol_db"),
+    "sweep_param": ({"sweep_param": "pair_model", "sweep_values": "1"}, "sweep_param"),
+    "sweep_values": ({"sweep_param": "kappa", "sweep_values": "1,x"}, "sweep_values"),
+}
 
 
 class TestConfigParsing:
@@ -92,6 +126,40 @@ class TestConfigParsing:
     def test_defaults_are_a_valid_scenario(self):
         build_scenario(dict(DEFAULTS))
 
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_bad_value_names_its_key(self, key):
+        overrides, named = BAD_VALUES[key]
+        with pytest.raises(ScenarioError) as info:
+            build_scenario(overrides)
+        assert str(info.value).startswith(f"{named}: ")
+
+    def test_bad_values_cover_every_key(self):
+        assert set(BAD_VALUES) == set(KEYS)
+
+    def test_integer_key_takes_integral_sweep_values(self):
+        scn = build_scenario({"sweep_param": "k_neighbors", "sweep_values": "4,6"})
+        assert [s.rate_model.k_neighbors for _, _, s in sweep_points(scn)] == [4, 6]
+        with pytest.raises(ScenarioError, match="k_neighbors: not an integer"):
+            build_scenario({"k_neighbors": "2.5"})
+
+    @pytest.mark.parametrize("spec", ["fixed:nan", "uniform:inf", "cuboid:0.3xnanx0.6"])
+    def test_non_finite_pair_model_rejected(self, spec):
+        with pytest.raises(ScenarioError, match="pair_model: must be finite"):
+            build_scenario({"pair_model": spec})
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines()[1:]:
+            key_cell, default_cell = row.split(" | ")[:2]
+            keys = re.findall(r"`([^`]+)`", key_cell)
+            defaults = ([""] * len(keys) if default_cell == "none"
+                        else re.findall(r"`([^`]*)`", default_cell))
+            assert len(defaults) == len(keys), row
+            listed.update(zip(keys, defaults))
+        assert listed == DEFAULTS
+
 
 class TestAnalyzeRows:
     def test_negligible_footprint_row_collapses_to_load(self):
@@ -173,6 +241,17 @@ class TestSweepPowerRows:
         assert optima[0]["p_tx_dbm"] == points[0]["p_tx_dbm"]
         assert optima[0]["area_rate_bps_m2"] == pytest.approx(
             points[0]["area_rate_bps_m2"], rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, step", [(-20, 20, 0.45), (0, 0.3, 0.1), (-20, 20, 0.5)])
+    def test_power_grid_stays_in_range_and_ends_on_max(self, lo, hi, step):
+        scn = load_scenario(preset="paper-fig5", overrides={
+            "sweep_param": "", "p_tx_min_dbm": str(lo), "p_tx_max_dbm": str(hi),
+            "p_tx_step_db": str(step),
+        })
+        grid = [r["p_tx_dbm"] for r in sweep_power_rows(scn) if r["row_type"] == "point"]
+        assert grid[0] == lo and grid[-1] == hi
+        assert all(lo <= p <= hi for p in grid)
+        assert all(b - a <= step + 1e-9 for a, b in zip(grid, grid[1:]))
 
     def test_cap_regime_pins_link_rate(self):
         scn = load_scenario(preset="paper-fig5", overrides={
