@@ -17,7 +17,6 @@ import sys
 from . import cli_rows, validation
 from .queueing import NonConvergenceError
 from .scenario import ScenarioError, check_simulation_budget, load_scenario, sweep_points
-from .throughput import NoiseMode
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,15 +55,14 @@ def main(argv=None) -> int:
         scenario = None
         if args.command != "validate" or args.config or args.preset:
             scenario = load_scenario(path=args.config, preset=args.preset)
-        if args.command == "simulate" or (args.command == "sweep-power" and
-                                          scenario.rate_model.noise_mode is NoiseMode.MEASURED):
+        if args.command == "simulate":
             check_simulation_budget(scn for _, _, scn in sweep_points(scenario))
         if args.command == "analyze":
             rows = cli_rows.analyze_rows(scenario)
         elif args.command == "simulate":
             rows = cli_rows.simulate_rows(scenario, jobs=args.jobs, seed=args.seed)
         elif args.command == "sweep-power":
-            rows = cli_rows.sweep_power_rows(scenario, jobs=args.jobs, seed=args.seed)
+            rows = cli_rows.sweep_power_rows(scenario)
         else:
             if scenario is None:
                 scenario = validation.desk_scenario(seed=args.seed)

@@ -13,7 +13,6 @@ import math
 
 from . import queueing, simulator, throughput
 from .scenario import Scenario, sweep_points
-from .throughput import NoiseMode
 
 ANALYZE_COLUMNS = ("sweep_param", "sweep_value", "gamma", "mean_pairs_series",
                    "mean_pairs_closed", "mean_pairs_per_m2", "p_accept", "tail_bound")
@@ -93,14 +92,11 @@ def simulate_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None,
     return rows
 
 
-def sweep_power_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None) -> list[dict]:
+def sweep_power_rows(scenario: Scenario) -> list[dict]:
     """Power-sweep points plus one optimum summary row per sweep value."""
     rows = []
     for param, value, scn in sweep_points(scenario):
-        measured = None
-        if scn.rate_model.noise_mode is NoiseMode.MEASURED:
-            measured = throughput.measured_noise_power(scn.sim_config(seed))
-        rate_scn = scn.rate_scenario(measured_noise_mw=measured)
+        rate_scn = scn.rate_scenario()
         n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]
         # a step that does not divide the range ends on the maximum itself

@@ -75,24 +75,6 @@ def chain_params(radio: RadioParams, deployment: DeploymentParams,
     return ChainParams(deployment.lambda_total, deployment.mu, gamma, variant)
 
 
-def rejection_prob(n, gamma: float, variant: Variant = Variant.EXPONENTIAL) -> float:
-    """Probability that an arrival is rejected given n active pairs.
-
-    Accepts real n >= 0 so the shapes can be probed as continuous curves;
-    the chain itself only evaluates integers.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    x = n * gamma
-    if variant is Variant.PIECEWISE_LINEAR:
-        return min(x, 1.0)
-    if variant is Variant.LOGISTIC:
-        return math.tanh(x)
-    return -math.expm1(-2.0 * x)
-
-
 def _log_accept(n: np.ndarray, gamma: float, variant: Variant) -> np.ndarray:
     """log(1 - Q_n) for an array of states n, exact in log space for every variant."""
     x = n * gamma
@@ -147,6 +129,11 @@ def _first_block(params: ChainParams) -> int:
     return min(max(_BLOCK_MIN, math.ceil(1.1 * mean + 8.0 * math.sqrt(mean))), _BLOCK_MAX)
 
 
+def _not_truncated(params: ChainParams, max_states: int) -> NonConvergenceError:
+    return NonConvergenceError(f"steady state not truncated within {max_states} states "
+                               f"(load lambda/mu = {params.load:g}, gamma = {params.gamma:g})")
+
+
 def steady_state(params: ChainParams, epsilon: float = 1e-9,
                  max_states: int = 10_000_000) -> SteadyState:
     """Solve the chain by the ratio recurrence, truncating by a tail bound.
@@ -158,7 +145,10 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     the first state m where the birth rate vanishes (the truncation is then
     exact) or where that bound falls below epsilon of the total mass
     including states 0..m.  States 0..max_states are examined before
-    NonConvergenceError is raised.
+    NonConvergenceError is raised.  Both log(1-Q_m) and the log step ratio
+    are non-increasing in m, so when state max_states can neither end the
+    chain nor start a convergent tail, no earlier state can, and the error
+    is raised before the walk.
 
     States are evaluated in array blocks.  The first block is sized from the
     Lambert-W mean (at least 1,024 states); each later block doubles, up to
@@ -175,6 +165,10 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     if a == 0.0:
         return SteadyState(np.array([1.0]), 0.0, params)
     log_a = math.log(a)
+    last = np.array([max_states])
+    la = _log_accept(last, params.gamma, params.variant)
+    if la[0] >= _LOG_EPS_FLOOR and (log_a + la - np.log(last + 1))[0] >= 0.0:
+        raise _not_truncated(params, max_states)
     log_eps = math.log(epsilon)
     logws = []
     logw, log_sum = 0.0, -math.inf  # log weight of state m0; log of the summed weights below m0
@@ -199,10 +193,7 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
             log_tail = -math.inf if dead[k] else block_tail[k]
             break
         if m0 + m.size > max_states:
-            raise NonConvergenceError(
-                f"steady state not truncated within {max_states} states "
-                f"(load lambda/mu = {a:g}, gamma = {params.gamma:g})"
-            )
+            raise _not_truncated(params, max_states)
         logws.append(block_logw)
         logw, log_sum = w[-1], block_sum[-1]
         m0 += m.size

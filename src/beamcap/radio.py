@@ -19,12 +19,6 @@ def dbm_to_mw(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0)
 
 
-def mw_to_dbm(p_mw: float) -> float:
-    if p_mw <= 0:
-        raise ValueError(f"power must be positive to convert to dBm, got {p_mw}")
-    return 10.0 * math.log10(p_mw)
-
-
 @dataclass(frozen=True)
 class RadioParams:
     """Link-budget parameters shared by every device.

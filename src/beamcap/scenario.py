@@ -1,13 +1,16 @@
 """Declarative experiment scenarios: key-value configs and bundled presets.
 
-Config files are plain text, one ``key = value`` per line with ``#``
-comments.  Angles are configured in degrees and powers in dBm; values are
-converted to the internal units (radians, linear milliwatts) on load.
+Config files are plain text, one ``key = value`` per line.  A ``#`` at
+the start of a line or after whitespace begins a comment; any other ``#``
+is part of the value.  Angles are configured in degrees and powers in
+dBm; values are converted to the internal units (radians, linear
+milliwatts) on load.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +19,7 @@ from .queueing import Variant
 from .radio import AntennaModel, RadioParams
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairModel, SimConfig, TruncatedDistribution)
-from .throughput import MeanEngine, NoiseMode, RateModel, RateScenario
+from .throughput import MeanEngine, RateModel, RateScenario
 
 
 class ScenarioError(ValueError):
@@ -95,7 +98,6 @@ KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
     "check_mode": ("two-way", _choice(CheckMode), False),
     "variant": ("exponential", _choice(Variant), False),
     "k_neighbors": ("6", _int, True),
-    "noise_mode": ("threshold-k", _choice(NoiseMode), False),
     "mean_engine": ("closed", _choice(MeanEngine), False),
     "seed": ("1", _int, False),
     "replications": ("20", _int, False),
@@ -185,25 +187,31 @@ class Scenario:
             replications=self.replications, seed=self.seed if seed is None else seed,
         )
 
-    def rate_scenario(self, measured_noise_mw: float | None = None) -> RateScenario:
+    def rate_scenario(self) -> RateScenario:
         return RateScenario(
             radio=self.radio, antenna=self.antenna, deployment=self.deployment,
             rate_model=self.rate_model, variant=self.variant, mean_engine=self.mean_engine,
-            measured_noise_mw=measured_noise_mw,
         )
 
     def with_value(self, key: str, value) -> "Scenario":
-        """Rebuild with one key overridden; used to apply sweep points."""
+        """Rebuild with one key overridden; used to apply sweep points.
+
+        The parsed antenna is reused unless key is antenna, so a table is
+        read once per command, not once per sweep value.
+        """
         kv = dict(self.raw)
         kv[key] = repr(value) if isinstance(value, float) else str(value)
-        return build_scenario(kv)
+        return build_scenario(kv, antenna=None if key == "antenna" else self.antenna)
+
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse ``key = value`` lines; unknown keys are rejected by line number."""
     kv: dict[str, str] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
+        line = _COMMENT.split(rawline, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -217,12 +225,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return kv
 
 
-def build_scenario(kv: dict[str, str]) -> Scenario:
-    """Validate a key-value mapping (defaults applied) into a Scenario."""
+def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> Scenario:
+    """Validate a key-value mapping (defaults applied) into a Scenario.
+
+    antenna, if given, is the model already parsed from kv's antenna text.
+    """
     merged = dict(DEFAULTS)
     merged.update(kv)
-    v = {}
+    v = {} if antenna is None else {"antenna": antenna}
     for key, (_, parse, _) in KEYS.items():
+        if key in v:
+            continue
         try:
             v[key] = parse(merged[key])
         except (OSError, ValueError) as exc:
@@ -251,7 +264,7 @@ def build_scenario(kv: dict[str, str]) -> Scenario:
                               v["kappa"], v["c_const"], v["bandwidth_hz"], v["snr_max_db"]),
             deployment=DeploymentParams(v["r_d_m"], v["lambda_per_m2"], v["mu_per_s"],
                                         v["pair_model"]),
-            antenna=v["antenna"], rate_model=RateModel(v["k_neighbors"], v["noise_mode"]),
+            antenna=v["antenna"], rate_model=RateModel(v["k_neighbors"]),
             variant=v["variant"], check_mode=v["check_mode"], mean_engine=v["mean_engine"],
             seed=v["seed"], replications=v["replications"], warmup_s=v["warmup_s"],
             horizon_s=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],

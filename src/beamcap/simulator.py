@@ -7,9 +7,9 @@ cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
 
 One kernel, radio.received_power_mw, computes received power for
-admission, interference and the audit.  Admission skips active devices
-beyond the peak-gain boresight range of both candidate devices: they
-cannot deliver the threshold.
+admission and the audit.  Admission skips active devices beyond the
+peak-gain boresight range of both candidate devices: they cannot deliver
+the threshold.
 """
 
 from __future__ import annotations
@@ -196,7 +196,6 @@ class ReplicationResult:
     admitted_total: int
     departed_total: int
     final_active: int
-    interference_mw: float = math.nan
     snapshots: tuple[tuple[PairPlacement, ...], ...] = ()
 
 
@@ -343,21 +342,11 @@ def _cross_pair_powers(pos, bore, radio: RadioParams, antenna: AntennaModel):
     return p
 
 
-def _aggregate_interference_mw(pos, radio: RadioParams, antenna: AntennaModel, bore) -> float:
-    """Mean over devices of the summed power received from other pairs."""
-    if pos.shape[0] < 4:
-        return math.nan
-    p = _cross_pair_powers(pos, bore, radio, antenna)
-    p[~np.isfinite(p)] = 0.0
-    return float(p.sum(axis=0).mean())
-
-
 _ARRIVAL, _DEPARTURE = 0, 1
 
 
 def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
-                    snapshot_times: Sequence[float] = (),
-                    collect_interference: bool = False) -> ReplicationResult:
+                    snapshot_times: Sequence[float] = ()) -> ReplicationResult:
     """One independent replication with its own generator and event set."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(rep_index,)))
     dep = config.deployment
@@ -373,23 +362,14 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
     snap_iter = iter(sorted(snapshot_times))
     next_snap = next(snap_iter, None)
     snapshots: list[tuple[PairPlacement, ...]] = []
-    interference_num = 0.0
-    interference_den = 0.0
     reach = _reach(config.radio, config.antenna)
 
     def integrate_to(t_end: float) -> None:
-        nonlocal interference_num, interference_den
         lo = max(t_prev, warmup)
         hi = min(t_end, horizon)
         if hi > lo:
             n = len(active)
             state_time[n] = state_time.get(n, 0.0) + (hi - lo)
-            if collect_interference and n >= 2:
-                pos, bore = active.arrays()
-                agg = _aggregate_interference_mw(pos, config.radio, config.antenna, bore)
-                if not math.isnan(agg):
-                    interference_num += agg * (hi - lo)
-                    interference_den += hi - lo
 
     if lam > 0.0:
         heapq.heappush(heap, (rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
@@ -446,13 +426,11 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
     measured = horizon - warmup
     mean_n = sum(n * dt for n, dt in state_time.items()) / measured
     p_acc = accepted / observed if observed > 0 else math.nan
-    interference = interference_num / interference_den if interference_den > 0 else math.nan
     return ReplicationResult(
         mean_pairs=mean_n, p_accept=p_acc, observed=observed, accepted=accepted,
         state_time=state_time, measured_time=measured,
         admitted_total=admitted_total, departed_total=departed_total,
-        final_active=admitted_total - departed_total,
-        interference_mw=interference, snapshots=tuple(snapshots),
+        final_active=admitted_total - departed_total, snapshots=tuple(snapshots),
     )
 
 

@@ -1,10 +1,9 @@
 """Link-rate and area-throughput estimates plus transmit-power optimization.
 
 A pair's rate follows Shannon-Hartley with the SNR capped by the highest
-modulation and coding scheme.  The noise term is either the sensitivity
-threshold scaled by a fixed neighbour count or an interference level
-sampled from the simulator.  The optimization objective is the per-area
-rate c * E[N] / S_R as a function of transmit power.
+modulation and coding scheme.  The noise term is the sensitivity threshold
+scaled by a fixed neighbour count K.  The optimization objective is the
+per-area rate c * E[N] / S_R as a function of transmit power.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ from enum import Enum
 from . import queueing, simulator
 from .queueing import Variant
 from .radio import AntennaModel, RadioParams, dbm_to_mw, received_power_mw
-from .simulator import DeploymentParams, SimConfig, run_replication
-
-
-class NoiseMode(Enum):
-    THRESHOLD_K = "threshold-k"
-    MEASURED = "measured"
+from .simulator import DeploymentParams
 
 
 class MeanEngine(Enum):
@@ -34,7 +28,6 @@ class RateModel:
     """Noise model for link-rate estimates; the SNR cap is RadioParams.snr_max_db."""
 
     k_neighbors: int = 6
-    noise_mode: NoiseMode = NoiseMode.THRESHOLD_K
 
     def __post_init__(self) -> None:
         if self.k_neighbors < 1:
@@ -77,7 +70,6 @@ class RateScenario:
     rate_model: RateModel = RateModel()
     variant: Variant = Variant.EXPONENTIAL
     mean_engine: MeanEngine = MeanEngine.CLOSED
-    measured_noise_mw: float | None = None
 
 
 @dataclass(frozen=True)
@@ -104,13 +96,7 @@ def rate_components(scn: RateScenario, p_tx_dbm: float | None = None) -> RatePoi
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
     p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
-    if scn.rate_model.noise_mode is NoiseMode.THRESHOLD_K:
-        p_n = noise_power(radio.n_thr_dbm, scn.rate_model.k_neighbors)
-    else:
-        if scn.measured_noise_mw is None:
-            raise ValueError("measured noise mode needs measured_noise_mw "
-                             "(see measured_noise_power)")
-        p_n = scn.measured_noise_mw
+    p_n = noise_power(radio.n_thr_dbm, scn.rate_model.k_neighbors)
     c = link_rate(radio, p_rx, p_n)
     return RatePoint(radio.p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
 
@@ -164,19 +150,3 @@ def optimize_power(scn: RateScenario, p_min_dbm: float, p_max_dbm: float,
             lo_p = m1
     return PowerOptimum(best_p, best_v, flat=False)
 
-
-def measured_noise_power(config: SimConfig) -> float:
-    """Noise level [mW] from simulator-sampled aggregate interference.
-
-    Time-averaged interference at active devices (desired-link power
-    excluded) plus the sensitivity floor.
-    """
-    samples = []
-    for i in range(config.replications):
-        rep = run_replication(config, i, collect_interference=True)
-        if not math.isnan(rep.interference_mw):
-            samples.append(rep.interference_mw)
-    floor = config.radio.n_thr_mw
-    if not samples:
-        return floor
-    return sum(samples) / len(samples) + floor

@@ -2,7 +2,7 @@
 
 The references below are the simulator's earlier code, kept verbatim: the
 four-pass admission test with its two per-direction power functions, and
-the N x N power matrix of the interference and audit paths.  The kernel
+the N x N power matrix of the audit path.  The kernel
 must decide every admission as they do and reproduce their powers bit for
 bit.
 """
@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from beamcap import AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check
 from beamcap.radio import _wrap_angle, max_directivity
-from beamcap.simulator import (_aggregate_interference_mw, _placements_to_arrays, _reach,
-                               max_cross_pair_power)
+from beamcap.simulator import _placements_to_arrays, _reach, max_cross_pair_power
 
 
 def _powers_from_devices(pos, bore, target, radio, antenna):
@@ -66,14 +65,6 @@ def reference_power_matrix(pos, bore, radio, antenna):
     blk = np.arange(pos.shape[0]) // 2
     p[blk[:, None] == blk[None, :]] = 0.0
     return p
-
-
-def reference_aggregate(pos, bore, radio, antenna):
-    if pos.shape[0] < 4:
-        return math.nan
-    p = reference_power_matrix(pos, bore, radio, antenna)
-    p[~np.isfinite(p)] = 0.0
-    return float(p.sum(axis=0).mean())
 
 
 def reference_max_cross(placements, radio, antenna):
@@ -235,20 +226,6 @@ class TestPowerMatrixAgainstReference:
         got = max_cross_pair_power(pairs, radio, antenna)
         want = reference_max_cross(pairs, radio, antenna)
         assert np.array_equal(np.float64(got), np.float64(want))
-
-    @settings(max_examples=80, deadline=None)
-    @given(radio=radios, kind=st.sampled_from(ANTENNAS), seed=st.integers(0, 2 ** 32 - 1),
-           n=st.integers(0, 25), coincide=st.booleans())
-    def test_aggregate_interference_bit_identical(self, radio, kind, seed, n, coincide):
-        antenna = make_antenna(kind, radio.theta)
-        rng = np.random.default_rng(seed)
-        pairs = random_pairs(rng, n, 50.0, 2.0)
-        if coincide and n >= 2:
-            pairs[1] = pair_at(*pairs[0].pos_a, *pairs[1].pos_b)
-        pos, bore = _placements_to_arrays(pairs)
-        got = _aggregate_interference_mw(pos, radio, antenna, bore)
-        want = reference_aggregate(pos, bore, radio, antenna)
-        assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
 
 
 class TestPeakGain:

@@ -1,12 +1,11 @@
 """Byte-exact CLI output, pinned in tests/golden/.
 
-`analyze` is pinned for every preset.  `simulate` and a measured-noise
-`sweep-power` are pinned on short fixed-seed runs that cover both check
-modes, both sweep values of desk-fig5, and a table antenna whose peak
-(21 dBi) exceeds the analytic maximum directivity at the same beamwidth.
-Threshold-noise `sweep-power` is pinned on paper-fig5 and paper-fig6, on
-desk-fig5 with the series engine under the logistic shape, and on
-paper-fig4 with the 21 dBi table antenna.
+`analyze` is pinned for every preset.  `simulate` is pinned on short
+fixed-seed runs that cover both check modes, both sweep values of
+desk-fig5, and a table antenna whose peak (21 dBi) exceeds the analytic
+maximum directivity at the same beamwidth.  `sweep-power` is pinned on
+paper-fig5 and paper-fig6, on desk-fig5 with the series engine under the
+logistic shape, and on paper-fig4 with the 21 dBi table antenna.
 
 Regenerate only for an intended change of output, and say which file moved:
 
@@ -35,8 +34,6 @@ SIM_CASES = {
     "simulate-table-antenna.csv": ("simulate", "desk-fig5",
                                    {**SHORT, "sweep_param": "", "lambda_per_m2": "0.005",
                                     "antenna": f"table:{GOLDEN / 'antenna-peak-21dbi.csv'}"}),
-    "sweep-power-measured.csv": ("sweep-power", "desk-fig4",
-                                 {**SHORT, "noise_mode": "measured", "p_tx_step_db": "2"}),
 }
 CASES.update(SIM_CASES)
 RATE_CASES = {

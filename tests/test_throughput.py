@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from beamcap import (AntennaModel, DeploymentParams, MeanEngine, NoiseMode, RadioParams,
-                     RateModel, RateScenario, SimConfig, TruncatedDistribution, area_rate,
-                     link_rate, noise_power, optimize_power, rate_components)
-from beamcap.throughput import measured_noise_power
+from beamcap import (AntennaModel, DeploymentParams, MeanEngine, RadioParams, RateModel,
+                     RateScenario, TruncatedDistribution, area_rate, link_rate, noise_power,
+                     optimize_power, rate_components)
 
 DEG = math.pi / 180.0
 
@@ -16,20 +15,13 @@ def radio(p_tx=10.0, theta_deg=30.0, bandwidth=2.16e9, snr_max=20.0):
 
 
 def scenario(lam=2.0, theta_deg=30.0, r_d=3000.0, d_max=5.0, bandwidth=2.16e9,
-             engine=MeanEngine.CLOSED, noise_mode=NoiseMode.THRESHOLD_K, measured=None,
-             snr_max=20.0):
+             engine=MeanEngine.CLOSED, snr_max=20.0):
     return RateScenario(
         radio=radio(theta_deg=theta_deg, bandwidth=bandwidth, snr_max=snr_max),
         antenna=AntennaModel.analytic(),
         deployment=DeploymentParams(r_d, lam, 1.0, TruncatedDistribution.uniform(d_max)),
-        rate_model=RateModel(6, noise_mode),
-        mean_engine=engine, measured_noise_mw=measured,
+        rate_model=RateModel(6), mean_engine=engine,
     )
-
-
-def sim_config(scn, seed):
-    return SimConfig(scn.deployment, scn.radio, scn.antenna, warmup=5.0, horizon=25.0,
-                     replications=2, seed=seed)
 
 
 class TestNoisePower:
@@ -155,28 +147,6 @@ class TestOptimizePower:
             optimize_power(scenario(), 10.0, -10.0)
         with pytest.raises(ValueError):
             optimize_power(scenario(), -10.0, 10.0, tol_db=0.0)
-
-
-class TestMeasuredNoise:
-    def test_sparse_system_sits_at_floor(self):
-        scn = scenario(lam=1e-7, r_d=300.0, noise_mode=NoiseMode.MEASURED)
-        p_n = measured_noise_power(sim_config(scn, seed=3))
-        floor = scn.radio.n_thr_mw
-        assert floor <= p_n <= 2.0 * floor
-
-    def test_dense_system_above_floor_and_rate_finite(self):
-        scn = scenario(lam=30.0 / (math.pi * 200.0**2), r_d=200.0, d_max=0.5,
-                       noise_mode=NoiseMode.MEASURED)
-        p_n = measured_noise_power(sim_config(scn, seed=4))
-        assert p_n > scn.radio.n_thr_mw
-        scn_used = scenario(lam=30.0 / (math.pi * 200.0**2), r_d=200.0, d_max=0.5,
-                            noise_mode=NoiseMode.MEASURED, measured=p_n)
-        rate = area_rate(scn_used, 10.0)
-        assert math.isfinite(rate) and rate > 0
-
-    def test_measured_mode_requires_value(self):
-        with pytest.raises(ValueError, match="measured"):
-            rate_components(scenario(noise_mode=NoiseMode.MEASURED), 10.0)
 
 
 class TestRateModelInvariants:
