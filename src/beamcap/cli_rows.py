@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 from . import queueing, simulator, throughput
 from .scenario import Scenario, sweep_points
@@ -93,9 +94,19 @@ def simulate_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None,
 
 
 def sweep_power_rows(scenario: Scenario) -> list[dict]:
-    """Power-sweep points plus one optimum summary row per sweep value."""
+    """Power-sweep points plus one optimum summary row per sweep value.
+
+    With the series engine, every sweep value's chain at p_tx_min_dbm (the
+    smallest gamma, the largest mean) is checked against the state limit
+    before any walk, so an infeasible sweep fails at once.
+    """
+    points = list(sweep_points(scenario))
+    for _, _, scn in points:
+        if scn.mean_engine is throughput.MeanEngine.SERIES:
+            low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
+            queueing.check_state_limit(queueing.chain_params(low, scn.deployment, scn.variant))
     rows = []
-    for param, value, scn in sweep_points(scenario):
+    for param, value, scn in points:
         rate_scn = scn.rate_scenario()
         n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]

@@ -18,6 +18,7 @@ from .radio import RadioParams, coverage_radius, pair_coverage_area
 from .simulator import DeploymentParams
 
 _LOG_EPS_FLOOR = -745.0  # below exp() underflow; treated as impossible state
+_MAX_STATES = 10_000_000
 # steady_state block sizes: the cap keeps each temporary array near 0.5 MB
 _BLOCK_MIN = 1_024
 _BLOCK_MAX = 65_536
@@ -134,8 +135,26 @@ def _not_truncated(params: ChainParams, max_states: int) -> NonConvergenceError:
                                f"(load lambda/mu = {params.load:g}, gamma = {params.gamma:g})")
 
 
+def check_state_limit(params: ChainParams, max_states: int = _MAX_STATES) -> None:
+    """Raise steady_state's NonConvergenceError up front where state
+    max_states can neither end the chain nor start a convergent tail.
+
+    Both log(1-Q_m) and the log step ratio are non-increasing in m, so then
+    no earlier state can either, and the walk would reach the same raise.
+    Both also fall as gamma grows, so a power sweep need only check its
+    lowest power.
+    """
+    a = params.load
+    if a == 0.0:
+        return
+    last = np.array([max_states])
+    la = _log_accept(last, params.gamma, params.variant)
+    if la[0] >= _LOG_EPS_FLOOR and (math.log(a) + la - np.log(last + 1))[0] >= 0.0:
+        raise _not_truncated(params, max_states)
+
+
 def steady_state(params: ChainParams, epsilon: float = 1e-9,
-                 max_states: int = 10_000_000) -> SteadyState:
+                 max_states: int = _MAX_STATES) -> SteadyState:
     """Solve the chain by the ratio recurrence, truncating by a tail bound.
 
     Successive state weights obey w_{m+1} = w_m * (lambda/mu)(1-Q_m)/(m+1);
@@ -145,10 +164,8 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     the first state m where the birth rate vanishes (the truncation is then
     exact) or where that bound falls below epsilon of the total mass
     including states 0..m.  States 0..max_states are examined before
-    NonConvergenceError is raised.  Both log(1-Q_m) and the log step ratio
-    are non-increasing in m, so when state max_states can neither end the
-    chain nor start a convergent tail, no earlier state can, and the error
-    is raised before the walk.
+    NonConvergenceError is raised; check_state_limit raises it before the
+    walk where it can tell that no state will stop it.
 
     States are evaluated in array blocks.  The first block is sized from the
     Lambert-W mean (at least 1,024 states); each later block doubles, up to
@@ -164,11 +181,8 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     a = params.load
     if a == 0.0:
         return SteadyState(np.array([1.0]), 0.0, params)
+    check_state_limit(params, max_states)
     log_a = math.log(a)
-    last = np.array([max_states])
-    la = _log_accept(last, params.gamma, params.variant)
-    if la[0] >= _LOG_EPS_FLOOR and (log_a + la - np.log(last + 1))[0] >= 0.0:
-        raise _not_truncated(params, max_states)
     log_eps = math.log(epsilon)
     logws = []
     logw, log_sum = 0.0, -math.inf  # log weight of state m0; log of the summed weights below m0

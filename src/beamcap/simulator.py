@@ -6,10 +6,16 @@ and depart after an exponential service time.  Rejected arrivals are
 cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
 
-One kernel, radio.received_power_mw, computes received power for
-admission and the audit.  Admission skips active devices beyond the
-peak-gain boresight range of both candidate devices: they cannot deliver
-the threshold.
+One kernel, radio.received_power_mw, defines received power for
+admission and the audit.  Admission first drops, in one array pass, the
+active devices beyond the peak-gain boresight range of both candidate
+devices: they cannot deliver the threshold.  With a table antenna the
+kernel decides the rest in array passes.  With the analytic antenna each
+near (transmitter, receiver) pair is decided in scalar math code by the
+equivalent test (1 - alpha/theta)*k0 >= d^kappa; a pair whose ratio lies
+within a derived rounding band of 1, at the beam edge, or at d -> 0 goes to
+the kernel.  Every decision is the kernel's, so output bytes do not depend
+on the path (see _admit).
 """
 
 from __future__ import annotations
@@ -22,12 +28,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
-from .radio import AntennaModel, RadioParams, received_power_mw
+from .radio import AntennaModel, AntennaVariant, RadioParams, received_power_mw
 
 _PLACEMENT_RETRIES = 100
 
@@ -246,8 +251,118 @@ def _reach(radio: RadioParams, antenna: AntennaModel) -> float:
     return ratio ** (1.0 / radio.kappa) * (1.0 + 1e-9)
 
 
-def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams,
-           antenna: AntennaModel, mode: CheckMode, reach: float) -> bool:
+class _ScalarTest(NamedTuple):
+    """Per-replication constants of the scalar admission test (analytic antenna)."""
+
+    k0: float          # p_tx*D0/(C*N_thr): power >= N_thr iff (1 - alpha/theta)*k0 >= d^kappa
+    r2: float          # squared screen radius: k0^(2/kappa) widened by its rounding bound
+    theta: float
+    half_kappa: float
+    rel: float         # angle-free part of the band, 2*(9*kappa + 32)*u
+
+
+_U = 2.0 ** -53                 # float64 unit roundoff
+_ANGLE_ERR = 40.0 * _U          # |computed - exact| deviation angle on either path [rad]
+_ANGLE_BAND = 88.0 * _U         # 2*(_ANGLE_ERR + pi*u), rounded up
+_TINY = 1e-300                  # smaller d^2 or d^kappa may be subnormal: the kernel decides
+_RANGE = 1e250                  # k0, r2 and C*k0 inside (1/_RANGE, _RANGE) keep both paths normal
+_TWO_PI = 2.0 * math.pi
+
+
+def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest | None:
+    """Constants of the scalar test, or None where the kernel decides every pair:
+    a table antenna, or a link budget whose intermediates could leave the normal range."""
+    if antenna.variant is not AntennaVariant.ANALYTIC:
+        return None
+    kappa = radio.kappa
+    k0 = radio.p_tx_mw * antenna.peak_gain_linear(radio) / (radio.c_const * radio.n_thr_mw)
+    if not (1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE):
+        return None
+    r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
+    if not 1.0 / _RANGE < r2 < _RANGE:
+        return None
+    return _ScalarTest(k0, r2, radio.theta, 0.5 * kappa, 2.0 * (9.0 * kappa + 32.0) * _U)
+
+
+def _covers(alpha: float, dx: float, dy: float, bore: float, d2: float, st: _ScalarTest,
+            radio: RadioParams, antenna: AntennaModel) -> bool:
+    """Whether a transmitter with boresight bore delivers the threshold over
+    (dx, dy), with d2 = dx*dx + dy*dy and alpha its wrapped deviation angle;
+    the kernel's decision (see _admit)."""
+    gap = st.theta - alpha - 2.0 * _ANGLE_ERR
+    if d2 >= _TINY and gap > 0.0:
+        band = st.rel + 2.0 * _ANGLE_BAND / gap
+        rhs = d2 ** st.half_kappa
+        if band < 1.0 and rhs >= _TINY:
+            lhs = (1.0 - alpha / st.theta) * st.k0
+            if lhs >= rhs * (1.0 + band):
+                return True
+            if lhs < rhs * (1.0 - band):
+                return False
+    # inside the band, at the beam edge or at d -> 0: the kernel decides, on
+    # arrays, whose pow, hypot and arctan2 round as the table path's do
+    return bool(received_power_mw(np.array([dx]), np.array([dy]), bore, radio, antenna)[0]
+                >= radio.n_thr_mw)
+
+
+def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams, antenna: AntennaModel,
+           mode: CheckMode, reach: float, scalar: _ScalarTest | None) -> bool:
+    """Listen-before-talk test of candidate against active devices (pos, bore).
+
+    One array pass drops the devices farther than reach + half the
+    candidate's separation from its midpoint: they cannot deliver the
+    threshold to, or receive it from, either candidate device.  With a table
+    antenna (scalar is None) the near devices then take one (2, K) kernel
+    pass per direction, the reverse one only if the forward one admits.
+
+    With the analytic antenna each near (transmitter, receiver) pair is
+    decided in scalar math code, returning on the first hit.  With
+    k0 = p_tx*D0/(C*N_thr) and gain D0*(1 - alpha/theta), power >= N_thr
+    is the same as q = (1 - alpha/theta)*k0/d^kappa >= 1.  A pair with
+    d^2 > r2 is skipped before atan2; every other pair compares
+    lhs = (1 - alpha/theta)*k0 with rhs = d^kappa.  Outside a band
+    |q - 1| < eps the sign of q - 1 is the kernel's decision; inside it,
+    and where alpha is within 2*eta of theta, received_power_mw decides the
+    pair, so the kernel stays the one definition of power.
+
+    The band.  Let u = 2^-53, take every float input (the differences dx,
+    dy, which both paths compute alike, the boresights, p_tx, D0, theta,
+    kappa, C, N_thr) as exact, and let q* be the exact ratio.  Count each + - * / as one rounding (relative <= u)
+    and each of hypot, pow and atan2, in libm or numpy, as at most 4 ulp
+    (relative <= 8u; absolute <= 16u for an angle of size <= pi).
+
+    - Angle, per path: atan2 16u, the subtraction of bore 4u, the wrap
+      ((x + pi) % 2pi - pi: 8u + 4u + 2u, plus 3.3u for the float pi and
+      2pi) give |alpha - alpha*| <= eta = 40u.  With alpha/theta rounded
+      (abs. error <= pi*u/theta) and 1 - x rounded (u), the gain factor g
+      has |g/g* - 1| <= u + (eta + pi*u)/(theta - alpha*).  This term
+      grows as 1/(theta - alpha): 1 - alpha/theta cancels at the beam
+      edge.  gap = theta - alpha - 2*eta <= theta - alpha* on either path.
+      Near alpha = pi, where the wrap may land on either side of +-pi, every
+      computed alpha stays within eta of pi >= theta, so gap < 0 there.
+    - Distance, power and products.  Kernel: hypot 8u, raised to kappa
+      8*kappa*u, pow 8u, four products and quotients 4u: (8*kappa + 12)u.
+      Scalar: d^2 2u, raised to kappa/2 kappa*u, pow 8u, k0 3u, lhs u,
+      the compared product rhs*(1 +- eps) and its constant 2u:
+      (kappa + 15)u.
+    - So q_s = q*(1 + a) and q_k = q*(1 + b), the kernel's p/N_thr, with
+      |a| + |b| <= e = (9*kappa + 29)u + 2*(eta + pi*u)/gap; rounding the
+      coefficients up to (9*kappa + 32)u and 88u covers the second-order
+      terms.  For e <= 1/2, q_k/q_s lies in [1 - e, 1 + 2e], so q_s >= 1 + 2e
+      gives q_k >= (1 + 2e)(1 - e) >= 1 and q_s < 1 - 2e gives
+      q_k < (1 - 2e)(1 + 2e) < 1.  The band is eps = 2e, used only while
+      eps < 1: eps = rel + 2*88u/gap with rel = 2*(9*kappa + 32)u.
+    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or
+      past theta, where the kernel's gain is exactly 0.
+    - Screen.  The kernel's gain factor is at most 1, so it cannot reach
+      N_thr unless kappa*ln d* - ln k0* < (8*kappa + 12)u.  d2 carries 2u,
+      k0 3u, 2/kappa u (an error of u*|ln k0| in the power), pow 8u and
+      the widened product 2u; so d2 > r2 = k0^(2/kappa)*(1 + delta) with
+      delta = (32 + (32 + 2|ln k0|)/kappa)u rules the pair out.
+    - Range.  The bounds hold for normal floats.  _scalar_test keeps k0,
+      C*k0 and r2 within (1e-250, 1e250), and d^2 or d^kappa below 1e-300
+      (d -> 0, coincident devices included) goes to the kernel.
+    """
     (ax, ay), (bx, by) = candidate.pos_a, candidate.pos_b
     mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
     # devices beyond reach of both candidate devices cannot decide (+ midpoint rounding)
@@ -256,6 +371,9 @@ def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams,
     near = (dx * dx + dy * dy <= limit * limit).nonzero()[0]
     if near.size == 0:
         return True
+    if scalar is not None:
+        return _admit_scalar(candidate, pos.take(near, 0).tolist(), bore.take(near).tolist(),
+                             radio, antenna, mode, scalar)
     (px, py), near_bore = pos.take(near, 0).T, bore.take(near)
     cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
     thr = radio.n_thr_mw
@@ -266,6 +384,33 @@ def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams,
         return True
     cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
     return not (received_power_mw(px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()
+
+
+def _admit_scalar(candidate: PairPlacement, near_pos: list, near_bore: list,
+                  radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
+                  st: _ScalarTest) -> bool:
+    """_admit over the near devices as lists, one (transmitter, receiver) pair at a time."""
+    two_way = mode is CheckMode.TWO_WAY
+    r2, theta, edge, pi, atan2 = st.r2, st.theta, 2.0 * _ANGLE_ERR, math.pi, math.atan2
+    for (cx, cy), cbore in ((candidate.pos_a, candidate.boresight_ab),
+                            (candidate.pos_b, candidate.boresight_ba)):
+        for (px, py), pbore in zip(near_pos, near_bore):
+            dx, dy = cx - px, cy - py
+            d2 = dx * dx + dy * dy
+            if d2 > r2:
+                continue
+            # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
+            alpha = abs((atan2(dy, dx) - pbore + pi) % _TWO_PI - pi)
+            if ((alpha - theta < edge or d2 < _TINY)
+                    and _covers(alpha, dx, dy, pbore, d2, st, radio, antenna)):
+                return False
+            if two_way:
+                rx, ry = px - cx, py - cy
+                alpha = abs((atan2(ry, rx) - cbore + pi) % _TWO_PI - pi)
+                if ((alpha - theta < edge or d2 < _TINY)
+                        and _covers(alpha, rx, ry, cbore, d2, st, radio, antenna)):
+                    return False
+    return True
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
@@ -279,7 +424,8 @@ def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
     device.
     """
     pos, bore = _placements_to_arrays(active)
-    return _admit(candidate, pos, bore, radio, antenna, mode, _reach(radio, antenna))
+    return _admit(candidate, pos, bore, radio, antenna, mode, _reach(radio, antenna),
+                  _scalar_test(radio, antenna))
 
 
 def _placements_to_arrays(placements: Sequence[PairPlacement]):
@@ -363,6 +509,7 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
     next_snap = next(snap_iter, None)
     snapshots: list[tuple[PairPlacement, ...]] = []
     reach = _reach(config.radio, config.antenna)
+    scalar = _scalar_test(config.radio, config.antenna)
 
     def integrate_to(t_end: float) -> None:
         lo = max(t_prev, warmup)
@@ -396,7 +543,7 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
                 if post:
                     observed += 1
                 ok = _admit(placement, *active.arrays(), config.radio, config.antenna,
-                            config.check_mode, reach)
+                            config.check_mode, reach, scalar)
                 if ok:
                     active.add(next_pair_id, placement)
                     admitted_total += 1
@@ -499,6 +646,8 @@ def _t_halfwidth(values: np.ndarray, level: float = 0.95) -> float:
     n = values.size
     if n < 2:
         return math.inf
+    from scipy import stats  # imported here: scipy costs about 1 s of start-up
+
     q = stats.t.ppf(0.5 + level / 2.0, n - 1)
     return float(q * values.std(ddof=1) / math.sqrt(n))
 
@@ -535,6 +684,8 @@ def mean_projected_distance(model: PairModel) -> float:
         return model.distance
     if isinstance(model, TruncatedDistribution):
         return model.mean()
+    from scipy import integrate  # imported here: scipy costs about 1 s of start-up
+
     # |U1-U2| on [0, L] has the triangular density 2(L-u)/L^2
     dx, dy = model.dx, model.dy
     val, _ = integrate.dblquad(

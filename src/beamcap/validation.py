@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import cli_rows, queueing, simulator, throughput
 from .queueing import ChainParams, Variant
@@ -80,6 +79,8 @@ def check_lambert() -> CheckResult:
 
 def check_beam_area() -> CheckResult:
     """Closed form against adaptive quadrature of the border integral."""
+    from scipy import integrate  # imported here: scipy costs about 1 s of start-up
+
     worst = 0.0
     r = 44.5
     for kappa in (2.0, 3.0, 4.0):

@@ -1,8 +1,13 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from beamcap import AntennaModel, RadioParams
+
+# `pytest --hypothesis-profile=ci` runs five times the default example count
+# where a test scales its count with examples() in tests/test_admission.py
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture()

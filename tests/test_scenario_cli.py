@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from beamcap import CheckMode, MeanEngine, Variant
+import beamcap
+from beamcap import CheckMode, MeanEngine, NonConvergenceError, Variant, queueing
 from beamcap.cli import main
 from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
 from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
@@ -351,6 +356,28 @@ class TestCliEntry:
         monkeypatch.setattr(cli_mod.cli_rows, "analyze_rows", explode)
         assert cli_mod.main(["analyze", "--preset", "desk-fig4"]) == 2
         assert "not truncated" in capsys.readouterr().err
+
+    def test_series_sweep_power_fails_before_any_walk(self, tmp_path, capsys):
+        # 8, 15 and 30 deg walk millions of states per power; only 52 deg at
+        # the lowest power (mean 1.21e7) passes the state limit
+        cfg = tmp_path / "series.cfg"
+        cfg.write_text("mean_engine = series\n")
+        t0 = time.perf_counter()
+        assert main(["sweep-power", "--preset", "paper-fig6", "--config", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        scn = load_scenario(preset="paper-fig6", overrides={"theta_deg": "52", "sweep_param": ""})
+        low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
+        with pytest.raises(NonConvergenceError) as exc:
+            queueing.steady_state(queueing.chain_params(low, scn.deployment, scn.variant))
+        assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(beamcap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
