@@ -70,13 +70,12 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def simulate_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None,
-                  trace_dir=None) -> list[dict]:
+def simulate_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None) -> list[dict]:
     """Per sweep value: aggregated simulator statistics with the seed echoed."""
     rows = []
     for param, value, scn in sweep_points(scenario):
         config = scn.sim_config(seed=seed)
-        stats = simulator.run(config, jobs=jobs, trace_dir=trace_dir)
+        stats = simulator.run(config, jobs=jobs)
         rows.append({
             "sweep_param": param,
             "sweep_value": value,

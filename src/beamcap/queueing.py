@@ -108,10 +108,6 @@ class SteadyState:
             raise ValueError(f"probabilities plus tail must sum to 1, got {total}")
         object.__setattr__(self, "probs", p)
 
-    @property
-    def truncation_index(self) -> int:
-        return self.probs.size - 1
-
 
 def _first_block(params: ChainParams) -> int:
     """Size of steady_state's first block of states.
@@ -226,13 +222,13 @@ def mean_pairs(ss: SteadyState) -> float:
     return float(np.arange(ss.probs.size) @ ss.probs)
 
 
-def acceptance_prob(ss: SteadyState, params: ChainParams | None = None) -> float:
+def acceptance_prob(ss: SteadyState) -> float:
     """Probability that an arrival is admitted: sum over states of (1-Q_n) pi_n.
 
     The truncated tail mass is credited with the acceptance factor of the
     first excluded state, which keeps the gamma = 0 case exactly one.
     """
-    p = params if params is not None else ss.params
+    p = ss.params
     n = np.arange(ss.probs.size + 1)
     x = n * p.gamma
     if p.variant is Variant.PIECEWISE_LINEAR:

@@ -173,7 +173,7 @@ def received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
     dist = np.hypot(dx, dy)
     alpha = np.abs(_wrap_angle(np.arctan2(dy, dx) - bore))
     gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 

@@ -275,6 +275,10 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]
         raise ScenarioError(f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
+    model = v["pair_model"]
+    if isinstance(model, FixedDistance) and model.distance >= 2.0 * v["r_d_m"]:
+        raise ScenarioError(f"pair_model: fixed distance {model.distance:g} m does not fit "
+                            f"in a disk of diameter {2.0 * v['r_d_m']:g} m (r_d_m)")
     return scenario
 
 

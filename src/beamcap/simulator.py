@@ -20,8 +20,6 @@ on the path (see _admit).
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -129,6 +127,10 @@ class DeploymentParams:
         return self.lambda_density * self.area
 
 
+class PlacementError(RuntimeError):
+    """No placement inside the disk within the retry cap: the pair model barely fits."""
+
+
 @dataclass(frozen=True)
 class PairPlacement:
     """Positions of the two devices and their mutual boresights."""
@@ -198,9 +200,6 @@ class ReplicationResult:
     accepted: int
     state_time: dict[int, float]
     measured_time: float
-    admitted_total: int
-    departed_total: int
-    final_active: int
     snapshots: tuple[tuple[PairPlacement, ...], ...] = ()
 
 
@@ -239,7 +238,7 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
             continue
         return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
                              math.atan2(ay - by, ax - bx))
-    raise RuntimeError(
+    raise PlacementError(
         f"no placement inside the disk after {_PLACEMENT_RETRIES} attempts "
         f"(region_radius={r_d}, pair_model={model})"
     )
@@ -437,9 +436,9 @@ def _placements_to_arrays(placements: Sequence[PairPlacement]):
 class _ActiveSet:
     """Active devices in flat arrays with O(1) pair insert/remove."""
 
-    def __init__(self, capacity: int = 64):
-        self._pos = np.empty((2 * capacity, 2))
-        self._bore = np.empty(2 * capacity)
+    def __init__(self):
+        self._pos = np.empty((128, 2))            # room for 64 pairs, doubled when full
+        self._bore = np.empty(128)
         self._pairs: list[int] = []           # pair id per block
         self._block_of: dict[int, int] = {}
         self._placements: dict[int, PairPlacement] = {}
@@ -479,31 +478,25 @@ class _ActiveSet:
         self._pairs.pop()
 
 
-def _cross_pair_powers(pos, bore, radio: RadioParams, antenna: AntennaModel):
-    """Power [mW] from each device i (row) at each device j, own pair zeroed."""
-    p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
-                          bore[:, None], radio, antenna)
-    blk = np.arange(pos.shape[0]) // 2
-    p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
-    return p
-
-
-_ARRIVAL, _DEPARTURE = 0, 1
-
-
-def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
+def run_replication(config: SimConfig, rep_index: int, *,
                     snapshot_times: Sequence[float] = ()) -> ReplicationResult:
-    """One independent replication with its own generator and event set."""
+    """One independent replication with its own generator and event set.
+
+    The Poisson stream has exactly one pending arrival, held in t_arrival;
+    the heap holds departures as (time, pair id), and pair ids rise in
+    admission order, which orders tied departures as admission order does.
+    An arrival and a departure at exactly the same time (probability zero)
+    are taken arrival first.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(rep_index,)))
     dep = config.deployment
     lam = dep.lambda_total
     warmup, horizon = config.warmup, config.horizon
     active = _ActiveSet()
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
+    departures: list[tuple[float, int]] = []
     next_pair_id = 0
     state_time: dict[int, float] = {}
-    observed = accepted = admitted_total = departed_total = 0
+    observed = accepted = 0
     t_prev = 0.0
     snap_iter = iter(sorted(snapshot_times))
     next_snap = next(snap_iter, None)
@@ -518,53 +511,32 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
             n = len(active)
             state_time[n] = state_time.get(n, 0.0) + (hi - lo)
 
-    if lam > 0.0:
-        heapq.heappush(heap, (rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
-        seq += 1
-
-    with (open(trace_path, "w", newline="") if trace_path
-          else contextlib.nullcontext()) as trace_file:
-        writer = csv.writer(trace_file, lineterminator="\n") if trace_file else None
-        if writer:
-            writer.writerow(["t", "event", "n_active", "accepted"])
-        while heap:
-            t, _, kind, pid = heapq.heappop(heap)
-            while next_snap is not None and next_snap < min(t, horizon):
-                snapshots.append(active.placements())
-                next_snap = next(snap_iter, None)
-            integrate_to(t)
-            if t > horizon:
-                t_prev = horizon
-                break
-            t_prev = t
-            if kind == _ARRIVAL:
-                placement = place_pair(rng, dep)
-                post = t >= warmup
+    t_arrival = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
+    while True:
+        t = min(t_arrival, departures[0][0] if departures else math.inf)
+        while next_snap is not None and next_snap < min(t, horizon):
+            snapshots.append(active.placements())
+            next_snap = next(snap_iter, None)
+        integrate_to(t)
+        if t > horizon:
+            break
+        t_prev = t
+        if t == t_arrival:
+            placement = place_pair(rng, dep)
+            post = t >= warmup
+            if post:
+                observed += 1
+            if _admit(placement, *active.arrays(), config.radio, config.antenna,
+                      config.check_mode, reach, scalar):
+                active.add(next_pair_id, placement)
                 if post:
-                    observed += 1
-                ok = _admit(placement, *active.arrays(), config.radio, config.antenna,
-                            config.check_mode, reach, scalar)
-                if ok:
-                    active.add(next_pair_id, placement)
-                    admitted_total += 1
-                    if post:
-                        accepted += 1
-                    heapq.heappush(heap, (t + rng.exponential(1.0 / dep.mu), seq, _DEPARTURE, next_pair_id))
-                    seq += 1
-                    next_pair_id += 1
-                heapq.heappush(heap, (t + rng.exponential(1.0 / lam), seq, _ARRIVAL, -1))
-                seq += 1
-                if writer:
-                    writer.writerow([repr(t), "arrival", len(active), int(ok)])
-            else:
-                active.remove(pid)
-                departed_total += 1
-                if writer:
-                    writer.writerow([repr(t), "departure", len(active), ""])
-            assert admitted_total - departed_total == len(active)
+                    accepted += 1
+                heapq.heappush(departures, (t + rng.exponential(1.0 / dep.mu), next_pair_id))
+                next_pair_id += 1
+            t_arrival = t + rng.exponential(1.0 / lam)
         else:
-            integrate_to(horizon)
-            t_prev = horizon
+            active.remove(heapq.heappop(departures)[1])
+        assert len(departures) == len(active)           # one pending departure per active pair
 
     while next_snap is not None and next_snap <= horizon:
         snapshots.append(active.placements())
@@ -575,31 +547,30 @@ def run_replication(config: SimConfig, rep_index: int, *, trace_path=None,
     p_acc = accepted / observed if observed > 0 else math.nan
     return ReplicationResult(
         mean_pairs=mean_n, p_accept=p_acc, observed=observed, accepted=accepted,
-        state_time=state_time, measured_time=measured,
-        admitted_total=admitted_total, departed_total=departed_total,
-        final_active=admitted_total - departed_total, snapshots=tuple(snapshots),
+        state_time=state_time, measured_time=measured, snapshots=tuple(snapshots),
     )
 
 
-def _rep_worker(args):
-    config, idx, trace_dir = args
-    trace_path = None if trace_dir is None else f"{trace_dir}/replication_{idx:03d}.csv"
-    return run_replication(config, idx, trace_path=trace_path)
+def _replicate(config: SimConfig, rep_index: int) -> ReplicationResult:
+    # the pool pickles its function by name, and the module attribute
+    # run_replication may be a wrapper that does not pickle (perfbench's tracer)
+    return run_replication(config, rep_index)
 
 
-def run(config: SimConfig, jobs: int = 1, trace_dir=None) -> SimStats:
+def run(config: SimConfig, jobs: int = 1) -> SimStats:
     """Run every replication and aggregate time-averaged statistics.
 
     Identical configs (seed included) produce identical SimStats; the
     replication results are reduced in index order regardless of how many
-    workers execute them.
+    workers execute them.  At most one worker per replication is started.
     """
-    tasks = [(config, i, trace_dir) for i in range(config.replications)]
-    if jobs > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reps = list(pool.map(_rep_worker, tasks))
+    indices = range(config.replications)
+    workers = min(jobs, config.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reps = list(pool.map(_replicate, [config] * len(indices), indices))
     else:
-        reps = [_rep_worker(t) for t in tasks]
+        reps = [run_replication(config, i) for i in indices]
     return aggregate(reps, config)
 
 
@@ -642,13 +613,14 @@ def aggregate(reps: Sequence[ReplicationResult], config: SimConfig) -> SimStats:
     )
 
 
-def _t_halfwidth(values: np.ndarray, level: float = 0.95) -> float:
+def _t_halfwidth(values: np.ndarray) -> float:
+    """Halfwidth of the 95% Student-t interval of the mean of values."""
     n = values.size
     if n < 2:
         return math.inf
     from scipy import stats  # imported here: scipy costs about 1 s of start-up
 
-    q = stats.t.ppf(0.5 + level / 2.0, n - 1)
+    q = stats.t.ppf(0.975, n - 1)
     return float(q * values.std(ddof=1) / math.sqrt(n))
 
 
@@ -704,6 +676,11 @@ def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams
     """
     if len(placements) < 2:
         return 0.0
-    p = _cross_pair_powers(*_placements_to_arrays(placements), radio, antenna)
+    pos, bore = _placements_to_arrays(placements)
+    # power from each device i (row) at each device j
+    p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
+                          bore[:, None], radio, antenna)
+    blk = np.arange(pos.shape[0]) // 2
+    p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
     p[~np.isfinite(p)] = np.inf
     return float(p.max())

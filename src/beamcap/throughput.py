@@ -81,14 +81,14 @@ class RatePoint:
     area_rate_bps_m2: float
 
 
-def rate_components(scn: RateScenario, p_tx_dbm: float | None = None) -> RatePoint:
+def rate_components(scn: RateScenario, p_tx_dbm: float) -> RatePoint:
     """Area-rate breakdown at one transmit power.
 
     The per-link rate is evaluated at the expected pair distance on
     boresight; E[N] comes from the selected queueing engine and reacts to
     transmit power through the coverage radius and footprint ratio.
     """
-    radio = scn.radio if p_tx_dbm is None else replace(scn.radio, p_tx_dbm=p_tx_dbm)
+    radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
     chain = queueing.chain_params(radio, scn.deployment, scn.variant)
     if scn.mean_engine is MeanEngine.CLOSED:
         e_n = queueing.mean_pairs_closed_form(chain)
@@ -101,7 +101,7 @@ def rate_components(scn: RateScenario, p_tx_dbm: float | None = None) -> RatePoi
     return RatePoint(radio.p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
 
 
-def area_rate(scn: RateScenario, p_tx_dbm: float | None = None) -> float:
+def area_rate(scn: RateScenario, p_tx_dbm: float) -> float:
     """Aggregate rate per unit area [bit/s/m^2]."""
     return rate_components(scn, p_tx_dbm).area_rate_bps_m2
 

@@ -32,7 +32,7 @@ def _powers_from_devices(pos, bore, target, radio, antenna):
     dist = np.hypot(vec[:, 0], vec[:, 1])
     alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - bore))
     gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
@@ -41,7 +41,7 @@ def _powers_at_devices(tx_pos, tx_bore, pos, radio, antenna):
     dist = np.hypot(vec[:, 0], vec[:, 1])
     alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - tx_bore))
     gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
@@ -68,7 +68,7 @@ def reference_power_matrix(pos, bore, radio, antenna):
     dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
     alpha = np.abs(_wrap_angle(np.arctan2(diff[:, :, 1], diff[:, :, 0]) - bore[:, None]))
     gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa)
     blk = np.arange(pos.shape[0]) // 2
     p[blk[:, None] == blk[None, :]] = 0.0

@@ -165,13 +165,13 @@ class TestSteadyState:
     def test_piecewise_truncates_exactly(self):
         # birth rate hits zero at n*gamma >= 1, so the chain is finite
         ss = steady_state(chain(lam=5.0, gamma=0.3, variant=Variant.PIECEWISE_LINEAR))
-        assert ss.truncation_index == 4
+        assert ss.probs.size - 1 == 4
         assert ss.tail_bound == 0.0
 
     def test_huge_load_stays_finite(self):
         # footprint interference caps the population long before the load
         ss = steady_state(chain(lam=5.65e7, gamma=6.35e-5))
-        assert ss.truncation_index < 100_000
+        assert ss.probs.size - 1 < 100_000
         assert mean_pairs(ss) == pytest.approx(5.46e4, rel=2e-2)
 
     def test_non_convergence_error(self):
@@ -188,7 +188,7 @@ class TestSteadyState:
 
     def test_max_states_is_the_last_state_examined(self):
         params = chain(lam=50.0, gamma=0.0)
-        last = steady_state(params).truncation_index
+        last = steady_state(params).probs.size - 1
         assert np.array_equal(steady_state(params, max_states=last).probs,
                               steady_state(params).probs)
         with pytest.raises(NonConvergenceError):
@@ -204,7 +204,7 @@ class TestSteadyState:
         # raises for any limit < t
         params = chain(lam=a, gamma=gamma, variant=variant)
         ss = steady_state(params)
-        t = ss.truncation_index
+        t = ss.probs.size - 1
         for limit in (t, t + k):
             got = steady_state(params, max_states=limit)
             assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
@@ -234,7 +234,7 @@ class TestSteadyState:
         params = chain(lam=a, gamma=gamma, variant=variant)
         probs, tail = reference_steady_state(params, epsilon)
         ss = steady_state(params, epsilon=epsilon)
-        assert ss.truncation_index == probs.size - 1
+        assert ss.probs.size == probs.size
         np.testing.assert_allclose(ss.probs, probs, rtol=1e-12, atol=1e-300)
         assert ss.tail_bound == pytest.approx(tail, rel=1e-12, abs=1e-300)
 

@@ -92,6 +92,11 @@ class TestReceivePower:
         # a coincident receiver reads infinite power, so it always decides admission
         assert receive_power(baseline_radio, analytic_antenna, 0.0, 0.0) == math.inf
 
+    def test_overflow_near_zero_distance_is_silent(self, baseline_radio, analytic_antenna):
+        # d^kappa is subnormal at 1e-160 (kappa = 2): the quotient overflows
+        # to inf, which pytest's RuntimeWarning filter would turn into an error
+        assert receive_power(baseline_radio, analytic_antenna, 1e-160, 0.0) == math.inf
+
     @given(d1=st.floats(0.1, 1e4), scale=st.floats(1.01, 100.0))
     def test_decreasing_in_distance(self, d1, scale):
         r = radio()

@@ -81,6 +81,11 @@ class TestConfigParsing:
         with pytest.raises(ScenarioError, match="pair_model"):
             build_scenario({"pair_model": "sphere:1"})
 
+    def test_fixed_pair_distance_must_fit_the_disk(self):
+        build_scenario({"r_d_m": "2", "pair_model": "fixed:3.99"})
+        with pytest.raises(ScenarioError, match="^pair_model: fixed distance 4 m does not fit"):
+            build_scenario({"r_d_m": "2", "pair_model": "fixed:4"})
+
     def test_mean_engine_is_an_enum(self):
         assert build_scenario({"mean_engine": "series"}).mean_engine is MeanEngine.SERIES
         with pytest.raises(ScenarioError, match="mean_engine: expected one of closed, series"):
@@ -378,6 +383,41 @@ class TestCliEntry:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "desk-fig4", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_any_work(self, monkeypatch, tmp_path, capsys):
+        import beamcap.cli as cli_mod
+
+        def no_work(scn):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli_mod.cli_rows, "analyze_rows", no_work)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["analyze", "--preset", "paper-fig5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("beamcap: error: --out: ")
+
+    def test_infeasible_fixed_pair_model_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("r_d_m = 2\npair_model = fixed:5\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("beamcap: error: pair_model: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_placement_retry_exhaustion_exit_code(self, jobs, tmp_path, capsys):
+        # a partner 3.999 m away fits a 2 m disk only from a sliver of its
+        # edge, so 100 placement attempts miss it
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("r_d_m = 2\npair_model = fixed:3.999\nlambda_per_m2 = 1\n"
+                       "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n")
+        assert main(["simulate", "--config", str(cfg), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beamcap: error: no placement inside the disk after 100 attempts")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -64,11 +64,11 @@ class TestLinkRate:
 
 class TestAreaRate:
     def test_zero_arrivals(self):
-        assert area_rate(scenario(lam=0.0)) == 0.0
+        assert area_rate(scenario(lam=0.0), 10.0) == 0.0
 
     def test_linear_in_bandwidth(self):
-        base = area_rate(scenario(bandwidth=2.16e9))
-        assert area_rate(scenario(bandwidth=4.32e9)) == pytest.approx(2 * base, rel=1e-12)
+        base = area_rate(scenario(bandwidth=2.16e9), 10.0)
+        assert area_rate(scenario(bandwidth=4.32e9), 10.0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_interior_maximum_exists(self):
         scn = scenario(lam=2.0, theta_deg=30.0)
