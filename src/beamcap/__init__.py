@@ -12,11 +12,10 @@ from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
 from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
                     dbm_to_mw, max_directivity, pair_coverage_area, received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
-                        PairPlacement, SimConfig, SimStats, TruncatedDistribution,
-                        admission_check, expected_pair_distance, place_pair, run,
-                        run_replication)
-from .throughput import (MeanEngine, PowerOptimum, RateModel, RateScenario, area_rate,
-                         link_rate, noise_power, optimize_power, rate_components)
+                        PairPlacement, SimConfig, SimStats, UniformDistance, admission_check,
+                        expected_pair_distance, place_pair, run, run_replication)
+from .throughput import (MeanEngine, PowerOptimum, link_rate, noise_power, optimize_power,
+                         rate_components)
 from .scenario import Scenario, ScenarioError, load_scenario
 
 __version__ = "0.1.0"

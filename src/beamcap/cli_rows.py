@@ -54,7 +54,7 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
     """Per sweep value: footprint ratio, both mean-pair engines, acceptance."""
     rows = []
     for param, value, scn in sweep_points(scenario):
-        chain = queueing.chain_params(scn.radio, scn.deployment, scn.variant)
+        chain = queueing.chain_params(scn.radio, scn.deployment, scn.variant, scn.check_mode)
         ss = queueing.steady_state(chain)
         e_series = queueing.mean_pairs(ss)
         rows.append({
@@ -103,25 +103,24 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     for _, _, scn in points:
         if scn.mean_engine is throughput.MeanEngine.SERIES:
             low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
-            queueing.check_state_limit(queueing.chain_params(low, scn.deployment, scn.variant))
+            queueing.check_state_limit(
+                queueing.chain_params(low, scn.deployment, scn.variant, scn.check_mode))
     rows = []
     for param, value, scn in points:
-        rate_scn = scn.rate_scenario()
         n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]
         # a step that does not divide the range ends on the maximum itself
         grid = [p for p in grid if p < scn.p_tx_max_dbm - 1e-9] + [scn.p_tx_max_dbm]
         for p in grid:
-            pt = throughput.rate_components(rate_scn, p)
+            pt = throughput.rate_components(scn, p)
             rows.append({
                 "row_type": "point", "sweep_param": param, "sweep_value": value,
                 "p_tx_dbm": pt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
                 "link_rate_bps": pt.link_rate_bps,
                 "area_rate_bps_m2": pt.area_rate_bps_m2, "flags": "",
             })
-        opt = throughput.optimize_power(rate_scn, scn.p_tx_min_dbm, scn.p_tx_max_dbm,
-                                        tol_db=scn.opt_tol_db)
-        pt = throughput.rate_components(rate_scn, opt.p_tx_dbm)
+        opt = throughput.optimize_power(scn)
+        pt = throughput.rate_components(scn, opt.p_tx_dbm)
         rows.append({
             "row_type": "optimum", "sweep_param": param, "sweep_value": value,
             "p_tx_dbm": opt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .radio import RadioParams, coverage_radius, pair_coverage_area
-from .simulator import DeploymentParams
+from .simulator import CheckMode, DeploymentParams
 
 _LOG_EPS_FLOOR = -745.0  # below exp() underflow; treated as impossible state
 _MAX_STATES = 10_000_000
@@ -69,10 +69,18 @@ def gamma_from_geometry(r: float, kappa: float, theta: float, area: float) -> fl
     return pair_coverage_area(r, theta, kappa) / area
 
 
-def chain_params(radio: RadioParams, deployment: DeploymentParams,
-                 variant: Variant = Variant.EXPONENTIAL) -> ChainParams:
-    """Chain of a deployment: footprint ratio from the coverage radius at radio's power."""
+def chain_params(radio: RadioParams, deployment: DeploymentParams, variant: Variant,
+                 check_mode: CheckMode) -> ChainParams:
+    """Chain of a deployment: footprint ratio from the coverage radius at radio's power.
+
+    A two-way test rejects on two events per active pair: the candidate lies
+    in the pair's beams, or the pair in the candidate's; hence the
+    exponential Q_n = 1 - exp(-2n*gamma).  A one-way test has only the first
+    event, so its chain carries gamma/2 and Q_n = 1 - exp(-n*gamma).
+    """
     gamma = gamma_from_geometry(coverage_radius(radio), radio.kappa, radio.theta, deployment.area)
+    if check_mode is CheckMode.ONE_WAY:
+        gamma *= 0.5
     return ChainParams(deployment.lambda_total, deployment.mu, gamma, variant)
 
 

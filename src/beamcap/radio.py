@@ -177,10 +177,15 @@ def received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
+def link_budget(radio: RadioParams, gain: float) -> float:
+    """p_tx*G/(N_thr*C): a transmitter of gain G delivers the threshold out to
+    distance link_budget**(1/kappa)."""
+    return radio.p_tx_mw * gain / (radio.n_thr_mw * radio.c_const)
+
+
 def coverage_radius(params: RadioParams) -> float:
     """Boresight distance at which the received power equals the sensitivity."""
-    d0 = max_directivity(params.theta)
-    return (params.p_tx_mw * d0 / (params.n_thr_mw * params.c_const)) ** (1.0 / params.kappa)
+    return link_budget(params, max_directivity(params.theta)) ** (1.0 / params.kappa)
 
 
 def beam_area(r: float, theta: float, kappa: float) -> float:

@@ -18,8 +18,8 @@ from pathlib import Path
 from .queueing import Variant
 from .radio import AntennaModel, RadioParams
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
-                        PairModel, SimConfig, TruncatedDistribution)
-from .throughput import MeanEngine, RateModel, RateScenario
+                        PairModel, SimConfig, UniformDistance)
+from .throughput import MeanEngine
 
 
 class ScenarioError(ValueError):
@@ -59,7 +59,7 @@ def _pair_model(spec: str) -> PairModel:
     if kind == "fixed":
         return FixedDistance(_float(arg))
     if kind == "uniform":
-        return TruncatedDistribution.uniform(_float(arg))
+        return UniformDistance(_float(arg))
     if kind == "cuboid":
         dx, dy, dz = (_float(p) for p in arg.split("x"))
         return CuboidProjection(dx, dy, dz)
@@ -160,12 +160,16 @@ PRESETS: dict[str, dict[str, str]] = {
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated experiment description binding all module parameter sets."""
+    """Validated experiment description binding all module parameter sets.
+
+    The simulator takes its SimConfig projection; the rate layer
+    (throughput) reads the scenario itself.
+    """
 
     radio: RadioParams
     deployment: DeploymentParams
     antenna: AntennaModel
-    rate_model: RateModel
+    k_neighbors: int
     variant: Variant
     check_mode: CheckMode
     mean_engine: MeanEngine
@@ -180,17 +184,21 @@ class Scenario:
     sweep: tuple[str, tuple[float, ...]] | None
     raw: dict[str, str]
 
+    def __post_init__(self) -> None:
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        for key in ("p_tx_step_db", "opt_tol_db"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.p_tx_max_dbm < self.p_tx_min_dbm:
+            raise ValueError(f"p_tx_max_dbm {self.p_tx_max_dbm} is below "
+                             f"p_tx_min_dbm {self.p_tx_min_dbm}")
+
     def sim_config(self, seed: int | None = None) -> SimConfig:
         return SimConfig(
             deployment=self.deployment, radio=self.radio, antenna=self.antenna,
             check_mode=self.check_mode, warmup=self.warmup_s, horizon=self.horizon_s,
             replications=self.replications, seed=self.seed if seed is None else seed,
-        )
-
-    def rate_scenario(self) -> RateScenario:
-        return RateScenario(
-            radio=self.radio, antenna=self.antenna, deployment=self.deployment,
-            rate_model=self.rate_model, variant=self.variant, mean_engine=self.mean_engine,
         )
 
     def with_value(self, key: str, value) -> "Scenario":
@@ -241,11 +249,6 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
         except (OSError, ValueError) as exc:
             raise ScenarioError(f"{key}: {exc}") from None
 
-    for key in ("p_tx_step_db", "opt_tol_db"):
-        if v[key] <= 0:
-            raise ScenarioError(f"{key}: must be positive, got {v[key]}")
-    if v["p_tx_max_dbm"] < v["p_tx_min_dbm"]:
-        raise ScenarioError(f"p_tx_max_dbm: empty range [{v['p_tx_min_dbm']}, {v['p_tx_max_dbm']}]")
     sweep = None
     param = v["sweep_param"]
     if param:
@@ -264,7 +267,7 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
                               v["kappa"], v["c_const"], v["bandwidth_hz"], v["snr_max_db"]),
             deployment=DeploymentParams(v["r_d_m"], v["lambda_per_m2"], v["mu_per_s"],
                                         v["pair_model"]),
-            antenna=v["antenna"], rate_model=RateModel(v["k_neighbors"]),
+            antenna=v["antenna"], k_neighbors=v["k_neighbors"],
             variant=v["variant"], check_mode=v["check_mode"], mean_engine=v["mean_engine"],
             seed=v["seed"], replications=v["replications"], warmup_s=v["warmup_s"],
             horizon_s=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],

@@ -23,14 +23,14 @@ from __future__ import annotations
 import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .radio import AntennaModel, AntennaVariant, RadioParams, received_power_mw
+from .radio import AntennaModel, AntennaVariant, RadioParams, link_budget, received_power_mw
 
 _PLACEMENT_RETRIES = 100
 
@@ -51,32 +51,29 @@ class FixedDistance:
             raise ValueError(f"distance must be positive, got {self.distance}")
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedDistribution:
-    """Pair distance drawn from a CDF tabulated on a grid over [0, d_max].
+_CDF_KNOTS = np.array([0.0, 0.5, 1.0])   # UniformDistance CDF at 0, d_max/2 and d_max
 
-    Sampling inverts the table by linear interpolation, so the model is
-    picklable and costs one uniform draw.
-    """
 
-    d_grid: np.ndarray
-    cdf: np.ndarray
+@dataclass(frozen=True)
+class UniformDistance:
+    """Partner at a distance uniform on [0, d_max], uniform direction."""
+
     d_max: float
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d_max <= 0:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
-
-    @classmethod
-    def uniform(cls, d_max: float) -> "TruncatedDistribution":
-        return cls(np.linspace(0.0, d_max, 3), np.array([0.0, 0.5, 1.0]), float(d_max))
+        # built once: place_pair samples once per arrival
+        object.__setattr__(self, "_knots", np.array([0.0, 0.5 * self.d_max, self.d_max]))
 
     def sample(self, rng: np.random.Generator, size=None):
-        return np.interp(rng.random(size), self.cdf, self.d_grid)
+        # inverse CDF through its knots at 0, 1/2 and 1, the draws the golden
+        # simulate outputs hold; d_max*u rounds otherwise on some upper-half draws
+        return np.interp(rng.random(size), _CDF_KNOTS, self._knots)
 
     def mean(self) -> float:
-        # E[D] = integral of (1 - F) for a non-negative variable
-        return float(np.trapezoid(1.0 - self.cdf, self.d_grid))
+        return 0.5 * self.d_max
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class CuboidProjection:
             raise ValueError("cuboid dimensions must be positive")
 
 
-PairModel = FixedDistance | TruncatedDistribution | CuboidProjection
+PairModel = FixedDistance | UniformDistance | CuboidProjection
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
             psi = 2.0 * math.pi * rng.random()
             bx = ax + model.distance * math.cos(psi)
             by = ay + model.distance * math.sin(psi)
-        elif isinstance(model, TruncatedDistribution):
+        elif isinstance(model, UniformDistance):
             d = float(model.sample(rng))
             psi = 2.0 * math.pi * rng.random()
             bx = ax + d * math.cos(psi)
@@ -246,8 +243,7 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
 
 def _reach(radio: RadioParams, antenna: AntennaModel) -> float:
     """Farthest any transmitter delivers the threshold (gain <= peak), plus a rounding margin."""
-    ratio = radio.p_tx_mw * antenna.peak_gain_linear(radio) / (radio.n_thr_mw * radio.c_const)
-    return ratio ** (1.0 / radio.kappa) * (1.0 + 1e-9)
+    return link_budget(radio, antenna.peak_gain_linear(radio)) ** (1.0 / radio.kappa) * (1.0 + 1e-9)
 
 
 class _ScalarTest(NamedTuple):
@@ -274,7 +270,7 @@ def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest | Non
     if antenna.variant is not AntennaVariant.ANALYTIC:
         return None
     kappa = radio.kappa
-    k0 = radio.p_tx_mw * antenna.peak_gain_linear(radio) / (radio.c_const * radio.n_thr_mw)
+    k0 = link_budget(radio, antenna.peak_gain_linear(radio))
     if not (1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE):
         return None
     r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
@@ -639,7 +635,7 @@ def expected_pair_distance(deployment: DeploymentParams, samples: int = 1_000_00
     if isinstance(model, FixedDistance):
         return DistanceEstimate(model.distance, 0.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if isinstance(model, TruncatedDistribution):
+    if isinstance(model, UniformDistance):
         d = model.sample(rng, samples)
     else:
         dims = np.array([model.dx, model.dy])
@@ -654,7 +650,7 @@ def mean_projected_distance(model: PairModel) -> float:
     """Deterministic expected projected pair distance, for the analytic side."""
     if isinstance(model, FixedDistance):
         return model.distance
-    if isinstance(model, TruncatedDistribution):
+    if isinstance(model, UniformDistance):
         return model.mean()
     from scipy import integrate  # imported here: scipy costs about 1 s of start-up
 

@@ -11,27 +11,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from . import queueing, simulator
-from .queueing import Variant
-from .radio import AntennaModel, RadioParams, dbm_to_mw, received_power_mw
-from .simulator import DeploymentParams
+from .radio import RadioParams, dbm_to_mw, received_power_mw
+
+if TYPE_CHECKING:  # scenario imports MeanEngine from here
+    from .scenario import Scenario
 
 
 class MeanEngine(Enum):
+    """How the rate layer computes E[N].
+
+    CLOSED uses the Lambert-W mean of the exponential shape whatever the
+    variant (cheap, accurate in dense regimes).  SERIES sums the truncated
+    chain of the variant: exact, but it walks about one state per expected
+    pair, and past 1e7 states steady_state raises NonConvergenceError
+    (paper-fig6 at 52 deg and -20 dBm: load 5.65e7, mean 1.21e7).
+    """
+
     CLOSED = "closed"
     SERIES = "series"
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Noise model for link-rate estimates; the SNR cap is RadioParams.snr_max_db."""
-
-    k_neighbors: int = 6
-
-    def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
 
 def noise_power(n_thr_dbm: float, k: int) -> float:
@@ -53,26 +53,6 @@ def link_rate(radio: RadioParams, p_rx_mw: float, p_n_mw: float) -> float:
 
 
 @dataclass(frozen=True)
-class RateScenario:
-    """Inputs for area-rate evaluation and power sweeps.
-
-    mean_engine selects how E[N] is computed.  CLOSED uses the Lambert-W
-    mean of the exponential shape whatever variant says (cheap, accurate
-    in dense regimes).  SERIES sums the truncated chain of variant: exact,
-    but it walks about one state per expected pair, and past 1e7 states
-    steady_state raises NonConvergenceError (paper-fig6 at 52 deg and
-    -20 dBm: load 5.65e7, mean 1.21e7).
-    """
-
-    radio: RadioParams
-    antenna: AntennaModel
-    deployment: DeploymentParams
-    rate_model: RateModel = RateModel()
-    variant: Variant = Variant.EXPONENTIAL
-    mean_engine: MeanEngine = MeanEngine.CLOSED
-
-
-@dataclass(frozen=True)
 class RatePoint:
     p_tx_dbm: float
     gamma: float
@@ -81,7 +61,7 @@ class RatePoint:
     area_rate_bps_m2: float
 
 
-def rate_components(scn: RateScenario, p_tx_dbm: float) -> RatePoint:
+def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
     """Area-rate breakdown at one transmit power.
 
     The per-link rate is evaluated at the expected pair distance on
@@ -89,21 +69,16 @@ def rate_components(scn: RateScenario, p_tx_dbm: float) -> RatePoint:
     transmit power through the coverage radius and footprint ratio.
     """
     radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
-    chain = queueing.chain_params(radio, scn.deployment, scn.variant)
+    chain = queueing.chain_params(radio, scn.deployment, scn.variant, scn.check_mode)
     if scn.mean_engine is MeanEngine.CLOSED:
         e_n = queueing.mean_pairs_closed_form(chain)
     else:
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
     p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
-    p_n = noise_power(radio.n_thr_dbm, scn.rate_model.k_neighbors)
+    p_n = noise_power(radio.n_thr_dbm, scn.k_neighbors)
     c = link_rate(radio, p_rx, p_n)
     return RatePoint(radio.p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
-
-
-def area_rate(scn: RateScenario, p_tx_dbm: float) -> float:
-    """Aggregate rate per unit area [bit/s/m^2]."""
-    return rate_components(scn, p_tx_dbm).area_rate_bps_m2
 
 
 @dataclass(frozen=True)
@@ -113,33 +88,29 @@ class PowerOptimum:
     flat: bool = False
 
 
-def optimize_power(scn: RateScenario, p_min_dbm: float, p_max_dbm: float,
-                   tol_db: float = 0.1) -> PowerOptimum:
-    """Maximize the area rate over a transmit-power interval.
+def optimize_power(scn: Scenario) -> PowerOptimum:
+    """Maximize the area rate over [p_tx_min_dbm, p_tx_max_dbm].
 
-    Grid search at tol_db spacing, then ternary refinement between the
+    Grid search at opt_tol_db spacing, then ternary refinement between the
     grid neighbours of the best point.  Ties break toward lower power.
     A flat objective returns the range minimum with the flat flag set.
     """
-    if tol_db <= 0:
-        raise ValueError(f"tol_db must be positive, got {tol_db}")
-    if p_max_dbm < p_min_dbm:
-        raise ValueError(f"empty power range [{p_min_dbm}, {p_max_dbm}]")
-    n = max(int(math.ceil((p_max_dbm - p_min_dbm) / tol_db)), 1)
-    grid = [p_min_dbm + (p_max_dbm - p_min_dbm) * i / n for i in range(n + 1)]
-    vals = [area_rate(scn, p) for p in grid]
+    p_min, p_max, tol = scn.p_tx_min_dbm, scn.p_tx_max_dbm, scn.opt_tol_db
+    n = max(int(math.ceil((p_max - p_min) / tol)), 1)
+    grid = [p_min + (p_max - p_min) * i / n for i in range(n + 1)]
+    vals = [rate_components(scn, p).area_rate_bps_m2 for p in grid]
     hi = max(vals)
     if hi - min(vals) <= 1e-12 * max(1.0, abs(hi)):
-        return PowerOptimum(p_min_dbm, vals[0], flat=True)
+        return PowerOptimum(p_min, vals[0], flat=True)
     i = vals.index(hi)
     lo_p = grid[max(i - 1, 0)]
     hi_p = grid[min(i + 1, n)]
     best_p, best_v = grid[i], vals[i]
-    while hi_p - lo_p > tol_db * 1e-3:
+    while hi_p - lo_p > tol * 1e-3:
         m1 = lo_p + (hi_p - lo_p) / 3.0
         m2 = hi_p - (hi_p - lo_p) / 3.0
-        v1 = area_rate(scn, m1)
-        v2 = area_rate(scn, m2)
+        v1 = rate_components(scn, m1).area_rate_bps_m2
+        v2 = rate_components(scn, m2).area_rate_bps_m2
         if v1 > best_v or (v1 == best_v and m1 < best_p):
             best_p, best_v = m1, v1
         if v2 > best_v:
@@ -149,4 +120,3 @@ def optimize_power(scn: RateScenario, p_min_dbm: float, p_max_dbm: float,
         else:
             lo_p = m1
     return PowerOptimum(best_p, best_v, flat=False)
-

@@ -124,18 +124,14 @@ def desk_scenario(seed: int | None = None) -> Scenario:
 
 def analytic_reference(scn: Scenario) -> tuple[float, float, float]:
     """(gamma, series mean pairs, acceptance probability) for a scenario."""
-    params = queueing.chain_params(scn.radio, scn.deployment, scn.variant)
+    params = queueing.chain_params(scn.radio, scn.deployment, scn.variant, scn.check_mode)
     ss = queueing.steady_state(params)
     return params.gamma, queueing.mean_pairs(ss), queueing.acceptance_prob(ss)
 
 
-def check_cross_engine(scn: Scenario | None = None, jobs: int = 1,
-                       stats: simulator.SimStats | None = None) -> list[CheckResult]:
-    """Desk-scale simulator run against the analytic chain."""
-    scn = scn or desk_scenario()
+def check_cross_engine(scn: Scenario, stats: simulator.SimStats) -> list[CheckResult]:
+    """Simulator statistics of scn against its analytic chain."""
     _, e_n, p_acc = analytic_reference(scn)
-    if stats is None:
-        stats = simulator.run(scn.sim_config(), jobs=jobs)
     rel = abs(stats.mean_pairs - e_n) / e_n
     absd = abs(stats.p_accept - p_acc)
     return [
@@ -173,14 +169,14 @@ def check_monotonicity() -> CheckResult:
 def check_power_optimum() -> list[CheckResult]:
     """Interior optimum for the dense sweep and density ordering of optima."""
     base = load_scenario(preset="paper-fig5")
-    dense = base.with_value("lambda_per_m2", 2.0).rate_scenario()
-    sparse = base.with_value("lambda_per_m2", 0.5).rate_scenario()
+    dense = base.with_value("lambda_per_m2", 2.0)
+    sparse = base.with_value("lambda_per_m2", 0.5)
     grid = np.arange(-20.0, 20.0 + 1e-9, 0.5)
-    vals = [throughput.area_rate(dense, float(p)) for p in grid]
+    vals = [throughput.rate_components(dense, float(p)).area_rate_bps_m2 for p in grid]
     i = int(np.argmax(vals))
     interior = 0 < i < len(grid) - 1 and vals[i] > vals[0] and vals[i] > vals[-1]
-    opt_dense = throughput.optimize_power(dense, -20.0, 20.0, tol_db=0.1)
-    opt_sparse = throughput.optimize_power(sparse, -20.0, 20.0, tol_db=0.1)
+    opt_dense = throughput.optimize_power(dense)
+    opt_sparse = throughput.optimize_power(sparse)
     ordered = opt_dense.p_tx_dbm <= opt_sparse.p_tx_dbm + 0.1
     return [
         CheckResult("power-interior-maximum", interior, float(grid[i]), 20.0,
@@ -203,7 +199,7 @@ def check_determinism(jobs: int = 1) -> CheckResult:
                        f"{len(out1.encode())} bytes compared")
 
 
-def run_all(scn: Scenario | None = None, jobs: int = 1) -> list[CheckResult]:
+def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
     results = [
         check_telescoping(),
         check_mminf_reduction(),
@@ -211,7 +207,7 @@ def run_all(scn: Scenario | None = None, jobs: int = 1) -> list[CheckResult]:
         check_beam_area(),
         check_closed_vs_series(),
     ]
-    results.extend(check_cross_engine(scn, jobs=jobs))
+    results.extend(check_cross_engine(scn, simulator.run(scn.sim_config(), jobs=jobs)))
     results.append(check_monotonicity())
     results.extend(check_power_optimum())
     results.append(check_determinism(jobs=jobs))

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from beamcap import simulator
-from beamcap import validation
+from beamcap import cli_rows, simulator, validation
+from beamcap.scenario import load_scenario
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -65,6 +65,16 @@ def test_criterion_6_cross_engine_validation(desk_stats):
     results = validation.check_cross_engine(scn, stats=stats)
     for result in results:
         report(result, 300.0, dt)
+
+
+def test_one_way_chain_matches_one_way_simulation():
+    """analyze's one-way chain (one rejection event per active pair) against
+    the one-way simulator on desk-fig4, 6 replications at seed 1."""
+    scn = load_scenario(preset="desk-fig4", overrides={
+        "check_mode": "one-way", "replications": "6", "seed": "1"})
+    stats = simulator.run(scn.sim_config(), jobs=JOBS)
+    e_n = cli_rows.analyze_rows(scn)[0]["mean_pairs_series"]
+    assert abs(e_n - stats.mean_pairs) / stats.mean_pairs <= 0.05, (e_n, stats.mean_pairs)
 
 
 def test_criterion_7_monotonicity_suite():

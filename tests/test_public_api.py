@@ -3,12 +3,14 @@ in the program, not only in the tests.
 
 A function exported from ``beamcap`` must be referenced somewhere in
 ``src/`` or ``perfbench/`` outside its own body and outside
-``__init__.py``, and each of its defaulted parameters must be passed, by
-keyword or by position, by some call there.  Check routes that exist to be
-compared against the engines are named exceptions.
+``__init__.py``.  Each defaulted parameter of a public module-level
+function of any ``beamcap`` module must be passed, by keyword or by
+position, by some call there.  Check routes that exist to be compared
+against the engines are named exceptions.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -94,12 +96,30 @@ def test_every_public_function_has_a_program_caller():
     assert not uncalled, f"public functions only tests use: {sorted(uncalled)}"
 
 
+def module_functions() -> dict[str, object]:
+    """Public functions defined at module level anywhere in src/beamcap, by name."""
+    found = {}
+    for path in sorted((ROOT / "src" / "beamcap").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"beamcap.{path.stem}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_") and fn.__module__ == module.__name__:
+                assert name not in found, f"{name} defined twice"
+                found[name] = fn
+    return found
+
+
+def test_module_functions_cover_the_package_exports():
+    exported = {name for name in beamcap.__all__ if inspect.isfunction(getattr(beamcap, name))}
+    assert exported <= set(module_functions())
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     positional, keywords = passed_parameters()
     unset = []
-    for name in sorted(beamcap.__all__):
-        fn = getattr(beamcap, name)
-        if not inspect.isfunction(fn) or name in CHECK_ROUTES:
+    for name, fn in sorted(module_functions().items()):
+        if name in CHECK_ROUTES:
             continue
         for i, p in enumerate(inspect.signature(fn).parameters.values()):
             by_position = p.kind is not p.KEYWORD_ONLY and positional.get(name, 0) > i

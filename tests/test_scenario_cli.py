@@ -177,7 +177,7 @@ class TestConfigParsing:
 
     def test_integer_key_takes_integral_sweep_values(self):
         scn = build_scenario({"sweep_param": "k_neighbors", "sweep_values": "4,6"})
-        assert [s.rate_model.k_neighbors for _, _, s in sweep_points(scn)] == [4, 6]
+        assert [s.k_neighbors for _, _, s in sweep_points(scn)] == [4, 6]
         with pytest.raises(ScenarioError, match="k_neighbors: not an integer"):
             build_scenario({"k_neighbors": "2.5"})
 
@@ -373,7 +373,8 @@ class TestCliEntry:
         scn = load_scenario(preset="paper-fig6", overrides={"theta_deg": "52", "sweep_param": ""})
         low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
         with pytest.raises(NonConvergenceError) as exc:
-            queueing.steady_state(queueing.chain_params(low, scn.deployment, scn.variant))
+            queueing.steady_state(
+                queueing.chain_params(low, scn.deployment, scn.variant, scn.check_mode))
         assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
 
     def test_cli_import_loads_no_scipy(self):

@@ -6,7 +6,7 @@ from scipy import stats as sps
 
 from beamcap import (AntennaModel, CheckMode, CuboidProjection, DeploymentParams,
                      FixedDistance, PairPlacement, RadioParams, SimConfig,
-                     TruncatedDistribution, admission_check, coverage_radius,
+                     UniformDistance, admission_check, coverage_radius,
                      expected_pair_distance, place_pair, run, run_replication)
 from beamcap.simulator import max_cross_pair_power, mean_projected_distance
 
@@ -67,7 +67,7 @@ class TestPlacePair:
 
     def test_truncated_uniform(self):
         rng = np.random.default_rng(5)
-        model = TruncatedDistribution.uniform(1.0)
+        model = UniformDistance(1.0)
         dep = deployment(model=model)
         ds = [math.dist(p.pos_a, p.pos_b)
               for p in (place_pair(rng, dep) for _ in range(5000))]
@@ -288,7 +288,7 @@ class TestExpectedPairDistance:
         assert est.std_error == 0.0
 
     def test_uniform(self):
-        est = expected_pair_distance(deployment(model=TruncatedDistribution.uniform(1.0)),
+        est = expected_pair_distance(deployment(model=UniformDistance(1.0)),
                                      samples=200_000, seed=9)
         assert est.mean == pytest.approx(0.5, abs=4 * est.std_error + 1e-4)
 
@@ -302,6 +302,6 @@ class TestExpectedPairDistance:
 
     def test_deterministic_mean_helpers(self):
         assert mean_projected_distance(FixedDistance(0.7)) == 0.7
-        assert mean_projected_distance(TruncatedDistribution.uniform(2.0)) == pytest.approx(1.0, rel=1e-9)
+        assert mean_projected_distance(UniformDistance(2.0)) == pytest.approx(1.0, rel=1e-9)
         assert mean_projected_distance(CuboidProjection(0.3, 0.5, 0.6)) == pytest.approx(
             CUBOID_MEAN_D, rel=1e-9)
