@@ -7,10 +7,10 @@ for area rate, and a CLI binds everything to declarative scenarios.
 """
 
 from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
-                       acceptance_prob, chain_params, gamma_from_geometry, lambert_w0, mean_pairs,
-                       mean_pairs_closed_form, steady_state, telescoped_state_weight)
+                       acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
+                       steady_state, telescoped_state_weight)
 from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
-                    dbm_to_mw, max_directivity, pair_coverage_area, received_power_mw)
+                    dbm_to_mw, max_directivity, received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairPlacement, SimConfig, SimStats, UniformDistance, admission_check,
                         expected_pair_distance, place_pair, run, run_replication)

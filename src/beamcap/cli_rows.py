@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
 
 from . import queueing, simulator, throughput
 from .scenario import Scenario, sweep_points
@@ -54,7 +53,7 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
     """Per sweep value: footprint ratio, both mean-pair engines, acceptance."""
     rows = []
     for param, value, scn in sweep_points(scenario):
-        chain = queueing.chain_params(scn.radio, scn.deployment, scn.variant, scn.check_mode)
+        chain = scn.chain(scn.radio.p_tx_dbm)
         ss = queueing.steady_state(chain)
         e_series = queueing.mean_pairs(ss)
         rows.append({
@@ -102,30 +101,20 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     points = list(sweep_points(scenario))
     for _, _, scn in points:
         if scn.mean_engine is throughput.MeanEngine.SERIES:
-            low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
-            queueing.check_state_limit(
-                queueing.chain_params(low, scn.deployment, scn.variant, scn.check_mode))
+            queueing.check_state_limit(scn.chain(scn.p_tx_min_dbm))
     rows = []
     for param, value, scn in points:
         n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
         grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]
         # a step that does not divide the range ends on the maximum itself
         grid = [p for p in grid if p < scn.p_tx_max_dbm - 1e-9] + [scn.p_tx_max_dbm]
-        for p in grid:
-            pt = throughput.rate_components(scn, p)
-            rows.append({
-                "row_type": "point", "sweep_param": param, "sweep_value": value,
-                "p_tx_dbm": pt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
-                "link_rate_bps": pt.link_rate_bps,
-                "area_rate_bps_m2": pt.area_rate_bps_m2, "flags": "",
-            })
+        found = [("point", throughput.rate_components(scn, p), "") for p in grid]
         opt = throughput.optimize_power(scn)
-        pt = throughput.rate_components(scn, opt.p_tx_dbm)
-        rows.append({
-            "row_type": "optimum", "sweep_param": param, "sweep_value": value,
-            "p_tx_dbm": opt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
-            "link_rate_bps": pt.link_rate_bps,
-            "area_rate_bps_m2": opt.area_rate_bps_m2,
-            "flags": "flat" if opt.flat else "",
-        })
+        found.append(("optimum", opt.point, "flat" if opt.flat else ""))
+        rows.extend({
+            "row_type": row_type, "sweep_param": param, "sweep_value": value,
+            "p_tx_dbm": pt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
+            "link_rate_bps": pt.link_rate_bps, "area_rate_bps_m2": pt.area_rate_bps_m2,
+            "flags": flags,
+        } for row_type, pt, flags in found)
     return rows

@@ -14,9 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .radio import RadioParams, coverage_radius, pair_coverage_area
-from .simulator import CheckMode, DeploymentParams
-
 _LOG_EPS_FLOOR = -745.0  # below exp() underflow; treated as impossible state
 _MAX_STATES = 10_000_000
 # steady_state block sizes: the cap keeps each temporary array near 0.5 MB
@@ -60,28 +57,6 @@ class ChainParams:
     @property
     def load(self) -> float:
         return self.lambda_total / self.mu
-
-
-def gamma_from_geometry(r: float, kappa: float, theta: float, area: float) -> float:
-    """Footprint ratio of one pair relative to the deployment region."""
-    if area <= 0:
-        raise ValueError(f"area must be positive, got {area}")
-    return pair_coverage_area(r, theta, kappa) / area
-
-
-def chain_params(radio: RadioParams, deployment: DeploymentParams, variant: Variant,
-                 check_mode: CheckMode) -> ChainParams:
-    """Chain of a deployment: footprint ratio from the coverage radius at radio's power.
-
-    A two-way test rejects on two events per active pair: the candidate lies
-    in the pair's beams, or the pair in the candidate's; hence the
-    exponential Q_n = 1 - exp(-2n*gamma).  A one-way test has only the first
-    event, so its chain carries gamma/2 and Q_n = 1 - exp(-n*gamma).
-    """
-    gamma = gamma_from_geometry(coverage_radius(radio), radio.kappa, radio.theta, deployment.area)
-    if check_mode is CheckMode.ONE_WAY:
-        gamma *= 0.5
-    return ChainParams(deployment.lambda_total, deployment.mu, gamma, variant)
 
 
 def _log_accept(n: np.ndarray, gamma: float, variant: Variant) -> np.ndarray:

@@ -192,7 +192,3 @@ def beam_area(r: float, theta: float, kappa: float) -> float:
     """Area enclosed by the beam coverage border."""
     return r * r * kappa * theta / (2.0 + kappa)
 
-
-def pair_coverage_area(r: float, theta: float, kappa: float) -> float:
-    """Footprint of one pair: two beams, overlap disregarded."""
-    return 2.0 * beam_area(r, theta, kappa)

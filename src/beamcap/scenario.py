@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .queueing import Variant
-from .radio import AntennaModel, RadioParams
+from .queueing import ChainParams, Variant
+from .radio import AntennaModel, RadioParams, beam_area, coverage_radius
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairModel, SimConfig, UniformDistance)
 from .throughput import MeanEngine
@@ -162,8 +162,8 @@ PRESETS: dict[str, dict[str, str]] = {
 class Scenario:
     """Validated experiment description binding all module parameter sets.
 
-    The simulator takes its SimConfig projection; the rate layer
-    (throughput) reads the scenario itself.
+    The simulator takes its SimConfig projection, the analytic engine its
+    chain; the rate layer (throughput) reads the scenario itself.
     """
 
     radio: RadioParams
@@ -200,6 +200,22 @@ class Scenario:
             check_mode=self.check_mode, warmup=self.warmup_s, horizon=self.horizon_s,
             replications=self.replications, seed=self.seed if seed is None else seed,
         )
+
+    def chain(self, p_tx_dbm: float) -> ChainParams:
+        """Chain at transmit power p_tx_dbm: footprint ratio from the coverage radius.
+
+        A pair's footprint is its two beams, overlap disregarded.  A two-way
+        test rejects on two events per active pair: the candidate lies in
+        the pair's beams, or the pair in the candidate's; hence the
+        exponential Q_n = 1 - exp(-2n*gamma).  A one-way test has only the
+        first event, so its chain carries gamma/2 and Q_n = 1 - exp(-n*gamma).
+        """
+        radio = replace(self.radio, p_tx_dbm=p_tx_dbm)
+        footprint = 2.0 * beam_area(coverage_radius(radio), radio.theta, radio.kappa)
+        gamma = footprint / self.deployment.area
+        if self.check_mode is CheckMode.ONE_WAY:
+            gamma *= 0.5
+        return ChainParams(self.deployment.lambda_total, self.deployment.mu, gamma, self.variant)
 
     def with_value(self, key: str, value) -> "Scenario":
         """Rebuild with one key overridden; used to apply sweep points.

@@ -614,9 +614,9 @@ def _t_halfwidth(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
         return math.inf
-    from scipy import stats  # imported here: scipy costs about 1 s of start-up
+    from scipy import special  # imported here: scipy costs about 1 s of start-up
 
-    q = stats.t.ppf(0.975, n - 1)
+    q = special.stdtrit(n - 1, 0.975)
     return float(q * values.std(ddof=1) / math.sqrt(n))
 
 

@@ -69,7 +69,7 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
     transmit power through the coverage radius and footprint ratio.
     """
     radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
-    chain = queueing.chain_params(radio, scn.deployment, scn.variant, scn.check_mode)
+    chain = scn.chain(p_tx_dbm)
     if scn.mean_engine is MeanEngine.CLOSED:
         e_n = queueing.mean_pairs_closed_form(chain)
     else:
@@ -83,9 +83,8 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
 
 @dataclass(frozen=True)
 class PowerOptimum:
-    p_tx_dbm: float
-    area_rate_bps_m2: float
-    flat: bool = False
+    point: RatePoint
+    flat: bool
 
 
 def optimize_power(scn: Scenario) -> PowerOptimum:
@@ -93,30 +92,31 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
 
     Grid search at opt_tol_db spacing, then ternary refinement between the
     grid neighbours of the best point.  Ties break toward lower power.
-    A flat objective returns the range minimum with the flat flag set.
+    A flat objective returns the point at the range minimum, p_tx_min_dbm
+    itself, with the flat flag set.
     """
     p_min, p_max, tol = scn.p_tx_min_dbm, scn.p_tx_max_dbm, scn.opt_tol_db
     n = max(int(math.ceil((p_max - p_min) / tol)), 1)
-    grid = [p_min + (p_max - p_min) * i / n for i in range(n + 1)]
-    vals = [rate_components(scn, p).area_rate_bps_m2 for p in grid]
+    points = [rate_components(scn, p_min + (p_max - p_min) * i / n) for i in range(n + 1)]
+    vals = [pt.area_rate_bps_m2 for pt in points]
     hi = max(vals)
     if hi - min(vals) <= 1e-12 * max(1.0, abs(hi)):
-        return PowerOptimum(p_min, vals[0], flat=True)
+        return PowerOptimum(replace(points[0], p_tx_dbm=p_min), True)
     i = vals.index(hi)
-    lo_p = grid[max(i - 1, 0)]
-    hi_p = grid[min(i + 1, n)]
-    best_p, best_v = grid[i], vals[i]
+    lo_p = points[max(i - 1, 0)].p_tx_dbm
+    hi_p = points[min(i + 1, n)].p_tx_dbm
+    best = points[i]
     while hi_p - lo_p > tol * 1e-3:
         m1 = lo_p + (hi_p - lo_p) / 3.0
         m2 = hi_p - (hi_p - lo_p) / 3.0
-        v1 = rate_components(scn, m1).area_rate_bps_m2
-        v2 = rate_components(scn, m2).area_rate_bps_m2
-        if v1 > best_v or (v1 == best_v and m1 < best_p):
-            best_p, best_v = m1, v1
-        if v2 > best_v:
-            best_p, best_v = m2, v2
+        pt1, pt2 = rate_components(scn, m1), rate_components(scn, m2)
+        v1, v2 = pt1.area_rate_bps_m2, pt2.area_rate_bps_m2
+        if v1 > best.area_rate_bps_m2 or (v1 == best.area_rate_bps_m2 and m1 < best.p_tx_dbm):
+            best = pt1
+        if v2 > best.area_rate_bps_m2:
+            best = pt2
         if v1 >= v2:
             hi_p = m2
         else:
             lo_p = m1
-    return PowerOptimum(best_p, best_v, flat=False)
+    return PowerOptimum(best, False)

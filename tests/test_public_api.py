@@ -127,3 +127,13 @@ def test_every_defaulted_parameter_is_set_by_the_program():
                     and (name, p.name) not in TEST_SET_PARAMETERS):
                 unset.append(f"{name}({p.name})")
     assert not unset, f"defaulted parameters no program call sets: {unset}"
+
+
+def test_queueing_imports_no_beamcap_module():
+    """The chain solver stands alone; scenarios form its chains (Scenario.chain)."""
+    tree = ast.parse((ROOT / "src" / "beamcap" / "queueing.py").read_text())
+    imported = [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.split(".")[0] == "beamcap")]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.split(".")[0] == "beamcap"]
+    assert not imported, f"queueing imports {imported}"

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from beamcap import (ChainParams, NonConvergenceError, SteadyState, Variant,
-                     acceptance_prob, gamma_from_geometry, lambert_w0, mean_pairs,
-                     mean_pairs_closed_form, pair_coverage_area, steady_state,
-                     telescoped_state_weight)
+                     acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
+                     steady_state, telescoped_state_weight)
 from beamcap.queueing import _log_accept
 
-DEG = math.pi / 180.0
 VARIANTS = [Variant.PIECEWISE_LINEAR, Variant.LOGISTIC, Variant.EXPONENTIAL]
 
 
@@ -65,25 +63,6 @@ def reference_steady_state(params, epsilon):
     tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
     total = float(probs.sum()) + tail
     return probs / total, tail / total
-
-
-class TestGammaFromGeometry:
-    def test_zero_radius(self):
-        assert gamma_from_geometry(0.0, 2.0, 1.0, 100.0) == 0.0
-
-    def test_full_scale_geometry(self):
-        g = gamma_from_geometry(44.5, 2.0, 52 * DEG, math.pi * 3000**2)
-        assert g == pytest.approx(pair_coverage_area(44.5, 52 * DEG, 2.0) / (math.pi * 3000**2),
-                                  rel=1e-15)
-        assert g == pytest.approx(6.36e-5, rel=1e-2)
-
-    def test_footprint_fills_region(self):
-        area = pair_coverage_area(44.5, 52 * DEG, 2.0)
-        assert gamma_from_geometry(44.5, 2.0, 52 * DEG, area) == pytest.approx(1.0, rel=1e-15)
-
-    def test_bad_area(self):
-        with pytest.raises(ValueError):
-            gamma_from_geometry(1.0, 2.0, 1.0, 0.0)
 
 
 class TestRejectionProb:

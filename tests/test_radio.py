@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamcap import (AntennaModel, RadioParams, beam_area, coverage_radius,
-                     dbm_to_mw, max_directivity, pair_coverage_area,
-                     received_power_mw)
+                     dbm_to_mw, max_directivity, received_power_mw)
 
 DEG = math.pi / 180.0
 
@@ -161,11 +160,6 @@ class TestBeamGeometry:
 
     def test_area_baseline_case(self):
         assert beam_area(44.5, 52 * DEG, 2.0) == pytest.approx(898.6089453280605, rel=1e-12)
-
-    def test_pair_coverage_is_twice(self):
-        assert pair_coverage_area(44.5, 52 * DEG, 2.0) == pytest.approx(
-            2 * beam_area(44.5, 52 * DEG, 2.0), rel=1e-15)
-        assert pair_coverage_area(1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_area_scaling(self):
         # linear in theta, quadratic in R

@@ -5,13 +5,13 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import beamcap
-from beamcap import CheckMode, MeanEngine, NonConvergenceError, Variant, queueing
+from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area,
+                     coverage_radius, queueing)
 from beamcap.cli import main
 from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
 from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
@@ -48,6 +48,14 @@ BAD_VALUES = {
     "sweep_param": ({"sweep_param": "pair_model", "sweep_values": "1"}, "sweep_param"),
     "sweep_values": ({"sweep_param": "kappa", "sweep_values": "1,x"}, "sweep_values"),
 }
+
+
+def run_python(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that imports this beamcap."""
+    src = str(Path(beamcap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 class TestConfigParsing:
@@ -198,6 +206,52 @@ class TestConfigParsing:
             assert len(defaults) == len(keys), row
             listed.update(zip(keys, defaults))
         assert listed == DEFAULTS
+
+
+class TestScenarioChain:
+    """Scenario.chain is the one mapping from a scenario to its birth-death chain."""
+
+    @pytest.mark.parametrize("theta_deg, kappa", [(52.0, 2.0), (30.0, 3.0), (8.0, 4.0)])
+    def test_gamma_is_two_beam_areas_over_region(self, theta_deg, kappa):
+        # theta and kappa differ in every case, so swapping them moves gamma
+        scn = build_scenario({"theta_deg": repr(theta_deg), "kappa": repr(kappa)})
+        for p in (-20.0, 10.0, 20.0):
+            radio = scn.with_value("p_tx_dbm", p).radio
+            footprint = 2.0 * beam_area(coverage_radius(radio), radio.theta, radio.kappa)
+            assert scn.chain(p).gamma == footprint / scn.deployment.area
+
+    def test_full_scale_geometry(self):
+        scn = build_scenario({})
+        chain = scn.chain(10.0)
+        assert chain.gamma == pytest.approx(6.36e-5, rel=1e-2)
+        assert (chain.lambda_total, chain.mu) == (scn.deployment.lambda_total, 1.0)
+        assert chain.variant is Variant.EXPONENTIAL
+
+    def test_footprint_fills_region(self):
+        radio = build_scenario({}).radio
+        footprint = 2.0 * beam_area(coverage_radius(radio), radio.theta, radio.kappa)
+        scn = build_scenario({"r_d_m": repr(math.sqrt(footprint / math.pi))})
+        assert scn.chain(radio.p_tx_dbm).gamma == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_way_halves_gamma(self, variant):
+        two = build_scenario({"variant": variant.value})
+        one = build_scenario({"variant": variant.value, "check_mode": "one-way"})
+        for p in (-20.0, 0.0, 20.0):
+            assert one.chain(p).gamma == 0.5 * two.chain(p).gamma
+            assert one.chain(p).variant is variant
+
+    def test_chain_at_power_is_the_chain_of_the_scenario_at_that_power(self):
+        scn = load_scenario(preset="paper-fig5", overrides={"sweep_param": ""})
+        for p in (-20.0, -3.25, 10.0, 20.0):
+            at_p = scn.with_value("p_tx_dbm", p)
+            assert scn.chain(p) == at_p.chain(at_p.radio.p_tx_dbm)
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Library example\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert run_python(code) == "54637.94988939513 54638.00497022279\n"
 
 
 class TestAnalyzeRows:
@@ -371,19 +425,24 @@ class TestCliEntry:
         assert main(["sweep-power", "--preset", "paper-fig6", "--config", str(cfg)]) == 2
         assert time.perf_counter() - t0 < 5.0
         scn = load_scenario(preset="paper-fig6", overrides={"theta_deg": "52", "sweep_param": ""})
-        low = replace(scn.radio, p_tx_dbm=scn.p_tx_min_dbm)
         with pytest.raises(NonConvergenceError) as exc:
-            queueing.steady_state(
-                queueing.chain_params(low, scn.deployment, scn.variant, scn.check_mode))
+            queueing.steady_state(scn.chain(scn.p_tx_min_dbm))
         assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
 
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(beamcap.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout == "[]\n"
+        assert run_python(code) == "[]\n"
+
+    def test_simulate_loads_no_scipy_stats(self, tmp_path):
+        # the Student-t quantile of the intervals comes from scipy.special
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SIM.items()))
+        code = ("import sys; from beamcap.cli import main; "
+                f"assert main(['simulate', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'rows.csv')!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        assert run_python(code) == "[]\n"
+        assert (tmp_path / "rows.csv").read_text().count("\n") == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_code(self, jobs, capsys):
@@ -437,6 +496,19 @@ class TestSimulationBudget:
         err = capsys.readouterr().err
         for key in ("lambda_per_m2", "horizon_s", "replications"):
             assert key in err
+
+    def test_validate_without_arrivals_fails_before_any_simulation(self, monkeypatch, tmp_path,
+                                                                   capsys):
+        import beamcap.validation as validation_mod
+
+        def no_simulation(config, jobs):
+            raise AssertionError("simulation started with lambda_per_m2 = 0")
+
+        monkeypatch.setattr(validation_mod.simulator, "run", no_simulation)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("lambda_per_m2 = 0\n")
+        assert main(["validate", "--preset", "desk-fig4", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("beamcap: error: lambda_per_m2: ")
 
     def test_sweep_power_does_not_simulate_and_is_not_limited(self, capsys):
         # simulating paper-fig5 would expect ~3.4e10 arrivals at its first sweep value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamcap import RadioParams, link_rate, noise_power, optimize_power, rate_components
+from beamcap.cli_rows import render_csv, sweep_power_rows
 from beamcap.scenario import build_scenario
 
 DEG = math.pi / 180.0
@@ -119,30 +120,35 @@ class TestOptimizePower:
         # interference negligible: rate grows with power
         scn = scenario(lam=1e-9, p_tx_min_dbm="-40", p_tx_max_dbm="-30", opt_tol_db="0.5")
         opt = optimize_power(scn)
-        assert opt.p_tx_dbm == pytest.approx(-30.0, abs=0.5)
+        assert opt.point.p_tx_dbm == pytest.approx(-30.0, abs=0.5)
         assert not opt.flat
 
     def test_decreasing_objective_hits_lower_end(self):
         # beyond the cap only interference grows
         scn = scenario(lam=2.0, p_tx_min_dbm="5", p_tx_max_dbm="20", opt_tol_db="0.5")
         opt = optimize_power(scn)
-        assert opt.p_tx_dbm == pytest.approx(5.0, abs=0.5)
+        assert opt.point.p_tx_dbm == pytest.approx(5.0, abs=0.5)
 
     def test_interior_optimum_and_density_ordering(self):
         dense = optimize_power(scenario(lam=2.0))
         sparse = optimize_power(scenario(lam=0.5))
-        assert -20.0 < dense.p_tx_dbm < 20.0
-        assert -20.0 < sparse.p_tx_dbm < 20.0
-        assert dense.p_tx_dbm <= sparse.p_tx_dbm + 0.1
+        assert -20.0 < dense.point.p_tx_dbm < 20.0
+        assert -20.0 < sparse.point.p_tx_dbm < 20.0
+        assert dense.point.p_tx_dbm <= sparse.point.p_tx_dbm + 0.1
+        assert dense.point == rate_components(scenario(lam=2.0), dense.point.p_tx_dbm)
 
     def test_flat_objective_flagged(self):
-        opt = optimize_power(scenario(lam=0.0, p_tx_min_dbm="-10", p_tx_max_dbm="10",
-                                      opt_tol_db="1"))
-        assert opt.flat
-        assert opt.p_tx_dbm == -10.0
-        assert opt.area_rate_bps_m2 == 0.0
+        for lo, hi in (("-10", "10"), ("-0.0", "0.0")):
+            scn = scenario(lam=0.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi, opt_tol_db="1")
+            opt = optimize_power(scn)
+            assert opt.flat
+            # the range minimum itself, though the grid starts at lo + 0.0 (0.0 for -0.0)
+            assert repr(opt.point.p_tx_dbm) == repr(float(lo))
+            assert opt.point.area_rate_bps_m2 == 0.0
+            optimum = render_csv(sweep_power_rows(scn)).splitlines()[-1]
+            assert optimum.startswith(f"optimum,,,{float(lo)!r},") and optimum.endswith(",flat")
 
     def test_grid_offset_stability(self):
         a = optimize_power(scenario(lam=2.0))
         b = optimize_power(scenario(lam=2.0, p_tx_min_dbm="-20.05", p_tx_max_dbm="20.05"))
-        assert abs(a.p_tx_dbm - b.p_tx_dbm) <= 0.1
+        assert abs(a.point.p_tx_dbm - b.point.p_tx_dbm) <= 0.1
