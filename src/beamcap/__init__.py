@@ -8,12 +8,12 @@ for area rate, and a CLI binds everything to declarative scenarios.
 
 from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
                        acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
-                       steady_state, telescoped_state_weight)
+                       steady_state)
 from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
                     dbm_to_mw, max_directivity, received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairPlacement, SimConfig, SimStats, UniformDistance, admission_check,
-                        expected_pair_distance, place_pair, run, run_replication)
+                        place_pair, run, run_replication)
 from .throughput import (MeanEngine, PowerOptimum, link_rate, noise_power, optimize_power,
                          rate_components)
 from .scenario import Scenario, ScenarioError, load_scenario

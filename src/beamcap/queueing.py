@@ -271,22 +271,3 @@ def mean_pairs_closed_form(params: ChainParams) -> float:
     if g == 0.0:
         return a
     return lambert_w0(2.0 * g * a * math.exp(g)) / (2.0 * g)
-
-
-def telescoped_state_weight(m: int, params: ChainParams) -> float:
-    """Unnormalized state weight (lambda/mu)^m e^{-gamma m(m-1)} / m!.
-
-    Valid for the exponential variant only, where the acceptance product
-    telescopes exactly: sum of 2n over n < m equals m(m-1).
-    """
-    if params.variant is not Variant.EXPONENTIAL:
-        raise ValueError("telescoped weights require the exponential variant")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    a = params.load
-    if a == 0.0:
-        return 0.0
-    log_w = m * math.log(a) - params.gamma * m * (m - 1) - math.lgamma(m + 1)
-    return math.exp(log_w) if log_w > _LOG_EPS_FLOOR else 0.0

@@ -7,23 +7,20 @@ cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
 
 One kernel, radio.received_power_mw, defines received power for
-admission and the audit.  Admission first drops, in one array pass, the
-active devices beyond the peak-gain boresight range of both candidate
-devices: they cannot deliver the threshold.  With a table antenna the
-kernel decides the rest in array passes.  With the analytic antenna each
-near (transmitter, receiver) pair is decided in scalar math code by the
-equivalent test (1 - alpha/theta)*k0 >= d^kappa; a pair whose ratio lies
-within a derived rounding band of 1, at the beam edge, or at d -> 0 goes to
-the kernel.  Every decision is the kernel's, so output bytes do not depend
-on the path (see _admit).
+admission and the audit.  A replication keeps its active devices in an
+admission index: with the analytic antenna a grid of beam sectors whose
+pairs are decided in scalar code (_SectorGrid, _covers), with a table
+antenna flat arrays decided in kernel passes (_ActiveSet).  Every
+decision is the kernel's, so output bytes do not depend on the path.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -51,26 +48,26 @@ class FixedDistance:
             raise ValueError(f"distance must be positive, got {self.distance}")
 
 
-_CDF_KNOTS = np.array([0.0, 0.5, 1.0])   # UniformDistance CDF at 0, d_max/2 and d_max
-
-
 @dataclass(frozen=True)
 class UniformDistance:
     """Partner at a distance uniform on [0, d_max], uniform direction."""
 
     d_max: float
-    _knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d_max <= 0:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
-        # built once: place_pair samples once per arrival
-        object.__setattr__(self, "_knots", np.array([0.0, 0.5 * self.d_max, self.d_max]))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        # inverse CDF through its knots at 0, 1/2 and 1, the draws the golden
-        # simulate outputs hold; d_max*u rounds otherwise on some upper-half draws
-        return np.interp(rng.random(size), _CDF_KNOTS, self._knots)
+    def sample(self, rng: np.random.Generator) -> float:
+        # np.interp(u, [0, 1/2, 1], [0, d_max/2, d_max]), the inverse CDF the
+        # golden simulate outputs hold, in scalar code: slope*(u - x_j) + y_j
+        # per segment as numpy rounds it; d_max*u rounds otherwise on some
+        # upper-half draws
+        u = rng.random()
+        half = 0.5 * self.d_max
+        if u < 0.5:
+            return half / 0.5 * u
+        return (self.d_max - half) / 0.5 * (u - 0.5) + half
 
     def mean(self) -> float:
         return 0.5 * self.d_max
@@ -214,23 +211,16 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
         phi = 2.0 * math.pi * rng.random()
         ax = r * math.cos(phi)
         ay = r * math.sin(phi)
-        if isinstance(model, FixedDistance):
-            psi = 2.0 * math.pi * rng.random()
-            bx = ax + model.distance * math.cos(psi)
-            by = ay + model.distance * math.sin(psi)
-        elif isinstance(model, UniformDistance):
-            d = float(model.sample(rng))
-            psi = 2.0 * math.pi * rng.random()
-            bx = ax + d * math.cos(psi)
-            by = ay + d * math.sin(psi)
+        if isinstance(model, CuboidProjection):
+            # anchor marks the cuboid centre; z components do not project.
+            # (u - 0.5)*dim is rng.uniform(-0.5, 0.5, (2, 3))*dims bit for bit
+            u = rng.random(6).tolist()
+            bx, by = ax + (u[3] - 0.5) * model.dx, ay + (u[4] - 0.5) * model.dy
+            ax, ay = ax + (u[0] - 0.5) * model.dx, ay + (u[1] - 0.5) * model.dy
         else:
-            # anchor marks the cuboid centre; z components do not project
-            dims = (model.dx, model.dy, model.dz)
-            off = rng.uniform(-0.5, 0.5, size=(2, 3)) * dims
-            bx = ax + off[1, 0]
-            by = ay + off[1, 1]
-            ax = ax + off[0, 0]
-            ay = ay + off[0, 1]
+            d = model.distance if isinstance(model, FixedDistance) else model.sample(rng)
+            psi = 2.0 * math.pi * rng.random()
+            bx, by = ax + d * math.cos(psi), ay + d * math.sin(psi)
         if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
             continue
         return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
@@ -282,8 +272,50 @@ def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest | Non
 def _covers(alpha: float, dx: float, dy: float, bore: float, d2: float, st: _ScalarTest,
             radio: RadioParams, antenna: AntennaModel) -> bool:
     """Whether a transmitter with boresight bore delivers the threshold over
-    (dx, dy), with d2 = dx*dx + dy*dy and alpha its wrapped deviation angle;
-    the kernel's decision (see _admit)."""
+    (dx, dy), with d2 = dx*dx + dy*dy and alpha its wrapped deviation angle:
+    the kernel's decision.  Callers skip pairs with d^2 > r2 before atan2,
+    and those with alpha - theta >= 2*eta unless d^2 < 1e-300.
+
+    With k0 = p_tx*D0/(C*N_thr), power >= N_thr is q = (1 - alpha/theta)*k0
+    / d^kappa >= 1.  Outside a band |q - 1| < eps the sign of q - 1 is the
+    kernel's decision; inside it, and where alpha is within 2*eta of theta,
+    received_power_mw decides, so the kernel stays the one definition of power.
+
+    The band.  Let u = 2^-53, take the float inputs (dx and dy, which both
+    paths compute alike, the boresights, p_tx, D0, theta, kappa, C, N_thr) as
+    exact and q* as the exact ratio.  Count each + - * / as one rounding
+    (relative <= u) and each hypot, pow and atan2, libm or numpy, as at most
+    4 ulp (relative <= 8u; absolute <= 16u for an angle of size <= pi).
+
+    - Angle, per path: atan2 16u, the subtraction of bore 4u, the wrap
+      ((x + pi) % 2pi - pi: 8u + 4u + 2u, plus 3.3u for the float pi and
+      2pi) give |alpha - alpha*| <= eta = 40u.  With alpha/theta rounded
+      (abs. error <= pi*u/theta) and 1 - x rounded (u), the gain factor g
+      has |g/g* - 1| <= u + (eta + pi*u)/(theta - alpha*), which grows at
+      the beam edge; gap = theta - alpha - 2*eta <= theta - alpha* on either
+      path.  Near alpha = pi, where the wrap may land on either side of
+      +-pi, every computed alpha is within eta of pi >= theta: gap < 0.
+    - Distance, power and products.  Kernel: hypot 8u, raised to kappa
+      8*kappa*u, pow 8u, four products and quotients 4u: (8*kappa + 12)u.
+      Scalar: d^2 2u, raised to kappa/2 kappa*u, pow 8u, k0 3u, lhs u, the
+      compared product rhs*(1 +- eps) and its constant 2u: (kappa + 15)u.
+    - So q_s = q*(1 + a) and q_k = q*(1 + b), the kernel's p/N_thr, with
+      |a| + |b| <= e = (9*kappa + 29)u + 2*(eta + pi*u)/gap; rounding the
+      coefficients up to (9*kappa + 32)u and 88u covers the second-order
+      terms.  For e <= 1/2, q_k/q_s lies in [1 - e, 1 + 2e], so q_s >= 1 + 2e
+      gives q_k >= (1 + 2e)(1 - e) >= 1 and q_s < 1 - 2e gives q_k < 1.  The
+      band is eps = 2e = rel + 2*88u/gap, rel = 2*(9*kappa + 32)u, if < 1.
+    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or
+      past theta, where the kernel's gain is exactly 0.
+    - Screen.  The kernel's gain factor is at most 1, so it cannot reach
+      N_thr unless kappa*ln d* - ln k0* < (8*kappa + 12)u.  d2 carries 2u,
+      k0 3u, 2/kappa u (an error of u*|ln k0| in the power), pow 8u and the
+      widened product 2u; so d2 > r2 = k0^(2/kappa)*(1 + delta), delta =
+      (32 + (32 + 2|ln k0|)/kappa)u, rules the pair out.
+    - Range.  The bounds hold for normal floats: _scalar_test keeps k0, C*k0
+      and r2 within (1e-250, 1e250), and d^2 or d^kappa below 1e-300 (d -> 0,
+      coincident devices included) goes to the kernel.
+    """
     gap = st.theta - alpha - 2.0 * _ANGLE_ERR
     if d2 >= _TINY and gap > 0.0:
         band = st.rel + 2.0 * _ANGLE_BAND / gap
@@ -300,155 +332,119 @@ def _covers(alpha: float, dx: float, dy: float, bore: float, d2: float, st: _Sca
                 >= radio.n_thr_mw)
 
 
-def _admit(candidate: PairPlacement, pos, bore, radio: RadioParams, antenna: AntennaModel,
-           mode: CheckMode, reach: float, scalar: _ScalarTest | None) -> bool:
-    """Listen-before-talk test of candidate against active devices (pos, bore).
+class _SectorGrid:
+    """Admission index of the analytic antenna: a uniform grid of cells of
+    side reach.  Each active device is listed as a receiver in its own cell,
+    and as a transmitter in every cell that meets the box of its beam sector.
+    A candidate device meets the transmitters listed in its cell and, in a
+    two-way test, the receivers in the cells of its own beam's box.  Each
+    pair found is decided by the scalar test (_covers); admission is "no pair
+    covers", so the order of the pairs does not matter.
 
-    One array pass drops the devices farther than reach + half the
-    candidate's separation from its midpoint: they cannot deliver the
-    threshold to, or receive it from, either candidate device.  With a table
-    antenna (scalar is None) the near devices then take one (2, K) kernel
-    pass per direction, the reverse one only if the forward one admits.
-
-    With the analytic antenna each near (transmitter, receiver) pair is
-    decided in scalar math code, returning on the first hit.  With
-    k0 = p_tx*D0/(C*N_thr) and gain D0*(1 - alpha/theta), power >= N_thr
-    is the same as q = (1 - alpha/theta)*k0/d^kappa >= 1.  A pair with
-    d^2 > r2 is skipped before atan2; every other pair compares
-    lhs = (1 - alpha/theta)*k0 with rhs = d^kappa.  Outside a band
-    |q - 1| < eps the sign of q - 1 is the kernel's decision; inside it,
-    and where alpha is within 2*eta of theta, received_power_mw decides the
-    pair, so the kernel stays the one definition of power.
-
-    The band.  Let u = 2^-53, take every float input (the differences dx,
-    dy, which both paths compute alike, the boresights, p_tx, D0, theta,
-    kappa, C, N_thr) as exact, and let q* be the exact ratio.  Count each + - * / as one rounding (relative <= u)
-    and each of hypot, pow and atan2, in libm or numpy, as at most 4 ulp
-    (relative <= 8u; absolute <= 16u for an angle of size <= pi).
-
-    - Angle, per path: atan2 16u, the subtraction of bore 4u, the wrap
-      ((x + pi) % 2pi - pi: 8u + 4u + 2u, plus 3.3u for the float pi and
-      2pi) give |alpha - alpha*| <= eta = 40u.  With alpha/theta rounded
-      (abs. error <= pi*u/theta) and 1 - x rounded (u), the gain factor g
-      has |g/g* - 1| <= u + (eta + pi*u)/(theta - alpha*).  This term
-      grows as 1/(theta - alpha): 1 - alpha/theta cancels at the beam
-      edge.  gap = theta - alpha - 2*eta <= theta - alpha* on either path.
-      Near alpha = pi, where the wrap may land on either side of +-pi, every
-      computed alpha stays within eta of pi >= theta, so gap < 0 there.
-    - Distance, power and products.  Kernel: hypot 8u, raised to kappa
-      8*kappa*u, pow 8u, four products and quotients 4u: (8*kappa + 12)u.
-      Scalar: d^2 2u, raised to kappa/2 kappa*u, pow 8u, k0 3u, lhs u,
-      the compared product rhs*(1 +- eps) and its constant 2u:
-      (kappa + 15)u.
-    - So q_s = q*(1 + a) and q_k = q*(1 + b), the kernel's p/N_thr, with
-      |a| + |b| <= e = (9*kappa + 29)u + 2*(eta + pi*u)/gap; rounding the
-      coefficients up to (9*kappa + 32)u and 88u covers the second-order
-      terms.  For e <= 1/2, q_k/q_s lies in [1 - e, 1 + 2e], so q_s >= 1 + 2e
-      gives q_k >= (1 + 2e)(1 - e) >= 1 and q_s < 1 - 2e gives
-      q_k < (1 - 2e)(1 + 2e) < 1.  The band is eps = 2e, used only while
-      eps < 1: eps = rel + 2*88u/gap with rel = 2*(9*kappa + 32)u.
-    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or
-      past theta, where the kernel's gain is exactly 0.
-    - Screen.  The kernel's gain factor is at most 1, so it cannot reach
-      N_thr unless kappa*ln d* - ln k0* < (8*kappa + 12)u.  d2 carries 2u,
-      k0 3u, 2/kappa u (an error of u*|ln k0| in the power), pow 8u and
-      the widened product 2u; so d2 > r2 = k0^(2/kappa)*(1 + delta) with
-      delta = (32 + (32 + 2|ln k0|)/kappa)u rules the pair out.
-    - Range.  The bounds hold for normal floats.  _scalar_test keeps k0,
-      C*k0 and r2 within (1e-250, 1e250), and d^2 or d^kappa below 1e-300
-      (d -> 0, coincident devices included) goes to the kernel.
+    The cells hold every pair that could reach the threshold.  The scalar
+    test rules a pair out, as the kernel would, when d^2 > r2, or when
+    alpha - theta >= 2*eta and d^2 >= 1e-300.  Any other receiver lies within
+    sqrt(r2)*(1 + 3u) of the transmitter at an exact bearing within theta +
+    4*eta of the boresight (eta for alpha, 2u for dx and dy), or within
+    1e-150 of it: within 1e-9*sqrt(r2) > 1e-134 (_scalar_test) of the sector
+    of radius sqrt(r2) and half-angle theta.  The box is widened by that
+    much, plus 1e-12*(|x| + |y|) for its corners' rounding; rounded x/side
+    does not decrease as x grows, so the receiver's cell is among the box's.
     """
-    (ax, ay), (bx, by) = candidate.pos_a, candidate.pos_b
-    mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-    # devices beyond reach of both candidate devices cannot decide (+ midpoint rounding)
-    limit = reach + 0.5 * math.hypot(bx - ax, by - ay) + 1e-12 * (abs(mx) + abs(my))
-    dx, dy = pos[:, 0] - mx, pos[:, 1] - my
-    near = (dx * dx + dy * dy <= limit * limit).nonzero()[0]
-    if near.size == 0:
-        return True
-    if scalar is not None:
-        return _admit_scalar(candidate, pos.take(near, 0).tolist(), bore.take(near).tolist(),
-                             radio, antenna, mode, scalar)
-    (px, py), near_bore = pos.take(near, 0).T, bore.take(near)
-    cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
-    thr = radio.n_thr_mw
-    # one-way: near transmitters at both candidate devices, one (2, K) pass
-    if (received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
-        return False
-    if mode is CheckMode.ONE_WAY:
-        return True
-    cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
-    return not (received_power_mw(px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()
 
+    def __init__(self, st: _ScalarTest, side: float, radio: RadioParams, antenna: AntennaModel,
+                 mode: CheckMode):
+        self._st, self._radio, self._antenna = st, radio, antenna
+        self._two_way = mode is CheckMode.TWO_WAY
+        self._side, self._radius = side, math.sqrt(st.r2)
+        self._cos, self._sin = math.cos(st.theta), math.sin(st.theta)
+        self._tx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
+        self._rx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
+        self._listed: dict[int, tuple] = {}     # device -> (its cell, its sector's cells)
 
-def _admit_scalar(candidate: PairPlacement, near_pos: list, near_bore: list,
-                  radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
-                  st: _ScalarTest) -> bool:
-    """_admit over the near devices as lists, one (transmitter, receiver) pair at a time."""
-    two_way = mode is CheckMode.TWO_WAY
-    r2, theta, edge, pi, atan2 = st.r2, st.theta, 2.0 * _ANGLE_ERR, math.pi, math.atan2
-    for (cx, cy), cbore in ((candidate.pos_a, candidate.boresight_ab),
-                            (candidate.pos_b, candidate.boresight_ba)):
-        for (px, py), pbore in zip(near_pos, near_bore):
-            dx, dy = cx - px, cy - py
-            d2 = dx * dx + dy * dy
-            if d2 > r2:
-                continue
-            # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
-            alpha = abs((atan2(dy, dx) - pbore + pi) % _TWO_PI - pi)
-            if ((alpha - theta < edge or d2 < _TINY)
-                    and _covers(alpha, dx, dy, pbore, d2, st, radio, antenna)):
-                return False
-            if two_way:
-                rx, ry = px - cx, py - cy
-                alpha = abs((atan2(ry, rx) - cbore + pi) % _TWO_PI - pi)
+    def _box_cells(self, x: float, y: float, bore: float) -> list[tuple[int, int]]:
+        """Cells that meet the widened box of the beam sector at (x, y) about bore."""
+        r, ch, sh, c, s = self._radius, self._cos, self._sin, math.cos(bore), math.sin(bore)
+        # the apex, the arc ends at bore -+ theta, and each axis direction within
+        # theta of the boresight (rounding included) bound the sector
+        x1, y1, x2, y2 = c * ch + s * sh, s * ch - c * sh, c * ch - s * sh, s * ch + c * sh
+        lo = ch - 1e-9
+        x_hi = r if c >= lo else r * max(0.0, x1, x2)
+        x_lo = -r if -c >= lo else r * min(0.0, x1, x2)
+        y_hi = r if s >= lo else r * max(0.0, y1, y2)
+        y_lo = -r if -s >= lo else r * min(0.0, y1, y2)
+        m, side, floor = 1e-9 * r + 1e-12 * (abs(x) + abs(y)), self._side, math.floor
+        rows = range(floor((y + y_lo - m) / side), floor((y + y_hi + m) / side) + 1)
+        return [(i, j) for i in range(floor((x + x_lo - m) / side),
+                                      floor((x + x_hi + m) / side) + 1) for j in rows]
+
+    def add(self, pair_id: int, placement: PairPlacement, boxes=None) -> None:
+        """List the devices as 2*pair_id and 2*pair_id + 1 (boxes: their sectors' cells)."""
+        side, floor = self._side, math.floor
+        devices = ((placement.pos_a, placement.boresight_ab),
+                   (placement.pos_b, placement.boresight_ba))
+        boxes = boxes or [self._box_cells(x, y, bore) for (x, y), bore in devices]
+        for key, ((x, y), bore), box in zip((2 * pair_id, 2 * pair_id + 1), devices, boxes):
+            entry, own = (x, y, bore), (floor(x / side), floor(y / side))
+            self._rx[own][key] = entry
+            for cell in box:
+                self._tx[cell][key] = entry
+            self._listed[key] = own, box
+
+    def remove(self, pair_id: int) -> None:
+        for key in (2 * pair_id, 2 * pair_id + 1):
+            own, box = self._listed.pop(key)
+            del self._rx[own][key]
+            for cell in box:
+                del self._tx[cell][key]
+
+    def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
+        """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
+        st, radio, antenna = self._st, self._radio, self._antenna
+        r2, theta, edge, pi, atan2 = st.r2, st.theta, 2.0 * _ANGLE_ERR, math.pi, math.atan2
+        side, floor = self._side, math.floor
+        devices = ((candidate.pos_a, candidate.boresight_ab),
+                   (candidate.pos_b, candidate.boresight_ba))
+        for (cx, cy), _ in devices:
+            listed = self._tx.get((floor(cx / side), floor(cy / side)))
+            for px, py, pbore in listed.values() if listed else ():
+                dx, dy = cx - px, cy - py
+                d2 = dx * dx + dy * dy
+                if d2 > r2:
+                    continue
+                # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
+                alpha = abs((atan2(dy, dx) - pbore + pi) % _TWO_PI - pi)
                 if ((alpha - theta < edge or d2 < _TINY)
-                        and _covers(alpha, rx, ry, cbore, d2, st, radio, antenna)):
+                        and _covers(alpha, dx, dy, pbore, d2, st, radio, antenna)):
                     return False
-    return True
-
-
-def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
-                    radio: RadioParams, antenna: AntennaModel,
-                    mode: CheckMode = CheckMode.TWO_WAY) -> bool:
-    """Admission test of a candidate pair against every active device.
-
-    One-way: reject if any active transmitter delivers at least the
-    sensitivity threshold at either candidate device.  Two-way: also
-    reject if either candidate transmitter would do so at any active
-    device.
-    """
-    pos, bore = _placements_to_arrays(active)
-    return _admit(candidate, pos, bore, radio, antenna, mode, _reach(radio, antenna),
-                  _scalar_test(radio, antenna))
-
-
-def _placements_to_arrays(placements: Sequence[PairPlacement]):
-    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
-    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)], dtype=float)
-    return pos.reshape(-1, 2), bore
+        boxes = [self._box_cells(x, y, bore) for (x, y), bore in devices]
+        for ((cx, cy), cbore), box in zip(devices, boxes if self._two_way else ()):
+            for cell in box:
+                listed = self._rx.get(cell)
+                for px, py, _ in listed.values() if listed else ():
+                    rx, ry = px - cx, py - cy
+                    d2 = rx * rx + ry * ry
+                    if d2 > r2:
+                        continue
+                    alpha = abs((atan2(ry, rx) - cbore + pi) % _TWO_PI - pi)
+                    if ((alpha - theta < edge or d2 < _TINY)
+                            and _covers(alpha, rx, ry, cbore, d2, st, radio, antenna)):
+                        return False
+        self.add(pair_id, candidate, boxes)
+        return True
 
 
 class _ActiveSet:
-    """Active devices in flat arrays with O(1) pair insert/remove."""
+    """Admission index where the kernel decides every pair (a table antenna,
+    or a link budget outside the scalar test's range): the active devices in
+    flat arrays with O(1) pair insert/remove, decided in array passes."""
 
-    def __init__(self):
+    def __init__(self, reach: float, radio: RadioParams, antenna: AntennaModel, mode: CheckMode):
+        self._reach, self._radio, self._antenna, self._mode = reach, radio, antenna, mode
         self._pos = np.empty((128, 2))            # room for 64 pairs, doubled when full
         self._bore = np.empty(128)
         self._pairs: list[int] = []           # pair id per block
         self._block_of: dict[int, int] = {}
-        self._placements: dict[int, PairPlacement] = {}
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def arrays(self):
-        """Positions (2n, 2) and boresights (2n,) of the active devices."""
-        n = 2 * len(self._pairs)
-        return self._pos[:n], self._bore[:n]
-
-    def placements(self) -> tuple[PairPlacement, ...]:
-        return tuple(self._placements[pid] for pid in self._pairs)
 
     def add(self, pair_id: int, placement: PairPlacement) -> None:
         blk = len(self._pairs)
@@ -459,11 +455,9 @@ class _ActiveSet:
         self._bore[2 * blk: 2 * blk + 2] = placement.boresight_ab, placement.boresight_ba
         self._pairs.append(pair_id)
         self._block_of[pair_id] = blk
-        self._placements[pair_id] = placement
 
     def remove(self, pair_id: int) -> None:
         blk = self._block_of.pop(pair_id)
-        del self._placements[pair_id]
         last = len(self._pairs) - 1
         last_id = self._pairs[last]
         if blk != last:
@@ -472,6 +466,55 @@ class _ActiveSet:
             self._pairs[blk] = last_id
             self._block_of[last_id] = blk
         self._pairs.pop()
+
+    def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
+        """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
+        n = 2 * len(self._pairs)
+        pos, bore = self._pos[:n], self._bore[:n]
+        radio, antenna, thr = self._radio, self._antenna, self._radio.n_thr_mw
+        (ax, ay), (bx, by) = candidate.pos_a, candidate.pos_b
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        # devices beyond reach of both candidate devices cannot decide (+ midpoint rounding)
+        limit = self._reach + 0.5 * math.hypot(bx - ax, by - ay) + 1e-12 * (abs(mx) + abs(my))
+        dx, dy = pos[:, 0] - mx, pos[:, 1] - my
+        near = (dx * dx + dy * dy <= limit * limit).nonzero()[0]
+        if near.size:
+            (px, py), near_bore = pos.take(near, 0).T, bore.take(near)
+            cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
+            # one-way: near transmitters at both candidate devices, one (2, K) pass
+            if (received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
+                return False
+            cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
+            if (self._mode is CheckMode.TWO_WAY and (received_power_mw(
+                    px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()):
+                return False
+        self.add(pair_id, candidate)
+        return True
+
+
+def _admission_index(radio: RadioParams, antenna: AntennaModel,
+                     mode: CheckMode) -> _SectorGrid | _ActiveSet:
+    """An empty admission index: the sector grid if the scalar test applies, else arrays."""
+    reach, st = _reach(radio, antenna), _scalar_test(radio, antenna)
+    if st is None:
+        return _ActiveSet(reach, radio, antenna, mode)
+    return _SectorGrid(st, reach, radio, antenna, mode)
+
+
+def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
+                    radio: RadioParams, antenna: AntennaModel,
+                    mode: CheckMode = CheckMode.TWO_WAY) -> bool:
+    """Admission test of a candidate pair against every active device, on
+    the index a replication keeps, built from active.
+
+    One-way: reject if any active transmitter delivers at least the
+    sensitivity threshold at either candidate device.  Two-way: also
+    reject if either candidate transmitter would do so at any active device.
+    """
+    index = _admission_index(radio, antenna, mode)
+    for pair_id, placement in enumerate(active):
+        index.add(pair_id, placement)
+    return index.admit(len(active), candidate)
 
 
 def run_replication(config: SimConfig, rep_index: int, *,
@@ -488,7 +531,8 @@ def run_replication(config: SimConfig, rep_index: int, *,
     dep = config.deployment
     lam = dep.lambda_total
     warmup, horizon = config.warmup, config.horizon
-    active = _ActiveSet()
+    active: dict[int, PairPlacement] = {}
+    index = _admission_index(config.radio, config.antenna, config.check_mode)
     departures: list[tuple[float, int]] = []
     next_pair_id = 0
     state_time: dict[int, float] = {}
@@ -497,8 +541,6 @@ def run_replication(config: SimConfig, rep_index: int, *,
     snap_iter = iter(sorted(snapshot_times))
     next_snap = next(snap_iter, None)
     snapshots: list[tuple[PairPlacement, ...]] = []
-    reach = _reach(config.radio, config.antenna)
-    scalar = _scalar_test(config.radio, config.antenna)
 
     def integrate_to(t_end: float) -> None:
         lo = max(t_prev, warmup)
@@ -511,7 +553,7 @@ def run_replication(config: SimConfig, rep_index: int, *,
     while True:
         t = min(t_arrival, departures[0][0] if departures else math.inf)
         while next_snap is not None and next_snap < min(t, horizon):
-            snapshots.append(active.placements())
+            snapshots.append(tuple(active.values()))
             next_snap = next(snap_iter, None)
         integrate_to(t)
         if t > horizon:
@@ -522,20 +564,21 @@ def run_replication(config: SimConfig, rep_index: int, *,
             post = t >= warmup
             if post:
                 observed += 1
-            if _admit(placement, *active.arrays(), config.radio, config.antenna,
-                      config.check_mode, reach, scalar):
-                active.add(next_pair_id, placement)
+            if index.admit(next_pair_id, placement):
+                active[next_pair_id] = placement
                 if post:
                     accepted += 1
                 heapq.heappush(departures, (t + rng.exponential(1.0 / dep.mu), next_pair_id))
                 next_pair_id += 1
             t_arrival = t + rng.exponential(1.0 / lam)
         else:
-            active.remove(heapq.heappop(departures)[1])
+            pair_id = heapq.heappop(departures)[1]
+            index.remove(pair_id)
+            del active[pair_id]
         assert len(departures) == len(active)           # one pending departure per active pair
 
     while next_snap is not None and next_snap <= horizon:
-        snapshots.append(active.placements())
+        snapshots.append(tuple(active.values()))
         next_snap = next(snap_iter, None)
 
     measured = horizon - warmup
@@ -620,31 +663,6 @@ def _t_halfwidth(values: np.ndarray) -> float:
     return float(q * values.std(ddof=1) / math.sqrt(n))
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    mean: float
-    std_error: float
-
-
-def expected_pair_distance(deployment: DeploymentParams, samples: int = 1_000_000,
-                           seed: int = 0) -> DistanceEstimate:
-    """Monte Carlo estimate of the projected pair distance with its SE."""
-    if samples < 100_000:
-        raise ValueError(f"need at least 1e5 samples, got {samples}")
-    model = deployment.pair_model
-    if isinstance(model, FixedDistance):
-        return DistanceEstimate(model.distance, 0.0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if isinstance(model, UniformDistance):
-        d = model.sample(rng, samples)
-    else:
-        dims = np.array([model.dx, model.dy])
-        a = rng.uniform(0.0, 1.0, size=(samples, 2)) * dims
-        b = rng.uniform(0.0, 1.0, size=(samples, 2)) * dims
-        d = np.hypot(*(a - b).T)
-    return DistanceEstimate(float(d.mean()), float(d.std(ddof=1) / math.sqrt(samples)))
-
-
 @lru_cache(maxsize=64)
 def mean_projected_distance(model: PairModel) -> float:
     """Deterministic expected projected pair distance, for the analytic side."""
@@ -672,7 +690,8 @@ def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams
     """
     if len(placements) < 2:
         return 0.0
-    pos, bore = _placements_to_arrays(placements)
+    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
+    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)])
     # power from each device i (row) at each device j
     p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
                           bore[:, None], radio, antenna)

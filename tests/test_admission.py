@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
                      coverage_radius, simulator)
 from beamcap.radio import _wrap_angle, max_directivity, received_power_mw
-from beamcap.simulator import (_placements_to_arrays, _reach, _scalar_test,
+from beamcap.simulator import (_ANGLE_ERR, _admission_index, _reach, _scalar_test, _SectorGrid,
                                max_cross_pair_power)
 
 
@@ -45,9 +45,16 @@ def _powers_at_devices(tx_pos, tx_bore, pos, radio, antenna):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
 
 
+def placements_to_arrays(placements):
+    """Positions (2n, 2) and boresights (2n,) of the pairs' devices, in pair order."""
+    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
+    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)], dtype=float)
+    return pos.reshape(-1, 2), bore
+
+
 def reference_admit(candidate, active, radio, antenna, mode):
     """Four passes over every active device, no prefilter."""
-    pos, bore = _placements_to_arrays(active)
+    pos, bore = placements_to_arrays(active)
     if pos.shape[0] == 0:
         return True
     thr = radio.n_thr_mw
@@ -78,7 +85,7 @@ def reference_power_matrix(pos, bore, radio, antenna):
 def reference_max_cross(placements, radio, antenna):
     if len(placements) < 2:
         return 0.0
-    p = reference_power_matrix(*_placements_to_arrays(placements), radio, antenna)
+    p = reference_power_matrix(*placements_to_arrays(placements), radio, antenna)
     p[~np.isfinite(p)] = np.inf
     return float(p.max())
 
@@ -359,7 +366,7 @@ class TestScalarAdmission:
         def forbidden(*args):
             raise AssertionError("scalar path entered with a table antenna")
 
-        monkeypatch.setattr(simulator, "_admit_scalar", forbidden)
+        monkeypatch.setattr(simulator, "_SectorGrid", forbidden)
         monkeypatch.setattr(simulator, "_covers", forbidden)
         rng = np.random.default_rng(5)
         for theta_deg, offset in ((8.0, 3.5), (30.0, -4.0), (52.0, 0.0)):
@@ -372,6 +379,147 @@ class TestScalarAdmission:
                          for cand in random_pairs(rng, 20, 3.0 * reach, 0.3 * reach)
                          for mode in CheckMode}
             assert decisions == {True, False}
+
+
+def lattice_pairs(rng, n, side, span):
+    """n pairs whose devices sit on cell corners and edges of a grid of the
+    given side, some an ulp off them, or between them, within span cells of
+    the origin on either side."""
+    def coord():
+        k = int(rng.integers(-span, span + 1))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return k * side
+        if kind == 1:
+            return nudge(k * side, int(rng.choice([-1, 1])))
+        return (k + rng.random()) * side
+
+    out = []
+    for _ in range(n):
+        ax, ay = coord(), coord()
+        if rng.random() < 0.5:
+            bx, by = coord(), coord()
+        else:
+            d, psi = side * rng.random(), 2.0 * math.pi * rng.random()
+            bx, by = ax + d * math.cos(psi), ay + d * math.sin(psi)
+        out.append(pair_at(ax, ay, bx, by))
+    return out
+
+
+def beam_edge_pair(rng, active, radio):
+    """A candidate with one device at deviation theta + k*eta, k in -2..2,
+    from the beam of an active device, at the distance where that gain would
+    reach the threshold times a random scale, or anywhere within reach."""
+    placement = active[int(rng.integers(len(active)))]
+    (x, y), bore = ((placement.pos_a, placement.boresight_ab),
+                    (placement.pos_b, placement.boresight_ba))[int(rng.integers(2))]
+    alpha = min(radio.theta + int(rng.integers(-2, 3)) * _ANGLE_ERR, math.pi)
+    g = max(1.0 - alpha / radio.theta, 2.0 ** -52)
+    r = coverage_radius(radio)
+    d = (r * g ** (1.0 / radio.kappa) * rng.uniform(0.25, 4.0) if rng.random() < 0.5
+         else r * rng.random())
+    bearing = bore + rng.choice([-1.0, 1.0]) * alpha
+    vx, vy = x + d * math.cos(bearing), y + d * math.sin(bearing)
+    psi = 2.0 * math.pi * rng.random()
+    return pair_at(vx, vy, vx + 0.5 * r * math.cos(psi), vy + 0.5 * r * math.sin(psi))
+
+
+def grid_listing(index):
+    """Receivers and transmitters listed per cell, empty cells left out."""
+    return ({cell: dict(keys) for cell, keys in index._rx.items() if keys},
+            {cell: dict(keys) for cell, keys in index._tx.items() if keys}, index._listed)
+
+
+class TestSectorGrid:
+    """The analytic antenna's grid index: every decision the reference's, and
+    the index after any admit/depart sequence the one built from the live set."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(radio=radios, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+           span=st.integers(1, 4))
+    def test_matches_reference_on_hard_layouts(self, radio, seed, n, span):
+        antenna = AntennaModel.analytic()
+        side = _reach(radio, antenna)
+        assert isinstance(_admission_index(radio, antenna, CheckMode.TWO_WAY), _SectorGrid)
+        rng = np.random.default_rng(seed)
+        active = lattice_pairs(rng, n, side, span)
+        shared = active[int(rng.integers(n))].pos_b
+        psi = 2.0 * math.pi * rng.random()
+        candidates = lattice_pairs(rng, 3, side, span) + [
+            pair_at(*shared, shared[0] + side * math.cos(psi), shared[1] + side * math.sin(psi))
+        ] + [beam_edge_pair(rng, active, radio) for _ in range(4)]
+        for cand in candidates:
+            assert_matches_reference(active, cand, radio)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(radio=radios, bore=angles, x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sector_cells_hold_the_sector(self, radio, bore, x, y, seed):
+        # points of the sector, its border widened by the scalar test's
+        # rounding, and the axis extremes, all in cells the sector lists
+        index = _admission_index(radio, AntennaModel.analytic(), CheckMode.TWO_WAY)
+        cells = set(index._box_cells(x, y, bore))
+        radius = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).r2) * (1.0 + 2.0 ** -50)
+        half = min(radio.theta + 4.0 * _ANGLE_ERR, math.pi)
+        rng = np.random.default_rng(seed)
+        offsets = [-half, half, *rng.uniform(-half, half, 20)]
+        axes = [a - bore + k * 2.0 * math.pi for a in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
+                for k in (-1, 0, 1)]
+        offsets += [a for a in axes if abs(a) <= half]
+        for offset in offsets:
+            for d in (0.0, 1e-160, radius * rng.random(), radius):
+                px, py = x + d * math.cos(bore + offset), y + d * math.sin(bore + offset)
+                assert (math.floor(px / index._side), math.floor(py / index._side)) in cells
+
+    @pytest.mark.parametrize("theta_deg", [4.0, 30.0, 180.0])
+    def test_sector_cells_hold_a_receiver_past_a_cell_edge(self, theta_deg):
+        # a beam along +x whose radius ends within ulps of a cell edge: a
+        # receiver just past the radius, still within the scalar screen's
+        # rounding, must fall in a listed cell
+        radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
+        index = _admission_index(radio, AntennaModel.analytic(), CheckMode.TWO_WAY)
+        radius = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).r2)
+        side = index._side
+        for j in range(-40, 41):
+            for ulps in range(-4, 5):
+                x = nudge(j * side - radius, ulps)
+                px = x + radius * (1.0 + 2.0 ** -50)
+                assert (math.floor(px / side), 0) in set(index._box_cells(x, 0.5, 0.0))
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(radio=radios, seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(CheckMode),
+           steps=st.integers(1, 80), spread=st.floats(0.5, 4.0))
+    def test_upkeep_lists_exactly_the_live_devices(self, radio, seed, mode, steps, spread):
+        antenna = AntennaModel.analytic()
+        reach = _reach(radio, antenna)
+        rng = np.random.default_rng(seed)
+        index = _admission_index(radio, antenna, mode)
+        live = {}
+        for pair_id in range(steps):
+            if live and rng.random() < 0.4:
+                gone = list(live)[int(rng.integers(len(live)))]
+                index.remove(gone)
+                del live[gone]
+                continue
+            cand = random_pairs(rng, 1, spread * reach, 0.5 * reach)[0]
+            if rng.random() < 0.3:
+                index.add(pair_id, cand)         # listed whatever it covers
+                live[pair_id] = cand
+            elif index.admit(pair_id, cand):
+                live[pair_id] = cand
+        fresh = _admission_index(radio, antenna, mode)
+        for pair_id, placement in live.items():
+            fresh.add(pair_id, placement)
+        assert grid_listing(index) == grid_listing(fresh)
+        rx, _, listed = grid_listing(index)
+        assert sorted(key for keys in rx.values() for key in keys) == sorted(listed)
+        assert set(listed) == {2 * p + k for p in live for k in (0, 1)}
+        for cand in random_pairs(rng, 4, spread * reach, 0.5 * reach):
+            admitted = index.admit(steps, cand)
+            assert admitted == reference_admit(cand, list(live.values()), radio, antenna, mode)
+            if admitted:
+                index.remove(steps)
+        assert grid_listing(index) == grid_listing(fresh)
 
 
 class TestPowerMatrixAgainstReference:

@@ -9,14 +9,33 @@ from scipy.special import lambertw as scipy_lambertw
 
 from beamcap import (ChainParams, NonConvergenceError, SteadyState, Variant,
                      acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
-                     steady_state, telescoped_state_weight)
-from beamcap.queueing import _log_accept
+                     steady_state)
+from beamcap.queueing import _LOG_EPS_FLOOR, _log_accept
 
 VARIANTS = [Variant.PIECEWISE_LINEAR, Variant.LOGISTIC, Variant.EXPONENTIAL]
 
 
 def chain(lam=1.0, mu=1.0, gamma=0.1, variant=Variant.EXPONENTIAL):
     return ChainParams(lam, mu, gamma, variant)
+
+
+def telescoped_state_weight(m, params):
+    """Unnormalized state weight (lambda/mu)^m e^{-gamma m(m-1)} / m!.
+
+    Valid for the exponential variant only, where the acceptance product
+    telescopes exactly: sum of 2n over n < m equals m(m-1).
+    """
+    if params.variant is not Variant.EXPONENTIAL:
+        raise ValueError("telescoped weights require the exponential variant")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m == 0:
+        return 1.0
+    a = params.load
+    if a == 0.0:
+        return 0.0
+    log_w = m * math.log(a) - params.gamma * m * (m - 1) - math.lgamma(m + 1)
+    return math.exp(log_w) if log_w > _LOG_EPS_FLOOR else 0.0
 
 
 def q_log(n, gamma, variant):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy import stats as sps
 from beamcap import (AntennaModel, CheckMode, CuboidProjection, DeploymentParams,
                      FixedDistance, PairPlacement, RadioParams, SimConfig,
                      UniformDistance, admission_check, coverage_radius,
-                     expected_pair_distance, place_pair, run, run_replication)
+                     place_pair, run, run_replication)
+from beamcap.cli import main
 from beamcap.simulator import max_cross_pair_power, mean_projected_distance
 
 DEG = math.pi / 180.0
@@ -82,11 +84,67 @@ class TestPlacePair:
             assert math.hypot(*p.pos_a) <= 10.0
             assert math.hypot(*p.pos_b) <= 10.0
 
+    @pytest.mark.parametrize("model", [FixedDistance(0.7), UniformDistance(5.0),
+                                       CuboidProjection(0.3, 0.5, 0.6)])
+    def test_matches_numpy_draws(self, model):
+        # the array draws place_pair made before its scalar draws, the stream
+        # the golden simulate outputs hold
+        dep = deployment(r_d=20.0, model=model)
+        ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(5_000):
+            assert place_pair(ours, dep) == reference_place_pair(theirs, dep)
+
     def test_impossible_placement_raises(self):
         rng = np.random.default_rng(7)
         dep = deployment(r_d=10.0, model=FixedDistance(50.0))
         with pytest.raises(RuntimeError, match="100 attempts"):
             place_pair(rng, dep)
+
+
+class TestScalarDraws:
+    """Scalar placement draws against the numpy calls they replace, bit for bit."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("d_max", [1e-3, 0.7, 1.0, 5.0, 13.37, 250.0])
+    def test_uniform_distance_matches_interp(self, d_max):
+        model = UniformDistance(d_max)
+        rng = np.random.default_rng(21)
+        got = np.array([model.sample(rng) for _ in range(self.N)])
+        want = np.interp(np.random.default_rng(21).random(self.N), [0.0, 0.5, 1.0],
+                         [0.0, 0.5 * d_max, d_max])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dims", [(0.3, 0.5, 0.6), (1.0, 1.0, 1.0), (7.1, 0.02, 3.3)])
+    def test_cuboid_offsets_match_uniform(self, dims):
+        u = np.random.default_rng(22).random(6 * self.N).tolist()
+        got = np.array([(v - 0.5) * dims[i % 3] for i, v in enumerate(u)]).reshape(-1, 2, 3)
+        want = np.random.default_rng(22).uniform(-0.5, 0.5, size=(self.N, 2, 3)) * dims
+        assert np.array_equal(got, want)
+
+
+def reference_place_pair(rng, deployment):
+    """place_pair with the numpy draws it used to make: np.interp for the
+    uniform distance, rng.uniform for the cuboid offsets."""
+    r_d, model = deployment.region_radius, deployment.pair_model
+    for _ in range(100):
+        r = r_d * math.sqrt(rng.random())
+        phi = 2.0 * math.pi * rng.random()
+        ax, ay = r * math.cos(phi), r * math.sin(phi)
+        if isinstance(model, CuboidProjection):
+            off = rng.uniform(-0.5, 0.5, size=(2, 3)) * (model.dx, model.dy, model.dz)
+            bx, by = ax + off[1, 0], ay + off[1, 1]
+            ax, ay = ax + off[0, 0], ay + off[0, 1]
+        else:
+            d = model.distance if isinstance(model, FixedDistance) else float(np.interp(
+                rng.random(), [0.0, 0.5, 1.0], [0.0, 0.5 * model.d_max, model.d_max]))
+            psi = 2.0 * math.pi * rng.random()
+            bx, by = ax + d * math.cos(psi), ay + d * math.sin(psi)
+        if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
+            continue
+        return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
+                             math.atan2(ay - by, ax - bx))
+    raise AssertionError("no placement")
 
 
 class TestAdmissionCheck:
@@ -192,9 +250,20 @@ class TestRun:
         assert s_table.p_accept == pytest.approx(s_analytic.p_accept, abs=0.05)
         assert s_table.mean_pairs == pytest.approx(s_analytic.mean_pairs, rel=0.1)
 
-    def test_parallel_matches_serial(self):
-        cfg = sim_config(seed=13)
-        assert run(cfg, jobs=2).mean_pairs == run(cfg, jobs=1).mean_pairs
+    def test_parallel_matches_serial(self, tmp_path, capsys):
+        # desk-fig5 geometry at 0.02 /s/m^2: the admission index holds
+        # hundreds of pairs by the end of the window
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("r_d_m = 300\nlambda_per_m2 = 0.02\ntheta_deg = 30\n"
+                       "pair_model = uniform:5\nreplications = 2\nwarmup_s = 1.5\n"
+                       "horizon_s = 2\n")
+        out = {}
+        for jobs in (1, 2):
+            assert main(["simulate", "--config", str(cfg), "--seed", "13",
+                         "--jobs", str(jobs)]) == 0
+            out[jobs] = capsys.readouterr().out
+        assert out[1] == out[2]
+        assert float(out[1].splitlines()[1].split(",")[4]) > 100.0
 
     def test_negligible_footprint_matches_mminf(self):
         # -70 dBm transmit power shrinks coverage to millimetres: no pair
@@ -279,6 +348,32 @@ class TestRun:
             sim_config(reps=0)
         with pytest.raises(ValueError):
             sim_config(seed=-1)
+
+
+@dataclass(frozen=True)
+class DistanceEstimate:
+    mean: float
+    std_error: float
+
+
+def expected_pair_distance(deployment: DeploymentParams, samples: int = 1_000_000,
+                           seed: int = 0) -> DistanceEstimate:
+    """Monte Carlo estimate of the projected pair distance with its SE, an
+    independent route to mean_projected_distance."""
+    if samples < 100_000:
+        raise ValueError(f"need at least 1e5 samples, got {samples}")
+    model = deployment.pair_model
+    if isinstance(model, FixedDistance):
+        return DistanceEstimate(model.distance, 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if isinstance(model, UniformDistance):
+        d = model.d_max * rng.random(samples)
+    else:
+        dims = np.array([model.dx, model.dy])
+        a = rng.uniform(0.0, 1.0, size=(samples, 2)) * dims
+        b = rng.uniform(0.0, 1.0, size=(samples, 2)) * dims
+        d = np.hypot(*(a - b).T)
+    return DistanceEstimate(float(d.mean()), float(d.std(ddof=1) / math.sqrt(samples)))
 
 
 class TestExpectedPairDistance:
