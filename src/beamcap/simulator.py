@@ -58,19 +58,15 @@ class UniformDistance:
         if self.d_max <= 0:
             raise ValueError(f"d_max must be positive, got {self.d_max}")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def quantile(self, u: float) -> float:
         # np.interp(u, [0, 1/2, 1], [0, d_max/2, d_max]), the inverse CDF the
         # golden simulate outputs hold, in scalar code: slope*(u - x_j) + y_j
         # per segment as numpy rounds it; d_max*u rounds otherwise on some
         # upper-half draws
-        u = rng.random()
         half = 0.5 * self.d_max
         if u < 0.5:
             return half / 0.5 * u
         return (self.d_max - half) / 0.5 * (u - 0.5) + half
-
-    def mean(self) -> float:
-        return 0.5 * self.d_max
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,7 @@ class PlacementError(RuntimeError):
     """No placement inside the disk within the retry cap: the pair model barely fits."""
 
 
-@dataclass(frozen=True)
-class PairPlacement:
+class PairPlacement(NamedTuple):
     """Positions of the two devices and their mutual boresights."""
 
     pos_a: tuple[float, float]
@@ -188,12 +183,9 @@ class SimStats:
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    mean_pairs: float
-    p_accept: float
     observed: int
     accepted: int
     state_time: dict[int, float]
-    measured_time: float
     snapshots: tuple[tuple[PairPlacement, ...], ...] = ()
 
 
@@ -206,25 +198,28 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
     """
     r_d = deployment.region_radius
     model = deployment.pair_model
+    cuboid, fixed = isinstance(model, CuboidProjection), isinstance(model, FixedDistance)
+    # one block of uniforms per attempt: r, phi, then d and psi, psi alone, or six
+    # cuboid offsets; random(k) yields the same doubles, in order, as k scalar calls
+    draw, k = rng.random, 8 if cuboid else 3 if fixed else 4
+    sqrt, cos, sin, atan2 = math.sqrt, math.cos, math.sin, math.atan2
     for _ in range(_PLACEMENT_RETRIES):
-        r = r_d * math.sqrt(rng.random())
-        phi = 2.0 * math.pi * rng.random()
-        ax = r * math.cos(phi)
-        ay = r * math.sin(phi)
-        if isinstance(model, CuboidProjection):
+        u = draw(k).tolist()
+        r = r_d * sqrt(u[0])
+        phi = _TWO_PI * u[1]
+        ax, ay = r * cos(phi), r * sin(phi)
+        if cuboid:
             # anchor marks the cuboid centre; z components do not project.
             # (u - 0.5)*dim is rng.uniform(-0.5, 0.5, (2, 3))*dims bit for bit
-            u = rng.random(6).tolist()
-            bx, by = ax + (u[3] - 0.5) * model.dx, ay + (u[4] - 0.5) * model.dy
-            ax, ay = ax + (u[0] - 0.5) * model.dx, ay + (u[1] - 0.5) * model.dy
+            bx, by = ax + (u[5] - 0.5) * model.dx, ay + (u[6] - 0.5) * model.dy
+            ax, ay = ax + (u[2] - 0.5) * model.dx, ay + (u[3] - 0.5) * model.dy
         else:
-            d = model.distance if isinstance(model, FixedDistance) else model.sample(rng)
-            psi = 2.0 * math.pi * rng.random()
-            bx, by = ax + d * math.cos(psi), ay + d * math.sin(psi)
+            d = model.distance if fixed else model.quantile(u[2])
+            psi = _TWO_PI * u[k - 1]
+            bx, by = ax + d * cos(psi), ay + d * sin(psi)
         if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
             continue
-        return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
-                             math.atan2(ay - by, ax - bx))
+        return PairPlacement((ax, ay), (bx, by), atan2(by - ay, bx - ax), atan2(ay - by, ax - bx))
     raise PlacementError(
         f"no placement inside the disk after {_PLACEMENT_RETRIES} attempts "
         f"(region_radius={r_d}, pair_model={model})"
@@ -401,11 +396,10 @@ class _SectorGrid:
     def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
         """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
         st, radio, antenna = self._st, self._radio, self._antenna
-        r2, theta, edge, pi, atan2 = st.r2, st.theta, 2.0 * _ANGLE_ERR, math.pi, math.atan2
-        side, floor = self._side, math.floor
-        devices = ((candidate.pos_a, candidate.boresight_ab),
-                   (candidate.pos_b, candidate.boresight_ba))
-        for (cx, cy), _ in devices:
+        r2, theta, edge, tiny, pi = st.r2, st.theta, 2.0 * _ANGLE_ERR, _TINY, math.pi
+        side, floor, atan2, fabs, two_pi = self._side, math.floor, math.atan2, math.fabs, _TWO_PI
+        pos_a, pos_b, bore_ab, bore_ba = candidate
+        for cx, cy in (pos_a, pos_b):
             listed = self._tx.get((floor(cx / side), floor(cy / side)))
             for px, py, pbore in listed.values() if listed else ():
                 dx, dy = cx - px, cy - py
@@ -413,10 +407,11 @@ class _SectorGrid:
                 if d2 > r2:
                     continue
                 # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
-                alpha = abs((atan2(dy, dx) - pbore + pi) % _TWO_PI - pi)
-                if ((alpha - theta < edge or d2 < _TINY)
+                alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
+                if ((alpha - theta < edge or d2 < tiny)
                         and _covers(alpha, dx, dy, pbore, d2, st, radio, antenna)):
                     return False
+        devices = ((pos_a, bore_ab), (pos_b, bore_ba))
         boxes = [self._box_cells(x, y, bore) for (x, y), bore in devices]
         for ((cx, cy), cbore), box in zip(devices, boxes if self._two_way else ()):
             for cell in box:
@@ -426,8 +421,8 @@ class _SectorGrid:
                     d2 = rx * rx + ry * ry
                     if d2 > r2:
                         continue
-                    alpha = abs((atan2(ry, rx) - cbore + pi) % _TWO_PI - pi)
-                    if ((alpha - theta < edge or d2 < _TINY)
+                    alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
+                    if ((alpha - theta < edge or d2 < tiny)
                             and _covers(alpha, rx, ry, cbore, d2, st, radio, antenna)):
                         return False
         self.add(pair_id, candidate, boxes)
@@ -533,61 +528,52 @@ def run_replication(config: SimConfig, rep_index: int, *,
     warmup, horizon = config.warmup, config.horizon
     active: dict[int, PairPlacement] = {}
     index = _admission_index(config.radio, config.antenna, config.check_mode)
+    admit, remove = index.admit, index.remove
+    exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
+    mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu
     departures: list[tuple[float, int]] = []
     next_pair_id = 0
     state_time: dict[int, float] = {}
     observed = accepted = 0
     t_prev = 0.0
-    snap_iter = iter(sorted(snapshot_times))
-    next_snap = next(snap_iter, None)
+    pending = sorted((s for s in snapshot_times if s <= horizon), reverse=True)
     snapshots: list[tuple[PairPlacement, ...]] = []
 
-    def integrate_to(t_end: float) -> None:
-        lo = max(t_prev, warmup)
-        hi = min(t_end, horizon)
-        if hi > lo:
-            n = len(active)
-            state_time[n] = state_time.get(n, 0.0) + (hi - lo)
-
-    t_arrival = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
+    t_arrival = exponential(mean_gap) if lam > 0.0 else math.inf
     while True:
-        t = min(t_arrival, departures[0][0] if departures else math.inf)
-        while next_snap is not None and next_snap < min(t, horizon):
+        t = departures[0][0] if departures and departures[0][0] < t_arrival else t_arrival
+        while pending and pending[-1] < t:
+            pending.pop()
             snapshots.append(tuple(active.values()))
-            next_snap = next(snap_iter, None)
-        integrate_to(t)
+        if t > warmup:              # time in the state since t_prev, clipped to the window
+            hi = t if t < horizon else horizon
+            lo = t_prev if t_prev > warmup else warmup
+            if hi > lo:
+                n = len(active)
+                state_time[n] = state_time.get(n, 0.0) + (hi - lo)
         if t > horizon:
             break
         t_prev = t
         if t == t_arrival:
+            # a module global, looked up per arrival: a wrapper set on the module sees each one
             placement = place_pair(rng, dep)
             post = t >= warmup
             if post:
                 observed += 1
-            if index.admit(next_pair_id, placement):
+            if admit(next_pair_id, placement):
                 active[next_pair_id] = placement
                 if post:
                     accepted += 1
-                heapq.heappush(departures, (t + rng.exponential(1.0 / dep.mu), next_pair_id))
+                push(departures, (t + exponential(mean_service), next_pair_id))
                 next_pair_id += 1
-            t_arrival = t + rng.exponential(1.0 / lam)
+            t_arrival = t + exponential(mean_gap)
         else:
-            pair_id = heapq.heappop(departures)[1]
-            index.remove(pair_id)
+            pair_id = pop(departures)[1]
+            remove(pair_id)
             del active[pair_id]
         assert len(departures) == len(active)           # one pending departure per active pair
 
-    while next_snap is not None and next_snap <= horizon:
-        snapshots.append(tuple(active.values()))
-        next_snap = next(snap_iter, None)
-
-    measured = horizon - warmup
-    mean_n = sum(n * dt for n, dt in state_time.items()) / measured
-    p_acc = accepted / observed if observed > 0 else math.nan
-    return ReplicationResult(
-        mean_pairs=mean_n, p_accept=p_acc, observed=observed, accepted=accepted,
-        state_time=state_time, measured_time=measured, snapshots=tuple(snapshots),
-    )
+    return ReplicationResult(observed, accepted, state_time, tuple(snapshots))
 
 
 def _replicate(config: SimConfig, rep_index: int) -> ReplicationResult:
@@ -615,10 +601,11 @@ def run(config: SimConfig, jobs: int = 1) -> SimStats:
 
 def aggregate(reps: Sequence[ReplicationResult], config: SimConfig) -> SimStats:
     flags = []
-    means = np.array([r.mean_pairs for r in reps])
+    window = config.horizon - config.warmup
+    means = np.array([sum(n * dt for n, dt in r.state_time.items()) / window for r in reps])
     mean_pairs = float(means.mean())
     ci_mean = _t_halfwidth(means)
-    p_vals = np.array([r.p_accept for r in reps])
+    p_vals = np.array([r.accepted / r.observed if r.observed > 0 else math.nan for r in reps])
     defined = p_vals[~np.isnan(p_vals)]
     if defined.size == 0:
         p_accept = math.nan
@@ -633,12 +620,9 @@ def aggregate(reps: Sequence[ReplicationResult], config: SimConfig) -> SimStats:
         flags.append("low-confidence")
     max_state = max(max(r.state_time) if r.state_time else 0 for r in reps)
     hist = np.zeros(max_state + 1)
-    total_time = 0.0
     for r in reps:
         for n, dt in r.state_time.items():
             hist[n] += dt
-        total_time += r.measured_time
-    hist /= total_time
     hist /= hist.sum()
     return SimStats(
         mean_pairs=mean_pairs,
@@ -669,7 +653,7 @@ def mean_projected_distance(model: PairModel) -> float:
     if isinstance(model, FixedDistance):
         return model.distance
     if isinstance(model, UniformDistance):
-        return model.mean()
+        return 0.5 * model.d_max
     from scipy import integrate  # imported here: scipy costs about 1 s of start-up
 
     # |U1-U2| on [0, L] has the triangular density 2(L-u)/L^2
@@ -682,11 +666,13 @@ def mean_projected_distance(model: PairModel) -> float:
 
 
 def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams,
-                         antenna: AntennaModel) -> float:
+                         antenna: AntennaModel, mode: CheckMode = CheckMode.TWO_WAY) -> float:
     """Largest power any device receives from another pair's transmitter.
 
-    Audit helper for the mutual-exclusion property of admitted pairs;
-    returns 0 when fewer than two pairs are present.
+    Audit helper for the mutual-exclusion property of admitted pairs; 0 when
+    fewer than two pairs are present.  A one-way newcomer may cover earlier
+    pairs, so ONE_WAY counts only earlier pairs' power at later ones
+    (placements in admission order, as snapshots list them).
     """
     if len(placements) < 2:
         return 0.0
@@ -696,6 +682,7 @@ def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams
     p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
                           bore[:, None], radio, antenna)
     blk = np.arange(pos.shape[0]) // 2
-    p[blk[:, None] == blk[None, :]] = 0.0              # own pair is the desired link
+    row, col = blk[:, None], blk[None, :]
+    p[row >= col if mode is CheckMode.ONE_WAY else row == col] = 0.0   # own pair: the desired link
     p[~np.isfinite(p)] = np.inf
     return float(p.max())

@@ -186,16 +186,28 @@ def check_power_optimum() -> list[CheckResult]:
     ]
 
 
+def check_hard_core(scn: Scenario) -> CheckResult:
+    """No device of an admitted pair receives the threshold from another pair's
+    transmitter (one-way: an earlier pair's), on six snapshots of one replication."""
+    cfg = scn.sim_config()
+    times = [cfg.warmup + (cfg.horizon - cfg.warmup) * k / 7 for k in range(1, 7)]
+    snaps = simulator.run_replication(cfg, 0, snapshot_times=times).snapshots
+    worst = max(simulator.max_cross_pair_power(s, cfg.radio, cfg.antenna, cfg.check_mode)
+                for s in snaps) / cfg.radio.n_thr_mw
+    return CheckResult("hard-core-audit", len(snaps) == len(times) and worst < 1.0, worst, 1.0,
+                       f"max cross-pair power/N_thr; snapshot pairs {[len(s) for s in snaps]}")
+
+
 def check_determinism(jobs: int = 1) -> CheckResult:
-    """Byte-identical simulate output for a repeated fixed-seed run."""
+    """Byte-identical fixed-seed simulate output, serial against jobs workers."""
     scn = load_scenario(preset="desk-fig4", overrides={
         "replications": "4", "horizon_s": "40", "warmup_s": "10", "seed": "99",
     })
-    out1 = cli_rows.render_csv(cli_rows.simulate_rows(scn, jobs=jobs))
+    out1 = cli_rows.render_csv(cli_rows.simulate_rows(scn, jobs=1))
     out2 = cli_rows.render_csv(cli_rows.simulate_rows(scn, jobs=jobs))
     same = out1.encode() == out2.encode()
     return CheckResult("simulate-determinism", same, float(same), 1.0,
-                       f"{len(out1.encode())} bytes compared")
+                       f"{len(out1.encode())} bytes compared, serial against --jobs {jobs}")
 
 
 def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
@@ -211,6 +223,7 @@ def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
         check_closed_vs_series(),
     ]
     results.extend(check_cross_engine(scn, simulator.run(scn.sim_config(), jobs=jobs)))
+    results.append(check_hard_core(scn))
     results.append(check_monotonicity())
     results.extend(check_power_optimum())
     results.append(check_determinism(jobs=jobs))

@@ -93,6 +93,26 @@ def test_criterion_9_simulate_determinism():
     report(result, 60.0, dt)
 
 
+@pytest.mark.parametrize("mode", ["two-way", "one-way"])
+def test_hard_core_audit_follows_check_mode(mode):
+    """One-way admission lets a newcomer cover earlier pairs; the audit counts
+    only earlier pairs' power at later ones there, and passes in both modes."""
+    scn = load_scenario(preset="desk-fig4", overrides={"check_mode": mode, "horizon_s": "50"})
+    result = validation.check_hard_core(scn)
+    assert result.passed, result.line()
+
+
+def test_hard_core_audit_catches_overlapping_pairs(monkeypatch):
+    def admit_all(self, pair_id, candidate):
+        self.add(pair_id, candidate)
+        return True
+
+    monkeypatch.setattr(simulator._SectorGrid, "admit", admit_all)
+    scn = load_scenario(preset="desk-fig4", overrides={"horizon_s": "50"})
+    result = validation.check_hard_core(scn)
+    assert not result.passed and result.measured > 1.0
+
+
 def test_fault_isolation_damaged_gamma(desk_stats):
     """A corrupted footprint ratio must trip the cross-engine comparison
     while leaving the self-contained identity checks untouched."""
@@ -115,7 +135,7 @@ def test_validate_command_reports_all_checks(tmp_path, capsys):
     code = main(["validate", "--config", str(cfg), "--jobs", str(JOBS)])
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l.startswith("[")]
-    assert len(lines) == 11  # criteria 6 and 8 each report two checks
+    assert len(lines) == 12  # criteria 6 and 8 each report two checks, plus the hard-core audit
     verdicts_ok = all(l.startswith("[PASS]") for l in lines)
     assert code == (0 if verdicts_ok else 1)
     assert verdicts_ok, out

@@ -10,7 +10,7 @@ from beamcap import (AntennaModel, CheckMode, CuboidProjection, DeploymentParams
                      UniformDistance, admission_check, coverage_radius,
                      place_pair, run, run_replication)
 from beamcap.cli import main
-from beamcap.simulator import max_cross_pair_power, mean_projected_distance
+from beamcap.simulator import PlacementError, max_cross_pair_power, mean_projected_distance
 
 DEG = math.pi / 180.0
 
@@ -94,6 +94,31 @@ class TestPlacePair:
         for _ in range(5_000):
             assert place_pair(ours, dep) == reference_place_pair(theirs, dep)
 
+    @pytest.mark.parametrize("model, r_d", [(FixedDistance(0.7), 1.5), (UniformDistance(5.0), 6.0),
+                                            (CuboidProjection(0.3, 0.5, 0.6), 0.4)])
+    def test_draw_counts_match_reference(self, model, r_d):
+        # a region small enough that many attempts retry: each placement leaves
+        # the generator where the reference's scalar and array draws leave it
+        dep = deployment(r_d=r_d, model=model)
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        attempts = []
+        for _ in range(2_000):
+            assert place_pair(ours, dep) == reference_place_pair(theirs, dep, attempts)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert sum(a - 1 for a in attempts) >= 0.1 * sum(attempts)
+
+    @pytest.mark.parametrize("model, r_d", [(FixedDistance(50.0), 10.0),
+                                            (UniformDistance(1000.0), 1e-3),
+                                            (CuboidProjection(100.0, 100.0, 1.0), 1.0)])
+    def test_exhaustion_draws_match_reference(self, model, r_d):
+        dep = deployment(r_d=r_d, model=model)
+        ours, theirs = np.random.default_rng(32), np.random.default_rng(32)
+        with pytest.raises(PlacementError):
+            place_pair(ours, dep)
+        with pytest.raises(PlacementError):
+            reference_place_pair(theirs, dep)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_impossible_placement_raises(self):
         rng = np.random.default_rng(7)
         dep = deployment(r_d=10.0, model=FixedDistance(50.0))
@@ -109,10 +134,9 @@ class TestScalarDraws:
     @pytest.mark.parametrize("d_max", [1e-3, 0.7, 1.0, 5.0, 13.37, 250.0])
     def test_uniform_distance_matches_interp(self, d_max):
         model = UniformDistance(d_max)
-        rng = np.random.default_rng(21)
-        got = np.array([model.sample(rng) for _ in range(self.N)])
-        want = np.interp(np.random.default_rng(21).random(self.N), [0.0, 0.5, 1.0],
-                         [0.0, 0.5 * d_max, d_max])
+        u = np.random.default_rng(21).random(self.N)
+        got = np.array([model.quantile(v) for v in u.tolist()])
+        want = np.interp(u, [0.0, 0.5, 1.0], [0.0, 0.5 * d_max, d_max])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dims", [(0.3, 0.5, 0.6), (1.0, 1.0, 1.0), (7.1, 0.02, 3.3)])
@@ -123,11 +147,12 @@ class TestScalarDraws:
         assert np.array_equal(got, want)
 
 
-def reference_place_pair(rng, deployment):
-    """place_pair with the numpy draws it used to make: np.interp for the
-    uniform distance, rng.uniform for the cuboid offsets."""
+def reference_place_pair(rng, deployment, attempts=None):
+    """place_pair with the draws it used to make, one call per uniform:
+    np.interp for the uniform distance, rng.uniform for the cuboid offsets.
+    attempts, if given, gets the number of attempts each placement took."""
     r_d, model = deployment.region_radius, deployment.pair_model
-    for _ in range(100):
+    for attempt in range(1, 101):
         r = r_d * math.sqrt(rng.random())
         phi = 2.0 * math.pi * rng.random()
         ax, ay = r * math.cos(phi), r * math.sin(phi)
@@ -142,9 +167,11 @@ def reference_place_pair(rng, deployment):
             bx, by = ax + d * math.cos(psi), ay + d * math.sin(psi)
         if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
             continue
+        if attempts is not None:
+            attempts.append(attempt)
         return PairPlacement((ax, ay), (bx, by), math.atan2(by - ay, bx - ax),
                              math.atan2(ay - by, ax - bx))
-    raise AssertionError("no placement")
+    raise PlacementError("no placement")
 
 
 class TestAdmissionCheck:
@@ -308,6 +335,42 @@ class TestRun:
         for snapshot in rep.snapshots:
             worst = max_cross_pair_power(snapshot, cfg.radio, cfg.antenna)
             assert worst < cfg.radio.n_thr_mw
+
+    def test_hardcore_property_one_way(self):
+        # a one-way newcomer may cover earlier pairs, never the reverse
+        lam = 30.0 / (math.pi * 200.0**2)
+        cfg = sim_config(lam=lam, r_d=200.0, seed=8, reps=1, warmup=5.0, horizon=30.0,
+                         mode=CheckMode.ONE_WAY)
+        rep = run_replication(cfg, 0, snapshot_times=np.linspace(6, 29, 12))
+        ordered = max(max_cross_pair_power(s, cfg.radio, cfg.antenna, CheckMode.ONE_WAY)
+                      for s in rep.snapshots)
+        either = max(max_cross_pair_power(s, cfg.radio, cfg.antenna) for s in rep.snapshots)
+        assert ordered < cfg.radio.n_thr_mw <= either
+
+    def test_place_pair_wrapper_sees_every_arrival(self, tmp_path, capsys, monkeypatch):
+        # perfbench counts arrivals with a wrapper set on simulator.place_pair:
+        # the loop calls it once per arrival, and the output keeps every byte
+        from beamcap import simulator
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text("r_d_m = 300\nlambda_per_m2 = 3.33e-4\nreplications = 2\n"
+                       "warmup_s = 5\nhorizon_s = 20\n")
+        argv = ["simulate", "--config", str(cfg), "--seed", "5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        calls = {"place_pair": 0, "admit": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "place_pair", counting("place_pair", simulator.place_pair))
+        monkeypatch.setattr(simulator._SectorGrid, "admit",
+                            counting("admit", simulator._SectorGrid.admit))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert calls["place_pair"] == calls["admit"] >= int(plain.splitlines()[1].split(",")[9]) > 0
 
     def test_workers_capped_at_replications(self, monkeypatch):
         from beamcap import simulator
