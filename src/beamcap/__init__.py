@@ -12,7 +12,7 @@ from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
 from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
                     dbm_to_mw, max_directivity, received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
-                        PairPlacement, SimConfig, SimStats, UniformDistance, admission_check,
+                        PairPlacement, SimStats, UniformDistance, admission_check,
                         place_pair, run, run_replication)
 from .throughput import (MeanEngine, PowerOptimum, link_rate, noise_power, optimize_power,
                          rate_components)

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario config file (key = value lines)")
         p.add_argument("--preset", help="bundled scenario preset name")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--seed", type=int, help="override the scenario's seed key (>= 0)")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for replications (>= 1; at most one per replication)")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -61,22 +61,20 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with _output(args.out) as out:
-            scenario = None
-            if args.command != "validate" or args.config or args.preset:
-                scenario = load_scenario(path=args.config, preset=args.preset)
+            preset = args.preset
+            if args.command == "validate" and not (args.config or preset):
+                preset = "desk-fig4"
+            overrides = {} if args.seed is None else {"seed": str(args.seed)}
+            scenario = load_scenario(path=args.config, preset=preset, overrides=overrides)
             if args.command == "simulate":
                 check_simulation_budget(scn for _, _, scn in sweep_points(scenario))
             if args.command == "analyze":
                 rows = cli_rows.analyze_rows(scenario)
             elif args.command == "simulate":
-                rows = cli_rows.simulate_rows(scenario, jobs=args.jobs, seed=args.seed)
+                rows = cli_rows.simulate_rows(scenario, jobs=args.jobs)
             elif args.command == "sweep-power":
                 rows = cli_rows.sweep_power_rows(scenario)
             else:
-                if scenario is None:
-                    scenario = validation.desk_scenario(seed=args.seed)
-                elif args.seed is not None:
-                    scenario = scenario.with_value("seed", args.seed)
                 check_simulation_budget([scenario])
                 results = validation.run_all(scenario, jobs=args.jobs)
                 if args.format == "json":

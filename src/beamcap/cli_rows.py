@@ -42,11 +42,13 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def render_json(rows: list[dict]) -> str:
+    """Rows as a JSON array; a non-finite float (NaN, an infinite CI) prints as null."""
     def clean(v):
-        if isinstance(v, float) and math.isnan(v):
+        if isinstance(v, float) and not math.isfinite(v):
             return None
         return v
-    return json.dumps([{k: clean(v) for k, v in r.items()} for r in rows], indent=2) + "\n"
+    return json.dumps([{k: clean(v) for k, v in r.items()} for r in rows], indent=2,
+                      allow_nan=False) + "\n"
 
 
 def analyze_rows(scenario: Scenario) -> list[dict]:
@@ -69,17 +71,16 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def simulate_rows(scenario: Scenario, jobs: int = 1, seed: int | None = None) -> list[dict]:
+def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
     """Per sweep value: aggregated simulator statistics with the seed echoed."""
     rows = []
     for param, value, scn in sweep_points(scenario):
-        config = scn.sim_config(seed=seed)
-        stats = simulator.run(config, jobs=jobs)
+        stats = simulator.run(scn, jobs=jobs)
         rows.append({
             "sweep_param": param,
             "sweep_value": value,
-            "seed": config.seed,
-            "replications": config.replications,
+            "seed": scn.seed,
+            "replications": scn.replications,
             "mean_pairs": stats.mean_pairs,
             "ci_mean_pairs": stats.ci_halfwidth_mean_pairs,
             "mean_pairs_per_m2": stats.mean_pairs_per_m2,

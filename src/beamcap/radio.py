@@ -113,7 +113,7 @@ class AntennaModel:
     @classmethod
     def from_table(cls, samples) -> "AntennaModel":
         """Build from an iterable of (angle_rad, gain_dbi) pairs."""
-        arr = np.asarray(list(samples), dtype=float)
+        arr = np.asarray(list(samples), dtype=float).reshape(-1, 2)  # no rows: shape (0, 2)
         return cls(AntennaVariant.TABLE, arr[:, 0].copy(), arr[:, 1].copy())
 
     @classmethod

@@ -18,7 +18,7 @@ from pathlib import Path
 from .queueing import ChainParams, Variant
 from .radio import AntennaModel, RadioParams, beam_area, coverage_radius
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
-                        PairModel, SimConfig, UniformDistance)
+                        PairModel, UniformDistance)
 from .throughput import MeanEngine
 
 
@@ -162,8 +162,9 @@ PRESETS: dict[str, dict[str, str]] = {
 class Scenario:
     """Validated experiment description binding all module parameter sets.
 
-    The simulator takes its SimConfig projection, the analytic engine its
-    chain; the rate layer (throughput) reads the scenario itself.
+    One object serves both engines: the simulator and the rate layer
+    (throughput) read the scenario itself, and the analytic engine takes
+    its chain (chain).
     """
 
     radio: RadioParams
@@ -175,8 +176,8 @@ class Scenario:
     mean_engine: MeanEngine
     seed: int
     replications: int
-    warmup_s: float
-    horizon_s: float
+    warmup: float
+    horizon: float
     p_tx_min_dbm: float
     p_tx_max_dbm: float
     p_tx_step_db: float
@@ -193,13 +194,18 @@ class Scenario:
         if self.p_tx_max_dbm < self.p_tx_min_dbm:
             raise ValueError(f"p_tx_max_dbm {self.p_tx_max_dbm} is below "
                              f"p_tx_min_dbm {self.p_tx_min_dbm}")
+        if not self.horizon > self.warmup > 0:
+            raise ValueError(
+                f"horizon must exceed warmup > 0, got horizon={self.horizon} warmup={self.warmup}"
+            )
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
-    def sim_config(self, seed: int | None = None) -> SimConfig:
-        return SimConfig(
-            deployment=self.deployment, radio=self.radio, antenna=self.antenna,
-            check_mode=self.check_mode, warmup=self.warmup_s, horizon=self.horizon_s,
-            replications=self.replications, seed=self.seed if seed is None else seed,
-        )
+    def sim_config(self, seed: int) -> "Scenario":
+        """This scenario under another seed; perfbench's admission probe calls it."""
+        return self.with_value("seed", seed)
 
     def chain(self, p_tx_dbm: float) -> ChainParams:
         """Chain at transmit power p_tx_dbm: footprint ratio from the coverage radius.
@@ -232,8 +238,9 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys are rejected by line number."""
+    """Parse ``key = value`` lines; unknown and repeated keys are rejected by line number."""
     kv: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(rawline, 1)[0].strip()
         if not line:
@@ -245,6 +252,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         value = value.strip()
         if key not in KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r} "
+                                f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         kv[key] = value
     return kv
 
@@ -285,12 +296,11 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
                                         v["pair_model"]),
             antenna=v["antenna"], k_neighbors=v["k_neighbors"],
             variant=v["variant"], check_mode=v["check_mode"], mean_engine=v["mean_engine"],
-            seed=v["seed"], replications=v["replications"], warmup_s=v["warmup_s"],
-            horizon_s=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],
+            seed=v["seed"], replications=v["replications"], warmup=v["warmup_s"],
+            horizon=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],
             p_tx_max_dbm=v["p_tx_max_dbm"], p_tx_step_db=v["p_tx_step_db"],
             opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
         )
-        scenario.sim_config()
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]
         raise ScenarioError(f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
@@ -336,7 +346,7 @@ MAX_SIM_ARRIVALS = 1e9
 def check_simulation_budget(scenarios) -> None:
     """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals."""
     for scn in scenarios:
-        arrivals = scn.deployment.lambda_total * scn.horizon_s * scn.replications
+        arrivals = scn.deployment.lambda_total * scn.horizon * scn.replications
         if arrivals > MAX_SIM_ARRIVALS:
             raise ScenarioError(f"lambda_per_m2, horizon_s, replications: {arrivals:.3g} expected "
                                 f"arrivals (lambda_per_m2 * disk area * horizon_s * replications) "

@@ -5,6 +5,8 @@ pass a listen-before-talk admission test against every active device,
 and depart after an exponential service time.  Rejected arrivals are
 cleared.  Statistics are time averages over a post-warmup window,
 aggregated across independent replications with Student-t intervals.
+The run reads the same Scenario the chain is formed from (Scenario.chain):
+one object serves both engines.
 
 One kernel, radio.received_power_mw, defines received power for
 admission and the audit.  A replication keeps its active devices in an
@@ -23,11 +25,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .radio import AntennaModel, AntennaVariant, RadioParams, link_budget, received_power_mw
+
+if TYPE_CHECKING:  # scenario imports the parameter classes from here
+    from .scenario import Scenario
 
 _PLACEMENT_RETRIES = 100
 
@@ -128,28 +133,6 @@ class PairPlacement(NamedTuple):
     pos_b: tuple[float, float]
     boresight_ab: float
     boresight_ba: float
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    deployment: DeploymentParams
-    radio: RadioParams
-    antenna: AntennaModel
-    check_mode: CheckMode = CheckMode.TWO_WAY
-    warmup: float = 20.0
-    horizon: float = 120.0
-    replications: int = 20
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.horizon > self.warmup > 0:
-            raise ValueError(
-                f"horizon must exceed warmup > 0, got horizon={self.horizon} warmup={self.warmup}"
-            )
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +495,7 @@ def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
     return index.admit(len(active), candidate)
 
 
-def run_replication(config: SimConfig, rep_index: int, *,
+def run_replication(scn: Scenario, rep_index: int, *,
                     snapshot_times: Sequence[float] = ()) -> ReplicationResult:
     """One independent replication with its own generator and event set.
 
@@ -522,12 +505,12 @@ def run_replication(config: SimConfig, rep_index: int, *,
     An arrival and a departure at exactly the same time (probability zero)
     are taken arrival first.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(rep_index,)))
-    dep = config.deployment
+    rng = np.random.default_rng(np.random.SeedSequence(scn.seed, spawn_key=(rep_index,)))
+    dep = scn.deployment
     lam = dep.lambda_total
-    warmup, horizon = config.warmup, config.horizon
+    warmup, horizon = scn.warmup, scn.horizon
     active: dict[int, PairPlacement] = {}
-    index = _admission_index(config.radio, config.antenna, config.check_mode)
+    index = _admission_index(scn.radio, scn.antenna, scn.check_mode)
     admit, remove = index.admit, index.remove
     exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
     mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu
@@ -576,32 +559,32 @@ def run_replication(config: SimConfig, rep_index: int, *,
     return ReplicationResult(observed, accepted, state_time, tuple(snapshots))
 
 
-def _replicate(config: SimConfig, rep_index: int) -> ReplicationResult:
+def _replicate(scn: Scenario, rep_index: int) -> ReplicationResult:
     # the pool pickles its function by name, and the module attribute
     # run_replication may be a wrapper that does not pickle (perfbench's tracer)
-    return run_replication(config, rep_index)
+    return run_replication(scn, rep_index)
 
 
-def run(config: SimConfig, jobs: int = 1) -> SimStats:
+def run(scn: Scenario, jobs: int = 1) -> SimStats:
     """Run every replication and aggregate time-averaged statistics.
 
-    Identical configs (seed included) produce identical SimStats; the
+    Identical scenarios (seed included) produce identical SimStats; the
     replication results are reduced in index order regardless of how many
     workers execute them.  At most one worker per replication is started.
     """
-    indices = range(config.replications)
-    workers = min(jobs, config.replications)
+    indices = range(scn.replications)
+    workers = min(jobs, scn.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_replicate, [config] * len(indices), indices))
+            reps = list(pool.map(_replicate, [scn] * len(indices), indices))
     else:
-        reps = [run_replication(config, i) for i in indices]
-    return aggregate(reps, config)
+        reps = [run_replication(scn, i) for i in indices]
+    return aggregate(reps, scn)
 
 
-def aggregate(reps: Sequence[ReplicationResult], config: SimConfig) -> SimStats:
+def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
     flags = []
-    window = config.horizon - config.warmup
+    window = scn.horizon - scn.warmup
     means = np.array([sum(n * dt for n, dt in r.state_time.items()) / window for r in reps])
     mean_pairs = float(means.mean())
     ci_mean = _t_halfwidth(means)
@@ -626,7 +609,7 @@ def aggregate(reps: Sequence[ReplicationResult], config: SimConfig) -> SimStats:
     hist /= hist.sum()
     return SimStats(
         mean_pairs=mean_pairs,
-        mean_pairs_per_m2=mean_pairs / config.deployment.area,
+        mean_pairs_per_m2=mean_pairs / scn.deployment.area,
         p_accept=p_accept,
         state_histogram=hist,
         ci_halfwidth_mean_pairs=ci_mean,

@@ -117,11 +117,6 @@ def check_closed_vs_series() -> CheckResult:
                        "2*gamma*load >= 10, bell-shaped regime")
 
 
-def desk_scenario(seed: int | None = None) -> Scenario:
-    overrides = {} if seed is None else {"seed": str(seed)}
-    return load_scenario(preset="desk-fig4", overrides=overrides)
-
-
 def analytic_reference(scn: Scenario) -> tuple[float, float, float]:
     """(gamma, series mean pairs, acceptance probability) for a scenario."""
     params = scn.chain(scn.radio.p_tx_dbm)
@@ -144,7 +139,7 @@ def check_cross_engine(scn: Scenario, stats: simulator.SimStats) -> list[CheckRe
 
 def check_monotonicity() -> CheckResult:
     """Load sweep monotonicity and footprint ordering across beamwidths."""
-    scn = desk_scenario()
+    scn = load_scenario(preset="desk-fig4")
     lams = np.linspace(3.33e-5, 6.66e-4, 10)
     e_prev, p_prev = -math.inf, math.inf
     ok = True
@@ -189,11 +184,10 @@ def check_power_optimum() -> list[CheckResult]:
 def check_hard_core(scn: Scenario) -> CheckResult:
     """No device of an admitted pair receives the threshold from another pair's
     transmitter (one-way: an earlier pair's), on six snapshots of one replication."""
-    cfg = scn.sim_config()
-    times = [cfg.warmup + (cfg.horizon - cfg.warmup) * k / 7 for k in range(1, 7)]
-    snaps = simulator.run_replication(cfg, 0, snapshot_times=times).snapshots
-    worst = max(simulator.max_cross_pair_power(s, cfg.radio, cfg.antenna, cfg.check_mode)
-                for s in snaps) / cfg.radio.n_thr_mw
+    times = [scn.warmup + (scn.horizon - scn.warmup) * k / 7 for k in range(1, 7)]
+    snaps = simulator.run_replication(scn, 0, snapshot_times=times).snapshots
+    worst = max(simulator.max_cross_pair_power(s, scn.radio, scn.antenna, scn.check_mode)
+                for s in snaps) / scn.radio.n_thr_mw
     return CheckResult("hard-core-audit", len(snaps) == len(times) and worst < 1.0, worst, 1.0,
                        f"max cross-pair power/N_thr; snapshot pairs {[len(s) for s in snaps]}")
 
@@ -222,7 +216,7 @@ def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
         check_beam_area(),
         check_closed_vs_series(),
     ]
-    results.extend(check_cross_engine(scn, simulator.run(scn.sim_config(), jobs=jobs)))
+    results.extend(check_cross_engine(scn, simulator.run(scn, jobs=jobs)))
     results.append(check_hard_core(scn))
     results.append(check_monotonicity())
     results.extend(check_power_optimum())

@@ -54,9 +54,9 @@ def test_criterion_5_closed_form_vs_series():
 
 @pytest.fixture(scope="module")
 def desk_stats():
-    scn = validation.desk_scenario()
+    scn = load_scenario(preset="desk-fig4")
     t0 = time.time()
-    stats = simulator.run(scn.sim_config(), jobs=JOBS)
+    stats = simulator.run(scn, jobs=JOBS)
     return scn, stats, time.time() - t0
 
 
@@ -72,7 +72,7 @@ def test_one_way_chain_matches_one_way_simulation():
     the one-way simulator on desk-fig4, 6 replications at seed 1."""
     scn = load_scenario(preset="desk-fig4", overrides={
         "check_mode": "one-way", "replications": "6", "seed": "1"})
-    stats = simulator.run(scn.sim_config(), jobs=JOBS)
+    stats = simulator.run(scn, jobs=JOBS)
     e_n = cli_rows.analyze_rows(scn)[0]["mean_pairs_series"]
     assert abs(e_n - stats.mean_pairs) / stats.mean_pairs <= 0.05, (e_n, stats.mean_pairs)
 

@@ -213,6 +213,14 @@ class TestAntennaTable:
         with pytest.raises(ValueError, match="b.csv:3"):
             AntennaModel.from_pattern_file(bad_row)
 
+    def test_header_only_pattern_file_is_a_value_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("angle_deg,gain_dbi\n")
+        with pytest.raises(ValueError, match="matching 1-D angle/gain samples"):
+            AntennaModel.from_pattern_file(empty)
+        with pytest.raises(ValueError, match="matching 1-D angle/gain samples"):
+            AntennaModel.from_table([])
+
     def test_table_invariants(self):
         with pytest.raises(ValueError, match="start at angle 0"):
             AntennaModel.from_table([(0.1, 1.0), (0.2, 0.0)])

@@ -13,7 +13,8 @@ import beamcap
 from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area,
                      coverage_radius, queueing)
 from beamcap.cli import main
-from beamcap.cli_rows import analyze_rows, render_csv, simulate_rows, sweep_power_rows
+from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
+                              sweep_power_rows)
 from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
                               build_scenario, check_simulation_budget, load_scenario,
                               parse_config_text, sweep_points)
@@ -50,6 +51,13 @@ BAD_VALUES = {
 }
 
 
+def strict_json(text: str):
+    """Parse text as JSON proper: NaN and Infinity, which json.loads accepts, raise."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_python(code: str) -> str:
     """Stdout of code run in a fresh interpreter that imports this beamcap."""
     src = str(Path(beamcap.__file__).resolve().parents[1])
@@ -72,6 +80,23 @@ class TestConfigParsing:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ScenarioError, match=r"<config>:2: unknown key 'lambda'"):
             parse_config_text("mu_per_s = 1\nlambda = 3\n")
+
+    def test_duplicate_key_rejected_with_both_lines(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^f.cfg:4: duplicate key 'seed' \(first set on line 2\)$"):
+            parse_config_text("mu_per_s = 1\nseed = 3\n# again\nseed = 4\n", source="f.cfg")
+
+    def test_duplicate_key_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("theta_deg = 30\ntheta_deg = 8\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: duplicate key 'theta_deg' (first set on line 1)" in capsys.readouterr().err
+
+    def test_preset_and_override_still_override_file_keys(self, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("r_d_m = 250\nseed = 3\n")
+        scn = load_scenario(path=cfg, preset="desk-fig4", overrides={"seed": "9"})
+        assert (scn.deployment.region_radius, scn.seed) == (250.0, 9)
 
     def test_bad_syntax_line(self):
         with pytest.raises(ScenarioError, match=":1: expected 'key = value'"):
@@ -151,6 +176,16 @@ class TestConfigParsing:
         assert main(["analyze", "--preset", "paper-fig4", "--config", str(cfg)]) == 0
         assert calls == [str(table)]
         capsys.readouterr()
+
+    def test_header_only_pattern_file_exit_code(self, tmp_path, capsys):
+        pattern = tmp_path / "empty.csv"
+        pattern.write_text("angle_deg,gain_dbi\n")
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(f"antenna = table:{pattern}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "antenna: pattern table needs matching 1-D angle/gain samples" in err
+        assert "Traceback" not in err
 
     def test_missing_pattern_file_names_key(self):
         with pytest.raises(ScenarioError, match="antenna"):
@@ -297,7 +332,7 @@ FAST_SIM = {
 
 class TestSimulateRows:
     def test_row_fields_and_seed_echo(self):
-        rows = simulate_rows(load_scenario(overrides=FAST_SIM), seed=123)
+        rows = simulate_rows(load_scenario(overrides=dict(FAST_SIM, seed="123")))
         assert len(rows) == 1
         assert rows[0]["seed"] == 123
         assert rows[0]["replications"] == 2
@@ -319,6 +354,39 @@ class TestSimulateRows:
         assert text.splitlines()[0] == (
             "sweep_param,sweep_value,seed,replications,mean_pairs,ci_mean_pairs,"
             "mean_pairs_per_m2,p_accept,ci_p_accept,arrivals_observed,flags")
+
+
+class TestSeedOverride:
+    """--seed overrides the seed key at load time, for every command."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_simulate_seed_flag_prints_the_seed_key_bytes(self, jobs, tmp_path, capsys):
+        base = "".join(f"{k} = {v}\n" for k, v in FAST_SIM.items() if k != "seed")
+        base += "sweep_param = lambda_per_m2\nsweep_values = 2.4e-4,3e-4\n"
+        plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+        plain.write_text(base)
+        keyed.write_text(base + "seed = 7\n")
+        assert main(["simulate", "--config", str(plain), "--seed", "7", "--jobs", jobs]) == 0
+        flagged = capsys.readouterr().out
+        assert main(["simulate", "--config", str(keyed), "--jobs", jobs]) == 0
+        assert capsys.readouterr().out.encode() == flagged.encode()
+        assert [row.split(",")[2] for row in flagged.splitlines()[1:]] == ["7", "7"]
+
+    def test_validate_seed_without_config_is_desk_fig4_at_that_seed(self, monkeypatch, capsys):
+        from beamcap import validation
+        ran = []
+        monkeypatch.setattr(validation, "run_all", lambda scn, jobs: ran.append(scn) or [])
+        assert main(["validate", "--seed", "5"]) == 0
+        assert main(["validate", "--preset", "desk-fig4", "--seed", "5"]) == 0
+        assert main(["validate"]) == 0
+        assert ran[0].raw == ran[1].raw == dict(ran[2].raw, seed="5")
+        assert (ran[0].seed, ran[2].seed) == (5, 1)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep-power", "validate"])
+    def test_negative_seed_exit_code(self, command, capsys):
+        assert main([command, "--preset", "desk-fig4", "--seed", "-1"]) == 2
+        assert "seed: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestSweepPowerRows:
@@ -381,6 +449,20 @@ class TestCliEntry:
         assert main(["analyze", "--preset", "desk-fig4", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["gamma"] == pytest.approx(6.352895528605475e-3, rel=1e-9)
+
+    def test_json_is_strict_with_an_infinite_ci(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               dict(FAST_SIM, replications="1", horizon_s="8").items()))
+        assert main(["simulate", "--config", str(cfg), "--format", "json"]) == 0
+        rows = strict_json(capsys.readouterr().out)
+        assert rows[0]["ci_mean_pairs"] is None and rows[0]["ci_p_accept"] is None
+        assert "low-confidence" in rows[0]["flags"]
+
+    def test_render_json_prints_every_non_finite_float_as_null(self):
+        text = render_json([{"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.5}])
+        assert strict_json(text) == [
+            {"a": None, "b": None, "c": None, "d": 1.5}]
 
     def test_simulate_determinism_through_cli(self, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"

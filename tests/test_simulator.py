@@ -1,15 +1,16 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from beamcap import (AntennaModel, CheckMode, CuboidProjection, DeploymentParams,
-                     FixedDistance, PairPlacement, RadioParams, SimConfig,
+                     FixedDistance, PairPlacement, RadioParams,
                      UniformDistance, admission_check, coverage_radius,
                      place_pair, run, run_replication)
 from beamcap.cli import main
+from beamcap.scenario import ScenarioError, build_scenario
 from beamcap.simulator import PlacementError, max_cross_pair_power, mean_projected_distance
 
 DEG = math.pi / 180.0
@@ -223,19 +224,19 @@ class TestAdmissionCheck:
                 assert one
 
 
-def sim_config(lam=3.33e-4, r_d=300.0, seed=11, reps=2, warmup=10.0, horizon=40.0,
-               mode=CheckMode.TWO_WAY, radio=None, model=None):
-    return SimConfig(
-        deployment=deployment(r_d=r_d, lam=lam, model=model),
-        radio=radio or small_radio(),
-        antenna=AntennaModel.analytic(),
-        check_mode=mode, warmup=warmup, horizon=horizon, replications=reps, seed=seed,
-    )
+def sim_scenario(lam=3.33e-4, r_d=300.0, seed=11, reps=2, warmup=10.0, horizon=40.0,
+                 mode=CheckMode.TWO_WAY, p_tx_dbm=10.0):
+    """The small_radio link budget and the deployment() pair model, as config keys."""
+    return build_scenario({
+        "lambda_per_m2": repr(lam), "r_d_m": repr(r_d), "seed": str(seed),
+        "replications": str(reps), "warmup_s": repr(warmup), "horizon_s": repr(horizon),
+        "check_mode": mode.value, "p_tx_dbm": repr(p_tx_dbm),
+    })
 
 
 class TestRun:
     def test_no_arrivals(self):
-        stats = run(sim_config(lam=0.0, reps=2))
+        stats = run(sim_scenario(lam=0.0, reps=2))
         assert stats.mean_pairs == 0.0
         assert stats.state_histogram.tolist() == [1.0]
         assert math.isnan(stats.p_accept)
@@ -243,7 +244,7 @@ class TestRun:
         assert stats.arrivals_observed == 0
 
     def test_determinism_and_seed_sensitivity(self):
-        cfg = sim_config(seed=42)
+        cfg = sim_scenario(seed=42)
         s1, s2 = run(cfg), run(cfg)
         assert s1.mean_pairs == s2.mean_pairs
         assert s1.p_accept == s2.p_accept
@@ -251,7 +252,7 @@ class TestRun:
         assert s1.ci_halfwidth_mean_pairs == s2.ci_halfwidth_mean_pairs
         assert s1.mean_pairs_per_m2 == pytest.approx(
             s1.mean_pairs / cfg.deployment.area, rel=1e-15)
-        s3 = run(sim_config(seed=43))
+        s3 = run(sim_scenario(seed=43))
         assert s3.mean_pairs != s1.mean_pairs
 
     def test_table_antenna_tracks_analytic(self):
@@ -266,12 +267,9 @@ class TestRun:
             rows.append((a, 10 * math.log10(d0 * (1 - a / radio.theta))))
         rows.append((radio.theta, -150.0))
         table = AntennaModel.from_table(rows)
-        base = sim_config(lam=20.0 / (math.pi * 200.0**2), r_d=200.0, seed=17,
+        base = sim_scenario(lam=20.0 / (math.pi * 200.0**2), r_d=200.0, seed=17,
                           warmup=5.0, horizon=30.0)
-        tbl_cfg = SimConfig(deployment=base.deployment, radio=base.radio, antenna=table,
-                            check_mode=base.check_mode, warmup=base.warmup,
-                            horizon=base.horizon, replications=base.replications,
-                            seed=base.seed)
+        tbl_cfg = replace(base, antenna=table)
         s_analytic = run(base)
         s_table = run(tbl_cfg)
         assert s_table.p_accept == pytest.approx(s_analytic.p_accept, abs=0.05)
@@ -295,9 +293,8 @@ class TestRun:
     def test_negligible_footprint_matches_mminf(self):
         # -70 dBm transmit power shrinks coverage to millimetres: no pair
         # ever interacts and the population is pure immigration-death
-        radio = small_radio(p_tx_dbm=-70.0)
         lam_density = 5.0 / (math.pi * 50.0**2)
-        cfg = sim_config(lam=lam_density, r_d=50.0, radio=radio, seed=5,
+        cfg = sim_scenario(lam=lam_density, r_d=50.0, p_tx_dbm=-70.0, seed=5,
                          reps=4, warmup=20.0, horizon=520.0)
         stats = run(cfg)
         assert stats.p_accept == 1.0
@@ -318,18 +315,18 @@ class TestRun:
 
     def test_two_way_not_more_permissive(self):
         lam = 30.0 / (math.pi * 200.0**2)
-        one = run(sim_config(lam=lam, r_d=200.0, seed=21, mode=CheckMode.ONE_WAY))
-        two = run(sim_config(lam=lam, r_d=200.0, seed=21, mode=CheckMode.TWO_WAY))
+        one = run(sim_scenario(lam=lam, r_d=200.0, seed=21, mode=CheckMode.ONE_WAY))
+        two = run(sim_scenario(lam=lam, r_d=200.0, seed=21, mode=CheckMode.TWO_WAY))
         assert two.p_accept <= one.p_accept
 
     def test_population_conservation(self):
-        cfg = sim_config(seed=31, reps=1)
+        cfg = sim_scenario(seed=31, reps=1)
         rep = run_replication(cfg, 0)
         assert 0 <= rep.accepted <= rep.observed
 
     def test_hardcore_property_two_way(self):
         lam = 30.0 / (math.pi * 200.0**2)
-        cfg = sim_config(lam=lam, r_d=200.0, seed=8, reps=1, warmup=5.0, horizon=30.0)
+        cfg = sim_scenario(lam=lam, r_d=200.0, seed=8, reps=1, warmup=5.0, horizon=30.0)
         rep = run_replication(cfg, 0, snapshot_times=np.linspace(6, 29, 12))
         assert any(len(s) >= 2 for s in rep.snapshots)
         for snapshot in rep.snapshots:
@@ -339,7 +336,7 @@ class TestRun:
     def test_hardcore_property_one_way(self):
         # a one-way newcomer may cover earlier pairs, never the reverse
         lam = 30.0 / (math.pi * 200.0**2)
-        cfg = sim_config(lam=lam, r_d=200.0, seed=8, reps=1, warmup=5.0, horizon=30.0,
+        cfg = sim_scenario(lam=lam, r_d=200.0, seed=8, reps=1, warmup=5.0, horizon=30.0,
                          mode=CheckMode.ONE_WAY)
         rep = run_replication(cfg, 0, snapshot_times=np.linspace(6, 29, 12))
         ordered = max(max_cross_pair_power(s, cfg.radio, cfg.antenna, CheckMode.ONE_WAY)
@@ -392,7 +389,7 @@ class TestRun:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
-        cfg = sim_config(seed=3, reps=2, warmup=5.0, horizon=10.0)
+        cfg = sim_scenario(seed=3, reps=2, warmup=5.0, horizon=10.0)
         fanned = run(cfg, jobs=10_000)
         assert started == [2]
         serial = run(cfg, jobs=1)
@@ -400,17 +397,17 @@ class TestRun:
         assert (fanned.mean_pairs, fanned.p_accept) == (serial.mean_pairs, serial.p_accept)
 
     def test_low_confidence_flag(self):
-        stats = run(sim_config(seed=2, reps=1, warmup=10.0, horizon=12.0))
+        stats = run(sim_scenario(seed=2, reps=1, warmup=10.0, horizon=12.0))
         assert "low-confidence" in stats.flags
         assert stats.ci_halfwidth_mean_pairs == math.inf
 
     def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            sim_config(warmup=10.0, horizon=10.0)
-        with pytest.raises(ValueError):
-            sim_config(reps=0)
-        with pytest.raises(ValueError):
-            sim_config(seed=-1)
+        with pytest.raises(ScenarioError, match="^horizon_s: horizon must exceed warmup > 0"):
+            sim_scenario(warmup=10.0, horizon=10.0)
+        with pytest.raises(ScenarioError, match="^replications: replications must be >= 1"):
+            sim_scenario(reps=0)
+        with pytest.raises(ScenarioError, match="^seed: seed must be a non-negative integer"):
+            sim_scenario(seed=-1)
 
 
 @dataclass(frozen=True)
