@@ -14,14 +14,6 @@ import math
 from . import queueing, simulator, throughput
 from .scenario import Scenario, sweep_points
 
-ANALYZE_COLUMNS = ("sweep_param", "sweep_value", "gamma", "mean_pairs_series",
-                   "mean_pairs_closed", "mean_pairs_per_m2", "p_accept", "tail_bound")
-SIMULATE_COLUMNS = ("sweep_param", "sweep_value", "seed", "replications", "mean_pairs",
-                    "ci_mean_pairs", "mean_pairs_per_m2", "p_accept", "ci_p_accept",
-                    "arrivals_observed", "flags")
-SWEEP_POWER_COLUMNS = ("row_type", "sweep_param", "sweep_value", "p_tx_dbm", "gamma",
-                       "mean_pairs", "link_rate_bps", "area_rate_bps_m2", "flags")
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):

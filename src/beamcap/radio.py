@@ -56,6 +56,12 @@ class RadioParams:
             raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         if not math.isfinite(self.snr_max_db):
             raise ValueError(f"snr_max_db must be finite, got {self.snr_max_db}")
+        try:   # p_tx_mw, D0 or the root may overflow or divide by zero
+            r = coverage_radius(self)
+        except (OverflowError, ZeroDivisionError):
+            r = math.inf
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"p_tx_dbm, n_thr_dbm, theta, kappa, c_const give coverage radius {r}")
 
     @property
     def p_tx_mw(self) -> float:
@@ -148,7 +154,7 @@ class AntennaModel:
         """Largest gain at any angle; a table's largest sample may exceed D0."""
         if self.variant is AntennaVariant.ANALYTIC:
             return max_directivity(radio.theta)
-        return float(10.0 ** (self.gains_dbi.max() / 10.0))
+        return 10.0 ** (float(self.gains_dbi.max()) / 10.0)   # OverflowError, not inf
 
 
 def max_directivity(theta: float) -> float:

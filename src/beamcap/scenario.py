@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .queueing import ChainParams, Variant
-from .radio import AntennaModel, RadioParams, beam_area, coverage_radius
+from .radio import AntennaModel, RadioParams, beam_area, coverage_radius, link_budget
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairModel, UniformDistance)
 from .throughput import MeanEngine
@@ -114,7 +114,7 @@ DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in KEYS.items(
 SWEEPABLE_KEYS = frozenset(key for key, (_, _, sweepable) in KEYS.items() if sweepable)
 
 # dataclass field -> config key, where the names differ; every dataclass
-# check message starts with its field name
+# check message starts with its field name, or a list of them ("a, b, c ...")
 _FIELD_KEYS = {"theta": "theta_deg", "region_radius": "r_d_m", "lambda_density": "lambda_per_m2",
                "mu": "mu_per_s", "horizon": "horizon_s", "warmup": "warmup_s"}
 
@@ -202,6 +202,13 @@ class Scenario:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        try:   # a table's peak may lie far from D0, which RadioParams checks
+            reach = link_budget(self.radio, self.antenna.peak_gain_linear(self.radio)) ** (
+                1.0 / self.radio.kappa)
+        except OverflowError:
+            reach = math.inf
+        if not 0.0 < reach < math.inf:
+            raise ValueError(f"antenna peak gain gives reach {reach} m with this link budget")
 
     def sim_config(self, seed: int) -> "Scenario":
         """This scenario under another seed; perfbench's admission probe calls it."""
@@ -302,8 +309,8 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
             opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
         )
     except ValueError as exc:
-        field = str(exc).split(" ", 1)[0]
-        raise ScenarioError(f"{_FIELD_KEYS.get(field, field)}: {exc}") from None
+        fields = re.match(r"\w*(?:, \w+)*", str(exc)).group().split(", ")
+        raise ScenarioError(f"{', '.join(_FIELD_KEYS.get(f, f) for f in fields)}: {exc}") from None
     model = v["pair_model"]
     if isinstance(model, FixedDistance) and model.distance >= 2.0 * v["r_d_m"]:
         raise ScenarioError(f"pair_model: fixed distance {model.distance:g} m does not fit "

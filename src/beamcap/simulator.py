@@ -9,11 +9,12 @@ The run reads the same Scenario the chain is formed from (Scenario.chain):
 one object serves both engines.
 
 One kernel, radio.received_power_mw, defines received power for
-admission and the audit.  A replication keeps its active devices in an
-admission index: with the analytic antenna a grid of beam sectors whose
-pairs are decided in scalar code (_SectorGrid, _covers), with a table
-antenna flat arrays decided in kernel passes (_ActiveSet).  Every
-decision is the kernel's, so output bytes do not depend on the path.
+admission and the audit.  A replication keeps its active devices in one
+admission index for every antenna, a grid of beam sectors (_SectorGrid),
+whose pairs are decided in scalar code (_covers), or by the kernel inside
+a rounding band and where the scalar test cannot decide (a table antenna,
+a link budget out of range).  Every decision is the kernel's, so output
+bytes do not depend on which side decides.
 """
 
 from __future__ import annotations
@@ -209,55 +210,53 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
     )
 
 
-def _reach(radio: RadioParams, antenna: AntennaModel) -> float:
-    """Farthest any transmitter delivers the threshold (gain <= peak), plus a rounding margin."""
-    return link_budget(radio, antenna.peak_gain_linear(radio)) ** (1.0 / radio.kappa) * (1.0 + 1e-9)
-
-
 class _ScalarTest(NamedTuple):
-    """Per-replication constants of the scalar admission test (analytic antenna)."""
+    """Per-replication constants of the scalar admission test."""
 
     k0: float          # p_tx*D0/(C*N_thr): power >= N_thr iff (1 - alpha/theta)*k0 >= d^kappa
-    r2: float          # squared screen radius: k0^(2/kappa) widened by its rounding bound
-    theta: float
+    r2: float          # squared screen radius: no pair farther apart covers
+    radius: float      # the grid's sector radius and cell side: sqrt(r2), or reach
+    theta: float       # the sector's half-angle: no pair past theta + 2*eta covers at d > 0
     half_kappa: float
-    rel: float         # angle-free part of the band, 2*(9*kappa + 32)*u
+    rel: float         # angle-free part of the band, 2*(9*kappa + 32)*u; inf: the kernel decides
 
 
 _U = 2.0 ** -53                 # float64 unit roundoff
 _ANGLE_ERR = 40.0 * _U          # |computed - exact| deviation angle on either path [rad]
 _ANGLE_BAND = 88.0 * _U         # 2*(_ANGLE_ERR + pi*u), rounded up
 _TINY = 1e-300                  # smaller d^2 or d^kappa may be subnormal: the kernel decides
-_RANGE = 1e250                  # k0, r2 and C*k0 inside (1/_RANGE, _RANGE) keep both paths normal
+_RANGE = 1e250                  # k0, reach^2 and C*k0 inside (1/R, R) keep both paths normal
 _TWO_PI = 2.0 * math.pi
 
 
-def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest | None:
-    """Constants of the scalar test, or None where the kernel decides every pair:
-    a table antenna, or a link budget whose intermediates could leave the normal range."""
-    if antenna.variant is not AntennaVariant.ANALYTIC:
-        return None
-    kappa = radio.kappa
-    k0 = link_budget(radio, antenna.peak_gain_linear(radio))
-    if not (1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE):
-        return None
-    r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
-    if not 1.0 / _RANGE < r2 < _RANGE:
-        return None
-    return _ScalarTest(k0, r2, radio.theta, 0.5 * kappa, 2.0 * (9.0 * kappa + 32.0) * _U)
+def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest:
+    """Constants of the scalar test.  Where it cannot decide, rel = inf and the kernel
+    decides every pair the screens leave: a table antenna, whose sector is the disk of
+    radius reach (theta = pi), or an analytic link budget out of range.  There r2 =
+    reach^2, at least 1e-300, as a subnormal r2 could round below a d2 the kernel covers."""
+    kappa, k0 = radio.kappa, link_budget(radio, antenna.peak_gain_linear(radio))
+    reach = k0 ** (1.0 / kappa) * (1.0 + 1e-9)      # farthest any gain (<= peak) reaches
+    analytic = antenna.variant is AntennaVariant.ANALYTIC
+    if (analytic and 1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE
+            and 1.0 / _RANGE < reach * reach < _RANGE):
+        r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
+        return _ScalarTest(k0, r2, math.sqrt(r2), radio.theta, 0.5 * kappa,
+                           2.0 * (9.0 * kappa + 32.0) * _U)
+    return _ScalarTest(k0, max(reach * reach, _TINY), reach, radio.theta if analytic else math.pi,
+                       0.5 * kappa, math.inf)
 
 
-def _covers(alpha: float, dx: float, dy: float, bore: float, d2: float, st: _ScalarTest,
-            radio: RadioParams, antenna: AntennaModel) -> bool:
-    """Whether a transmitter with boresight bore delivers the threshold over
-    (dx, dy), with d2 = dx*dx + dy*dy and alpha its wrapped deviation angle:
-    the kernel's decision.  Callers skip pairs with d^2 > r2 before atan2,
-    and those with alpha - theta >= 2*eta unless d^2 < 1e-300.
+def _covers(alpha: float, d2: float, st: _ScalarTest) -> bool | None:
+    """Whether a transmitter delivers the threshold to a receiver at squared
+    distance d2 and wrapped deviation angle alpha: the kernel's decision, or
+    None where the test defers to received_power_mw, the one definition of
+    power.  Callers skip pairs with d^2 > r2 before atan2, and those with
+    alpha - theta >= 2*eta unless d^2 < 1e-300.
 
     With k0 = p_tx*D0/(C*N_thr), power >= N_thr is q = (1 - alpha/theta)*k0
     / d^kappa >= 1.  Outside a band |q - 1| < eps the sign of q - 1 is the
-    kernel's decision; inside it, and where alpha is within 2*eta of theta,
-    received_power_mw decides, so the kernel stays the one definition of power.
+    kernel's decision; inside it, where alpha is within 2*eta of theta, at
+    d -> 0 and wherever rel = inf, the test defers.
 
     The band.  Let u = 2^-53, take the float inputs (dx and dy, which both
     paths compute alike, the boresights, p_tx, D0, theta, kappa, C, N_thr) as
@@ -283,58 +282,62 @@ def _covers(alpha: float, dx: float, dy: float, bore: float, d2: float, st: _Sca
       terms.  For e <= 1/2, q_k/q_s lies in [1 - e, 1 + 2e], so q_s >= 1 + 2e
       gives q_k >= (1 + 2e)(1 - e) >= 1 and q_s < 1 - 2e gives q_k < 1.  The
       band is eps = 2e = rel + 2*88u/gap, rel = 2*(9*kappa + 32)u, if < 1.
-    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or
-      past theta, where the kernel's gain is exactly 0.
+    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or past
+      theta, where the kernel's gain is exactly 0: power 0, or NaN, at d > 0.
     - Screen.  The kernel's gain factor is at most 1, so it cannot reach
       N_thr unless kappa*ln d* - ln k0* < (8*kappa + 12)u.  d2 carries 2u,
       k0 3u, 2/kappa u (an error of u*|ln k0| in the power), pow 8u and the
       widened product 2u; so d2 > r2 = k0^(2/kappa)*(1 + delta), delta =
-      (32 + (32 + 2|ln k0|)/kappa)u, rules the pair out.
+      (32 + (32 + 2|ln k0|)/kappa)u, rules the pair out.  Where the test
+      defers, r2 = reach^2 (normal) rules it out by reach's 1e-9 margin.
     - Range.  The bounds hold for normal floats: _scalar_test keeps k0, C*k0
-      and r2 within (1e-250, 1e250), and d^2 or d^kappa below 1e-300 (d -> 0,
-      coincident devices included) goes to the kernel.
+      and reach^2 within (1e-250, 1e250) or defers, and d^2 or d^kappa below
+      1e-300 (d -> 0, coincident devices included) goes to the kernel.
     """
     gap = st.theta - alpha - 2.0 * _ANGLE_ERR
     if d2 >= _TINY and gap > 0.0:
         band = st.rel + 2.0 * _ANGLE_BAND / gap
-        rhs = d2 ** st.half_kappa
-        if band < 1.0 and rhs >= _TINY:
-            lhs = (1.0 - alpha / st.theta) * st.k0
-            if lhs >= rhs * (1.0 + band):
-                return True
-            if lhs < rhs * (1.0 - band):
-                return False
-    # inside the band, at the beam edge or at d -> 0: the kernel decides, on
-    # arrays, whose pow, hypot and arctan2 round as the table path's do
-    return bool(received_power_mw(np.array([dx]), np.array([dy]), bore, radio, antenna)[0]
-                >= radio.n_thr_mw)
+        if band < 1.0:
+            rhs = d2 ** st.half_kappa
+            if rhs >= _TINY:
+                lhs = (1.0 - alpha / st.theta) * st.k0
+                if lhs >= rhs * (1.0 + band):
+                    return True
+                if lhs < rhs * (1.0 - band):
+                    return False
+    return None
 
 
 class _SectorGrid:
-    """Admission index of the analytic antenna: a uniform grid of cells of
-    side reach.  Each active device is listed as a receiver in its own cell,
-    and as a transmitter in every cell that meets the box of its beam sector.
-    A candidate device meets the transmitters listed in its cell and, in a
-    two-way test, the receivers in the cells of its own beam's box.  Each
-    pair found is decided by the scalar test (_covers); admission is "no pair
-    covers", so the order of the pairs does not matter.
+    """Admission index: a uniform grid of square cells of side radius, at least
+    min_side.  Each active device is listed as a receiver in its own cell, and
+    as a transmitter in every cell that meets the box of its beam sector.  A
+    candidate device meets the transmitters listed in its cell and, in a
+    two-way test, the receivers in the cells of its own beam's box.  The
+    scalar test (_covers) decides each pair found, and one kernel call per
+    direction the pairs it defers; admission is "no pair covers", so the
+    order of the pairs does not matter.
 
-    The cells hold every pair that could reach the threshold.  The scalar
-    test rules a pair out, as the kernel would, when d^2 > r2, or when
-    alpha - theta >= 2*eta and d^2 >= 1e-300.  Any other receiver lies within
-    sqrt(r2)*(1 + 3u) of the transmitter at an exact bearing within theta +
-    4*eta of the boresight (eta for alpha, 2u for dx and dy), or within
-    1e-150 of it: within 1e-9*sqrt(r2) > 1e-134 (_scalar_test) of the sector
-    of radius sqrt(r2) and half-angle theta.  The box is widened by that
-    much, plus 1e-12*(|x| + |y|) for its corners' rounding; rounded x/side
-    does not decrease as x grows, so the receiver's cell is among the box's.
+    The cells hold every pair that could reach the threshold.  The screens
+    rule a pair out, as the kernel would, when d^2 > r2, or when alpha - theta
+    >= 2*eta and d^2 >= 1e-300, and a pair at d > 0 past that angle has zero
+    gain.  So a covered receiver sits on the transmitter, or within radius*(1
+    + 3u) of it (where the test defers, reach bounds the kernel's range) at an
+    exact bearing within theta + 4*eta of the boresight (eta for alpha, 2u for
+    dx and dy): within 1e-9*radius of the sector of that radius and half-angle
+    theta, the disk at theta = pi.  The box is widened by that much, plus
+    1e-12*(|x| + |y|) for its corners' rounding; rounded x/side does not
+    decrease as x grows, so the receiver's cell is among the box's.  The side
+    only chooses which pairs are examined; its floor min_side, 1e-9 of the
+    region radius, keeps that rounding term within a cell or two of a box.
     """
 
-    def __init__(self, st: _ScalarTest, side: float, radio: RadioParams, antenna: AntennaModel,
-                 mode: CheckMode):
-        self._st, self._radio, self._antenna = st, radio, antenna
+    def __init__(self, radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
+                 min_side: float):
+        self._st = st = _scalar_test(radio, antenna)
+        self._radio, self._antenna = radio, antenna
         self._two_way = mode is CheckMode.TWO_WAY
-        self._side, self._radius = side, math.sqrt(st.r2)
+        self._side, self._radius = max(st.radius, min_side), st.radius
         self._cos, self._sin = math.cos(st.theta), math.sin(st.theta)
         self._tx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
         self._rx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
@@ -378,10 +381,11 @@ class _SectorGrid:
 
     def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
         """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
-        st, radio, antenna = self._st, self._radio, self._antenna
+        st = self._st
         r2, theta, edge, tiny, pi = st.r2, st.theta, 2.0 * _ANGLE_ERR, _TINY, math.pi
         side, floor, atan2, fabs, two_pi = self._side, math.floor, math.atan2, math.fabs, _TWO_PI
         pos_a, pos_b, bore_ab, bore_ba = candidate
+        deferred = []                           # (dx, dy, boresight) for the kernel
         for cx, cy in (pos_a, pos_b):
             listed = self._tx.get((floor(cx / side), floor(cy / side)))
             for px, py, pbore in listed.values() if listed else ():
@@ -391,11 +395,17 @@ class _SectorGrid:
                     continue
                 # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
                 alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
-                if ((alpha - theta < edge or d2 < tiny)
-                        and _covers(alpha, dx, dy, pbore, d2, st, radio, antenna)):
-                    return False
+                if alpha - theta < edge or d2 < tiny:
+                    covers = _covers(alpha, d2, st)
+                    if covers:
+                        return False
+                    if covers is None:
+                        deferred.append((dx, dy, pbore))
+        if deferred and self._kernel_covers(deferred):
+            return False
         devices = ((pos_a, bore_ab), (pos_b, bore_ba))
         boxes = [self._box_cells(x, y, bore) for (x, y), bore in devices]
+        deferred = []
         for ((cx, cy), cbore), box in zip(devices, boxes if self._two_way else ()):
             for cell in box:
                 listed = self._rx.get(cell)
@@ -405,91 +415,37 @@ class _SectorGrid:
                     if d2 > r2:
                         continue
                     alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
-                    if ((alpha - theta < edge or d2 < tiny)
-                            and _covers(alpha, rx, ry, cbore, d2, st, radio, antenna)):
-                        return False
+                    if alpha - theta < edge or d2 < tiny:
+                        covers = _covers(alpha, d2, st)
+                        if covers:
+                            return False
+                        if covers is None:
+                            deferred.append((rx, ry, cbore))
+        if deferred and self._kernel_covers(deferred):
+            return False
         self.add(pair_id, candidate, boxes)
         return True
 
-
-class _ActiveSet:
-    """Admission index where the kernel decides every pair (a table antenna,
-    or a link budget outside the scalar test's range): the active devices in
-    flat arrays with O(1) pair insert/remove, decided in array passes."""
-
-    def __init__(self, reach: float, radio: RadioParams, antenna: AntennaModel, mode: CheckMode):
-        self._reach, self._radio, self._antenna, self._mode = reach, radio, antenna, mode
-        self._pos = np.empty((128, 2))            # room for 64 pairs, doubled when full
-        self._bore = np.empty(128)
-        self._pairs: list[int] = []           # pair id per block
-        self._block_of: dict[int, int] = {}
-
-    def add(self, pair_id: int, placement: PairPlacement) -> None:
-        blk = len(self._pairs)
-        if 2 * (blk + 1) > self._pos.shape[0]:
-            self._pos = np.resize(self._pos, (2 * self._pos.shape[0], 2))
-            self._bore = np.resize(self._bore, 2 * self._bore.shape[0])
-        self._pos[2 * blk: 2 * blk + 2] = placement.pos_a, placement.pos_b
-        self._bore[2 * blk: 2 * blk + 2] = placement.boresight_ab, placement.boresight_ba
-        self._pairs.append(pair_id)
-        self._block_of[pair_id] = blk
-
-    def remove(self, pair_id: int) -> None:
-        blk = self._block_of.pop(pair_id)
-        last = len(self._pairs) - 1
-        last_id = self._pairs[last]
-        if blk != last:
-            self._pos[2 * blk: 2 * blk + 2] = self._pos[2 * last: 2 * last + 2]
-            self._bore[2 * blk: 2 * blk + 2] = self._bore[2 * last: 2 * last + 2]
-            self._pairs[blk] = last_id
-            self._block_of[last_id] = blk
-        self._pairs.pop()
-
-    def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
-        """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
-        n = 2 * len(self._pairs)
-        pos, bore = self._pos[:n], self._bore[:n]
-        radio, antenna, thr = self._radio, self._antenna, self._radio.n_thr_mw
-        (ax, ay), (bx, by) = candidate.pos_a, candidate.pos_b
-        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        # devices beyond reach of both candidate devices cannot decide (+ midpoint rounding)
-        limit = self._reach + 0.5 * math.hypot(bx - ax, by - ay) + 1e-12 * (abs(mx) + abs(my))
-        dx, dy = pos[:, 0] - mx, pos[:, 1] - my
-        near = (dx * dx + dy * dy <= limit * limit).nonzero()[0]
-        if near.size:
-            (px, py), near_bore = pos.take(near, 0).T, bore.take(near)
-            cx, cy = np.array([[ax], [bx]]), np.array([[ay], [by]])
-            # one-way: near transmitters at both candidate devices, one (2, K) pass
-            if (received_power_mw(cx - px, cy - py, near_bore, radio, antenna) >= thr).any():
-                return False
-            cand_bore = np.array([[candidate.boresight_ab], [candidate.boresight_ba]])
-            if (self._mode is CheckMode.TWO_WAY and (received_power_mw(
-                    px - cx, py - cy, cand_bore, radio, antenna) >= thr).any()):
-                return False
-        self.add(pair_id, candidate)
-        return True
-
-
-def _admission_index(radio: RadioParams, antenna: AntennaModel,
-                     mode: CheckMode) -> _SectorGrid | _ActiveSet:
-    """An empty admission index: the sector grid if the scalar test applies, else arrays."""
-    reach, st = _reach(radio, antenna), _scalar_test(radio, antenna)
-    if st is None:
-        return _ActiveSet(reach, radio, antenna, mode)
-    return _SectorGrid(st, reach, radio, antenna, mode)
+    def _kernel_covers(self, pairs: list[tuple[float, float, float]]) -> bool:
+        """Whether the kernel delivers the threshold over any (dx, dy, boresight)."""
+        dx, dy, bore = np.array(pairs).T.copy()
+        return bool((received_power_mw(dx, dy, bore, self._radio, self._antenna)
+                     >= self._radio.n_thr_mw).any())
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
                     radio: RadioParams, antenna: AntennaModel,
                     mode: CheckMode = CheckMode.TWO_WAY) -> bool:
-    """Admission test of a candidate pair against every active device, on
-    the index a replication keeps, built from active.
+    """Admission test of a candidate pair against every active device, on the
+    index a replication keeps, built from active; its cells are at least 1e-9
+    of the largest coordinate wide, as a replication's are of its region radius.
 
     One-way: reject if any active transmitter delivers at least the
     sensitivity threshold at either candidate device.  Two-way: also
     reject if either candidate transmitter would do so at any active device.
     """
-    index = _admission_index(radio, antenna, mode)
+    extent = max(abs(v) for p in (candidate, *active) for v in (*p.pos_a, *p.pos_b))
+    index = _SectorGrid(radio, antenna, mode, 1e-9 * extent)
     for pair_id, placement in enumerate(active):
         index.add(pair_id, placement)
     return index.admit(len(active), candidate)
@@ -510,7 +466,7 @@ def run_replication(scn: Scenario, rep_index: int, *,
     lam = dep.lambda_total
     warmup, horizon = scn.warmup, scn.horizon
     active: dict[int, PairPlacement] = {}
-    index = _admission_index(scn.radio, scn.antenna, scn.check_mode)
+    index = _SectorGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius)
     admit, remove = index.admit, index.remove
     exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
     mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu

@@ -205,6 +205,8 @@ def check_determinism(jobs: int = 1) -> CheckResult:
 
 
 def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
+    if scn.sweep is not None:
+        raise ScenarioError("sweep_param: validate checks one scenario, not a sweep")
     if scn.deployment.lambda_density == 0.0:
         # the cross-engine check is relative to the analytic mean, which is then 0
         raise ScenarioError("lambda_per_m2: validate compares the engines on a loaded "

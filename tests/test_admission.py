@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
                      coverage_radius, simulator)
 from beamcap.radio import _wrap_angle, max_directivity, received_power_mw
-from beamcap.simulator import (_ANGLE_ERR, _admission_index, _reach, _scalar_test, _SectorGrid,
-                               max_cross_pair_power)
+from beamcap.simulator import _ANGLE_ERR, _scalar_test, _SectorGrid, max_cross_pair_power
 
 
 def examples(n):
@@ -43,6 +42,11 @@ def _powers_at_devices(tx_pos, tx_bore, pos, radio, antenna):
     gain = antenna.gain_linear(alpha, radio)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
+
+
+def reach_of(radio, antenna):
+    """The grid's cell side, reach widened by its rounding: beyond it no gain covers."""
+    return _scalar_test(radio, antenna).radius
 
 
 def placements_to_arrays(placements):
@@ -116,13 +120,20 @@ def make_antenna(kind, theta):
     return table_antenna(theta, 3.5 if kind == "table-above" else -4.0)
 
 
-radios = st.builds(
-    lambda theta_deg, kappa, p_tx, margin, c: RadioParams(p_tx, p_tx - margin,
-                                                          math.radians(theta_deg), kappa, c),
-    theta_deg=st.floats(2.0, 180.0), kappa=st.floats(1.5, 4.5),
-    p_tx=st.floats(-20.0, 20.0), margin=st.floats(5.0, 100.0),
-    c=st.sampled_from([6.3e5, 6.3e6, 6.3e7]),
-)
+def radio_strategy(c_consts):
+    return st.builds(
+        lambda theta_deg, kappa, p_tx, margin, c: RadioParams(p_tx, p_tx - margin,
+                                                              math.radians(theta_deg), kappa, c),
+        theta_deg=st.floats(2.0, 180.0), kappa=st.floats(1.5, 4.5),
+        p_tx=st.floats(-20.0, 20.0), margin=st.floats(5.0, 100.0),
+        c=st.sampled_from(c_consts),
+    )
+
+
+radios = radio_strategy([6.3e5, 6.3e6, 6.3e7])
+# link budgets about the scalar test's range limits, k0 from 6e-261 to 1e-247 and from 6e245
+# to 1e259: beyond 1e-250 and 1e250 the kernel decides every pair
+far_radios = radio_strategy([1e-245, 1e261])
 
 
 def random_pairs(rng, n, radius, max_sep, min_sep=1e-3):
@@ -138,11 +149,12 @@ def random_pairs(rng, n, radius, max_sep, min_sep=1e-3):
 
 class TestAdmissionAgainstReference:
     @settings(max_examples=examples(250), deadline=None)
-    @given(radio=radios, kind=st.sampled_from(ANTENNAS), seed=st.integers(0, 2 ** 32 - 1),
-           n=st.integers(0, 40), spread=st.floats(0.2, 3.0), sep=st.floats(0.05, 0.6))
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40), spread=st.floats(0.2, 3.0),
+           sep=st.floats(0.05, 0.6))
     def test_matches_four_pass_reference(self, radio, kind, seed, n, spread, sep):
         antenna = make_antenna(kind, radio.theta)
-        reach = _reach(radio, antenna)
+        reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         # region scaled to the reach, so both decisions occur
         active = random_pairs(rng, n, spread * reach, sep * reach)
@@ -152,11 +164,11 @@ class TestAdmissionAgainstReference:
                         == reference_admit(cand, active, radio, antenna, mode))
 
     @settings(max_examples=examples(150), deadline=None)
-    @given(radio=radios, kind=st.sampled_from(ANTENNAS), seed=st.integers(0, 2 ** 32 - 1),
-           spread=st.floats(0.1, 2.0), sep=st.floats(0.05, 0.6))
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), spread=st.floats(0.1, 2.0), sep=st.floats(0.05, 0.6))
     def test_two_way_symmetric_under_role_swap(self, radio, kind, seed, spread, sep):
         antenna = make_antenna(kind, radio.theta)
-        reach = _reach(radio, antenna)
+        reach = reach_of(radio, antenna)
         first, second = random_pairs(np.random.default_rng(seed), 2, spread * reach, sep * reach)
         assert (admission_check(first, [second], radio, antenna, CheckMode.TWO_WAY)
                 == admission_check(second, [first], radio, antenna, CheckMode.TWO_WAY))
@@ -166,7 +178,7 @@ class TestAdmissionAgainstReference:
            n=st.integers(1, 30), spread=st.floats(0.2, 3.0))
     def test_two_way_implies_one_way(self, radio, kind, seed, n, spread):
         antenna = make_antenna(kind, radio.theta)
-        reach = _reach(radio, antenna)
+        reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         active = random_pairs(rng, n, spread * reach, 0.3 * reach)
         for cand in random_pairs(rng, 8, spread * reach, 0.3 * reach):
@@ -174,11 +186,11 @@ class TestAdmissionAgainstReference:
                 assert admission_check(cand, active, radio, antenna, CheckMode.ONE_WAY)
 
     @settings(max_examples=examples(100), deadline=None)
-    @given(radio=radios, kind=st.sampled_from(ANTENNAS), seed=st.integers(0, 2 ** 32 - 1),
-           which=st.integers(0, 3), mode=st.sampled_from(CheckMode))
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), which=st.integers(0, 3), mode=st.sampled_from(CheckMode))
     def test_coincident_device_rejects(self, radio, kind, seed, which, mode):
         antenna = make_antenna(kind, radio.theta)
-        reach = _reach(radio, antenna)
+        reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         # partners beyond reach, so the coincident device alone decides,
         # even where its gain toward the shared point is zero
@@ -240,7 +252,7 @@ def border_case(radio, bore, bearing, d):
     candidate device at distance d and the given bearing from it.  The other
     device of each pair lies 3 reach away, beyond reach of the rest (its
     direction points the candidate's beam away from the origin)."""
-    far = 3.0 * _reach(radio, AntennaModel.analytic())
+    far = 3.0 * reach_of(radio, AntennaModel.analytic())
     active = [PairPlacement((0.0, 0.0), (far * math.cos(bore), far * math.sin(bore)),
                             bore, _wrap_angle(bore + math.pi))]
     vx, vy = d * math.cos(bearing), d * math.sin(bearing)
@@ -362,22 +374,27 @@ class TestScalarAdmission:
         assert calls
         assert got == reference_admit(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
 
-    def test_table_antenna_never_takes_the_scalar_path(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("scalar path entered with a table antenna")
-
-        monkeypatch.setattr(simulator, "_SectorGrid", forbidden)
-        monkeypatch.setattr(simulator, "_covers", forbidden)
+    @pytest.mark.parametrize("case", ["table", "k0-above-range", "k0-below-range"])
+    def test_kernel_decides_where_the_scalar_test_cannot(self, case):
+        # an infinite band: every pair the screens leave goes to the kernel,
+        # a table's over the whole disk of radius reach
+        c = {"k0-above-range": 1e-245, "k0-below-range": 1e261}.get(case, 6.3e6)
         rng = np.random.default_rng(5)
-        for theta_deg, offset in ((8.0, 3.5), (30.0, -4.0), (52.0, 0.0)):
-            radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-            antenna = table_antenna(radio.theta, offset)
-            assert _scalar_test(radio, antenna) is None
-            reach = _reach(radio, antenna)
+        for theta_deg, offset in ((30.0, 3.5), (52.0, -4.0), (120.0, 0.0)):
+            radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, c)
+            antenna = (table_antenna(radio.theta, offset) if case == "table"
+                       else AntennaModel.analytic())
+            test = _scalar_test(radio, antenna)
+            assert test.rel == math.inf
+            assert test.theta == (math.pi if case == "table" else radio.theta)
+            reach = reach_of(radio, antenna)
             active = random_pairs(rng, 10, 3.0 * reach, 0.3 * reach)
-            decisions = {admission_check(cand, active, radio, antenna, mode)
-                         for cand in random_pairs(rng, 20, 3.0 * reach, 0.3 * reach)
-                         for mode in CheckMode}
+            decisions = set()
+            for cand in random_pairs(rng, 20, 3.0 * reach, 0.3 * reach):
+                for mode in CheckMode:
+                    got = admission_check(cand, active, radio, antenna, mode)
+                    assert got == reference_admit(cand, active, radio, antenna, mode)
+                    decisions.add(got)
             assert decisions == {True, False}
 
 
@@ -431,16 +448,15 @@ def grid_listing(index):
 
 
 class TestSectorGrid:
-    """The analytic antenna's grid index: every decision the reference's, and
-    the index after any admit/depart sequence the one built from the live set."""
+    """The grid index: every decision the reference's, and the index after
+    any admit/depart sequence the one built from the live set."""
 
     @settings(max_examples=examples(200), deadline=None)
-    @given(radio=radios, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
-           span=st.integers(1, 4))
-    def test_matches_reference_on_hard_layouts(self, radio, seed, n, span):
-        antenna = AntennaModel.analytic()
-        side = _reach(radio, antenna)
-        assert isinstance(_admission_index(radio, antenna, CheckMode.TWO_WAY), _SectorGrid)
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), span=st.integers(1, 4))
+    def test_matches_reference_on_hard_layouts(self, radio, kind, seed, n, span):
+        antenna = make_antenna(kind, radio.theta)
+        side = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         active = lattice_pairs(rng, n, side, span)
         shared = active[int(rng.integers(n))].pos_b
@@ -449,18 +465,21 @@ class TestSectorGrid:
             pair_at(*shared, shared[0] + side * math.cos(psi), shared[1] + side * math.sin(psi))
         ] + [beam_edge_pair(rng, active, radio) for _ in range(4)]
         for cand in candidates:
-            assert_matches_reference(active, cand, radio)
+            assert_matches_reference(active, cand, radio, antenna)
 
     @settings(max_examples=examples(200), deadline=None)
-    @given(radio=radios, bore=angles, x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_sector_cells_hold_the_sector(self, radio, bore, x, y, seed):
+    @given(radio=radios, kind=st.sampled_from(ANTENNAS), bore=angles, x=st.floats(-1e4, 1e4),
+           y=st.floats(-1e4, 1e4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_sector_cells_hold_the_sector(self, radio, kind, bore, x, y, seed):
         # points of the sector, its border widened by the scalar test's
-        # rounding, and the axis extremes, all in cells the sector lists
-        index = _admission_index(radio, AntennaModel.analytic(), CheckMode.TWO_WAY)
+        # rounding, and the axis extremes, all in cells the sector lists; a
+        # table's sector is the disk
+        antenna = make_antenna(kind, radio.theta)
+        index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
         cells = set(index._box_cells(x, y, bore))
-        radius = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).r2) * (1.0 + 2.0 ** -50)
-        half = min(radio.theta + 4.0 * _ANGLE_ERR, math.pi)
+        test = _scalar_test(radio, antenna)
+        radius = test.radius * (1.0 + 2.0 ** -50)
+        half = min(test.theta + 4.0 * _ANGLE_ERR, math.pi)
         rng = np.random.default_rng(seed)
         offsets = [-half, half, *rng.uniform(-half, half, 20)]
         axes = [a - bore + k * 2.0 * math.pi for a in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
@@ -477,7 +496,7 @@ class TestSectorGrid:
         # receiver just past the radius, still within the scalar screen's
         # rounding, must fall in a listed cell
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-        index = _admission_index(radio, AntennaModel.analytic(), CheckMode.TWO_WAY)
+        index = _SectorGrid(radio, AntennaModel.analytic(), CheckMode.TWO_WAY, 0.0)
         radius = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).r2)
         side = index._side
         for j in range(-40, 41):
@@ -487,13 +506,16 @@ class TestSectorGrid:
                 assert (math.floor(px / side), 0) in set(index._box_cells(x, 0.5, 0.0))
 
     @settings(max_examples=examples(100), deadline=None)
-    @given(radio=radios, seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(CheckMode),
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(CheckMode),
            steps=st.integers(1, 80), spread=st.floats(0.5, 4.0))
-    def test_upkeep_lists_exactly_the_live_devices(self, radio, seed, mode, steps, spread):
-        antenna = AntennaModel.analytic()
-        reach = _reach(radio, antenna)
+    def test_upkeep_lists_exactly_the_live_devices(self, radio, kind, seed, mode, steps, spread):
+        antenna = make_antenna(kind, radio.theta)
+        reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
-        index = _admission_index(radio, antenna, mode)
+        # cells at least 1e-9 of the largest coordinate wide, as admission_check's
+        min_side = 1e-9 * ((spread + 0.5) * reach + 1e-3)
+        index = _SectorGrid(radio, antenna, mode, min_side)
         live = {}
         for pair_id in range(steps):
             if live and rng.random() < 0.4:
@@ -507,7 +529,7 @@ class TestSectorGrid:
                 live[pair_id] = cand
             elif index.admit(pair_id, cand):
                 live[pair_id] = cand
-        fresh = _admission_index(radio, antenna, mode)
+        fresh = _SectorGrid(radio, antenna, mode, min_side)
         for pair_id, placement in live.items():
             fresh.add(pair_id, placement)
         assert grid_listing(index) == grid_listing(fresh)

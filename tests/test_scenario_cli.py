@@ -605,3 +605,93 @@ class TestSimulationBudget:
         check_simulation_budget([below])
         with pytest.raises(ScenarioError, match="replications"):
             check_simulation_budget([below.with_value("replications", 11)])
+
+
+class TestLinkBudgetRange:
+    """Link budgets whose coverage radius or reach leaves the floats exit 2 at load,
+    naming their keys; tiny but finite ones run."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep-power"])
+    @pytest.mark.parametrize("lines, keys", [
+        ("p_tx_dbm = 4000\n", ["p_tx_dbm"]),
+        ("p_tx_dbm = 3000\nkappa = 0.5\n", ["p_tx_dbm", "kappa"]),
+        ("c_const = 1e-300\n", ["c_const"]),
+        ("antenna = table:{peak}\n", ["antenna"]),
+        ("theta_deg = 1e-7\n", ["theta_deg"]),            # 1 - cos(theta/2) rounds to 0
+    ])
+    def test_overflowing_budget_exit_code(self, command, lines, keys, tmp_path, capsys):
+        peak = tmp_path / "peak.csv"
+        peak.write_text("angle_deg,gain_dbi\n0,4000\n180,0\n")
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text(lines.format(peak=peak))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("beamcap: error: ")
+        assert "Traceback" not in err
+        for key in keys:
+            assert key in err.splitlines()[0].split(": ")[2]
+
+    def test_vanishing_table_reach_names_antenna(self, tmp_path):
+        table = tmp_path / "faint.csv"
+        table.write_text("angle_deg,gain_dbi\n0,-3500\n180,-3600\n")
+        with pytest.raises(ScenarioError, match=r"^antenna: .*reach 0\.0 m"):
+            load_scenario(overrides={"antenna": f"table:{table}"})
+
+    @pytest.mark.parametrize("overrides", [
+        {"c_const": "1e33"},                                 # reach 3.5e-12 m
+        {"kappa": "0.1", "p_tx_dbm": "-77.99"},              # reach 9e-56 m
+        {"c_const": "1e261"},                                # k0 ~ 1e-251: the kernel decides
+    ])
+    def test_tiny_reach_runs_in_seconds(self, overrides, monkeypatch):
+        from beamcap import simulator
+
+        grids = []
+
+        class Recorded(simulator._SectorGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+        scn = load_scenario(preset="desk-fig4", overrides=dict(
+            overrides, replications="1", warmup_s="20", horizon_s="25"))
+        # a replication's cells are at least 1e-9 of the region radius wide, so
+        # a box spans a cell or two; cells of side reach would number ~6*10^4 a box
+        simulator.run_replication(scn.with_value("lambda_per_m2", 0.0), 0)
+        assert grids[0]._side >= 1e-9 * 300.0
+        assert len(grids[0]._box_cells(-212.0, 212.0, 0.7)) <= 4
+        t0 = time.perf_counter()
+        row = simulate_rows(scn)[0]
+        assert time.perf_counter() - t0 < 10.0
+        assert row["arrivals_observed"] > 300
+        assert row["p_accept"] == 1.0                     # no pair within reach of another
+
+
+    def test_reach_whose_square_overflows_runs(self):
+        # kappa = 0.02: coverage radius ~6e164 m, r2 = inf, and the kernel
+        # decides every pair; admitted pairs still cover no other
+        from beamcap import simulator
+
+        scn = load_scenario(preset="desk-fig4", overrides={
+            "kappa": "0.02", "replications": "1", "warmup_s": "20", "horizon_s": "25"})
+        assert 0.0 < simulate_rows(scn)[0]["p_accept"] < 0.5
+        snaps = simulator.run_replication(scn, 0, snapshot_times=(21.0, 23.0, 25.0)).snapshots
+        assert all(len(s) >= 2 for s in snaps)
+        assert max(simulator.max_cross_pair_power(s, scn.radio, scn.antenna, scn.check_mode)
+                   for s in snaps) < scn.radio.n_thr_mw
+
+
+class TestValidateScope:
+    def test_swept_config_exit_code(self, monkeypatch, tmp_path, capsys):
+        import beamcap.validation as validation_mod
+
+        def no_simulation(config, jobs):
+            raise AssertionError("simulation started on a swept scenario")
+
+        monkeypatch.setattr(validation_mod.simulator, "run", no_simulation)
+        cfg = tmp_path / "swept.cfg"
+        cfg.write_text("sweep_param = lambda_per_m2\nsweep_values = 1e-4,2e-4\n")
+        assert main(["validate", "--preset", "desk-fig4", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("beamcap: error: sweep_param: ")
+        assert main(["validate", "--preset", "desk-fig5"]) == 2
+        assert "sweep_param" in capsys.readouterr().err
