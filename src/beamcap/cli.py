@@ -17,7 +17,7 @@ import sys
 
 from . import cli_rows, validation
 from .queueing import NonConvergenceError
-from .scenario import ScenarioError, check_simulation_budget, load_scenario, sweep_points
+from .scenario import ScenarioError, load_scenario
 from .simulator import PlacementError
 
 
@@ -66,8 +66,6 @@ def main(argv=None) -> int:
                 preset = "desk-fig4"
             overrides = {} if args.seed is None else {"seed": str(args.seed)}
             scenario = load_scenario(path=args.config, preset=preset, overrides=overrides)
-            if args.command == "simulate":
-                check_simulation_budget(scn for _, _, scn in sweep_points(scenario))
             if args.command == "analyze":
                 rows = cli_rows.analyze_rows(scenario)
             elif args.command == "simulate":
@@ -75,12 +73,9 @@ def main(argv=None) -> int:
             elif args.command == "sweep-power":
                 rows = cli_rows.sweep_power_rows(scenario)
             else:
-                check_simulation_budget([scenario])
                 results = validation.run_all(scenario, jobs=args.jobs)
                 if args.format == "json":
-                    rows = [{"name": r.name, "passed": r.passed, "measured": r.measured,
-                             "tolerance": r.tolerance, "detail": r.detail} for r in results]
-                    out.write(cli_rows.render_json(rows))
+                    out.write(cli_rows.render_json([vars(r) for r in results]))
                 else:
                     out.write("".join(r.line() + "\n" for r in results))
                 return 0 if all(r.passed for r in results) else 1

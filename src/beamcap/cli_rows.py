@@ -12,7 +12,9 @@ import json
 import math
 
 from . import queueing, simulator, throughput
-from .scenario import Scenario, sweep_points
+from .scenario import Scenario, ScenarioError, check_simulation_budget, sweep_points
+
+MAX_POWER_POINTS = 100_000
 
 
 def _fmt(v) -> str:
@@ -64,9 +66,12 @@ def analyze_rows(scenario: Scenario) -> list[dict]:
 
 
 def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
-    """Per sweep value: aggregated simulator statistics with the seed echoed."""
+    """Per sweep value: aggregated simulator statistics, the seed echoed; the
+    whole sweep is checked against the simulation budget before any run."""
+    points = list(sweep_points(scenario))
+    check_simulation_budget(scn for _, _, scn in points)
     rows = []
-    for param, value, scn in sweep_points(scenario):
+    for param, value, scn in points:
         stats = simulator.run(scn, jobs=jobs)
         rows.append({
             "sweep_param": param,
@@ -87,20 +92,33 @@ def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
 def sweep_power_rows(scenario: Scenario) -> list[dict]:
     """Power-sweep points plus one optimum summary row per sweep value.
 
-    With the series engine, every sweep value's chain at p_tx_min_dbm (the
-    smallest gamma, the largest mean) is checked against the state limit
-    before any walk, so an infeasible sweep fails at once.
+    Everything that would fail is refused before any work: a display or
+    optimizer grid of more than MAX_POWER_POINTS powers, a range end whose
+    coverage radius degenerates (the radius grows with power, so the ends
+    bound the range), and with the series engine every sweep value's chain
+    at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit.
     """
+    lo, hi = scenario.p_tx_min_dbm, scenario.p_tx_max_dbm   # no power key is sweepable
+    for key in ("p_tx_step_db", "opt_tol_db"):
+        count = (hi - lo) / getattr(scenario, key) + 1.0
+        if count > MAX_POWER_POINTS:
+            raise ScenarioError(f"{key}: {count:.3g} power grid points per sweep value exceed "
+                                f"the limit of {MAX_POWER_POINTS}")
     points = list(sweep_points(scenario))
     for _, _, scn in points:
+        for key in ("p_tx_max_dbm", "p_tx_min_dbm"):   # chain is left at the minimum
+            try:
+                chain = scn.chain(getattr(scn, key))
+            except ValueError as exc:
+                raise ScenarioError(f"{key}: {exc}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
-            queueing.check_state_limit(scn.chain(scn.p_tx_min_dbm))
+            queueing.check_state_limit(chain)
+    n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
+    grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
+    # a step that does not divide the range ends on the maximum itself
+    grid = [p for p in grid if p < hi - 1e-9] + [hi]
     rows = []
     for param, value, scn in points:
-        n_steps = math.floor((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.p_tx_step_db + 1e-9)
-        grid = [scn.p_tx_min_dbm + i * scn.p_tx_step_db for i in range(n_steps + 1)]
-        # a step that does not divide the range ends on the maximum itself
-        grid = [p for p in grid if p < scn.p_tx_max_dbm - 1e-9] + [scn.p_tx_max_dbm]
         found = [("point", throughput.rate_components(scn, p), "") for p in grid]
         opt = throughput.optimize_power(scn)
         found.append(("optimum", opt.point, "flat" if opt.flat else ""))

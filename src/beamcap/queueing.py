@@ -109,14 +109,14 @@ def _first_block(params: ChainParams) -> int:
     return min(max(_BLOCK_MIN, math.ceil(1.1 * mean + 8.0 * math.sqrt(mean))), _BLOCK_MAX)
 
 
-def _not_truncated(params: ChainParams, max_states: int) -> NonConvergenceError:
-    return NonConvergenceError(f"steady state not truncated within {max_states} states "
+def _not_truncated(params: ChainParams) -> NonConvergenceError:
+    return NonConvergenceError(f"steady state not truncated within {_MAX_STATES} states "
                                f"(load lambda/mu = {params.load:g}, gamma = {params.gamma:g})")
 
 
-def check_state_limit(params: ChainParams, max_states: int = _MAX_STATES) -> None:
+def check_state_limit(params: ChainParams) -> None:
     """Raise steady_state's NonConvergenceError up front where state
-    max_states can neither end the chain nor start a convergent tail.
+    _MAX_STATES can neither end the chain nor start a convergent tail.
 
     Both log(1-Q_m) and the log step ratio are non-increasing in m, so then
     no earlier state can either, and the walk would reach the same raise.
@@ -126,14 +126,13 @@ def check_state_limit(params: ChainParams, max_states: int = _MAX_STATES) -> Non
     a = params.load
     if a == 0.0:
         return
-    last = np.array([max_states])
+    last = np.array([_MAX_STATES])
     la = _log_accept(last, params.gamma, params.variant)
     if la[0] >= _LOG_EPS_FLOOR and (math.log(a) + la - np.log(last + 1))[0] >= 0.0:
-        raise _not_truncated(params, max_states)
+        raise _not_truncated(params)
 
 
-def steady_state(params: ChainParams, epsilon: float = 1e-9,
-                 max_states: int = _MAX_STATES) -> SteadyState:
+def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     """Solve the chain by the ratio recurrence, truncating by a tail bound.
 
     Successive state weights obey w_{m+1} = w_m * (lambda/mu)(1-Q_m)/(m+1);
@@ -142,7 +141,7 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     the remaining mass is bounded by a geometric series.  The solve stops at
     the first state m where the birth rate vanishes (the truncation is then
     exact) or where that bound falls below epsilon of the total mass
-    including states 0..m.  States 0..max_states are examined before
+    including states 0..m.  States 0.._MAX_STATES are examined before
     NonConvergenceError is raised; check_state_limit raises it before the
     walk where it can tell that no state will stop it.
 
@@ -160,14 +159,14 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
     a = params.load
     if a == 0.0:
         return SteadyState(np.array([1.0]), 0.0, params)
-    check_state_limit(params, max_states)
+    check_state_limit(params)
     log_a = math.log(a)
     log_eps = math.log(epsilon)
     logws = []
     logw, log_sum = 0.0, -math.inf  # log weight of state m0; log of the summed weights below m0
     m0, size = 0, _first_block(params)
     while True:
-        m = np.arange(m0, min(m0 + size, max_states + 1))
+        m = np.arange(m0, min(m0 + size, _MAX_STATES + 1))
         la = _log_accept(m, params.gamma, params.variant)
         log_r = log_a + la - np.log(m + 1)
         w = np.cumsum(np.concatenate(([logw], log_r)))
@@ -185,8 +184,8 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9,
             log_sum = block_sum[k]
             log_tail = -math.inf if dead[k] else block_tail[k]
             break
-        if m0 + m.size > max_states:
-            raise _not_truncated(params, max_states)
+        if m0 + m.size > _MAX_STATES:
+            raise _not_truncated(params)
         logws.append(block_logw)
         logw, log_sum = w[-1], block_sum[-1]
         m0 += m.size

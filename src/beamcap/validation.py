@@ -1,8 +1,9 @@
 """End-to-end verification checks shared by the CLI and the test suite.
 
-Each check compares library output against an independent route (explicit
-products, direct summation, quadrature, the second engine) and reports a
-measured figure against a pinned tolerance.
+Each check compares library output against an independent route (explicit products,
+direct summation, quadrature, the second engine) and reports a measured figure
+against a pinned tolerance.  The cross-engine, monotonicity and power checks
+read the rows that simulate, analyze and sweep-power print.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cli_rows, queueing, simulator, throughput
+from . import cli_rows, queueing, simulator
 from .queueing import ChainParams, Variant
 from .radio import beam_area
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, check_simulation_budget, load_scenario
 
 
 @dataclass(frozen=True)
@@ -117,65 +118,49 @@ def check_closed_vs_series() -> CheckResult:
                        "2*gamma*load >= 10, bell-shaped regime")
 
 
-def analytic_reference(scn: Scenario) -> tuple[float, float, float]:
-    """(gamma, series mean pairs, acceptance probability) for a scenario."""
-    params = scn.chain(scn.radio.p_tx_dbm)
-    ss = queueing.steady_state(params)
-    return params.gamma, queueing.mean_pairs(ss), queueing.acceptance_prob(ss)
-
-
-def check_cross_engine(scn: Scenario, stats: simulator.SimStats) -> list[CheckResult]:
-    """Simulator statistics of scn against its analytic chain."""
-    _, e_n, p_acc = analytic_reference(scn)
-    rel = abs(stats.mean_pairs - e_n) / e_n
-    absd = abs(stats.p_accept - p_acc)
+def check_cross_engine(scn: Scenario, sim: dict) -> list[CheckResult]:
+    """A simulate row of scn against its analyze row."""
+    analytic = cli_rows.analyze_rows(scn)[0]
+    e_n, p_acc = analytic["mean_pairs_series"], analytic["p_accept"]
+    rel = abs(sim["mean_pairs"] - e_n) / e_n
+    absd = abs(sim["p_accept"] - p_acc)
     return [
         CheckResult("cross-engine-mean-pairs", rel <= 0.15, rel, 0.15,
-                    f"sim={stats.mean_pairs:.2f} analytic={e_n:.2f}"),
+                    f"sim={sim['mean_pairs']:.2f} analytic={e_n:.2f}"),
         CheckResult("cross-engine-p-accept", absd <= 0.05, absd, 0.05,
-                    f"sim={stats.p_accept:.4f} analytic={p_acc:.4f}"),
+                    f"sim={sim['p_accept']:.4f} analytic={p_acc:.4f}"),
     ]
 
 
 def check_monotonicity() -> CheckResult:
-    """Load sweep monotonicity and footprint ordering across beamwidths."""
-    scn = load_scenario(preset="desk-fig4")
-    lams = np.linspace(3.33e-5, 6.66e-4, 10)
-    e_prev, p_prev = -math.inf, math.inf
-    ok = True
-    for lam in lams:
-        _, e_n, p_acc = analytic_reference(scn.with_value("lambda_per_m2", float(lam)))
-        ok = ok and e_n >= e_prev - 1e-12 and p_acc <= p_prev + 1e-12
-        e_prev, p_prev = e_n, p_acc
+    """analyze rows: monotone in load, and footprint ordering across beamwidths."""
+    lams = ",".join(repr(float(lam)) for lam in np.linspace(3.33e-5, 6.66e-4, 10))
+    load = cli_rows.analyze_rows(load_scenario(preset="desk-fig4", overrides={
+        "sweep_param": "lambda_per_m2", "sweep_values": lams}))
+    ok = all(b["mean_pairs_series"] >= a["mean_pairs_series"] - 1e-12
+             and b["p_accept"] <= a["p_accept"] + 1e-12 for a, b in zip(load, load[1:]))
     # high-load beamwidth ordering: wider beams have smaller footprints here
-    full = load_scenario(preset="paper-fig4", overrides={"lambda_per_m2": "2.0",
-                                                         "sweep_param": "", "sweep_values": ""})
-    gs, es = [], []
-    for theta in (8.0, 30.0, 52.0):
-        g, e_n, _ = analytic_reference(full.with_value("theta_deg", theta))
-        gs.append(g)
-        es.append(e_n)
-    order_ok = all(gs[i] > gs[i + 1] for i in range(2)) and all(es[i] < es[i + 1] for i in range(2))
-    ok = ok and order_ok
+    beams = cli_rows.analyze_rows(load_scenario(preset="paper-fig4", overrides={
+        "lambda_per_m2": "2.0", "sweep_param": "theta_deg", "sweep_values": "8,30,52"}))
+    gs, es = zip(*[(r["gamma"], r["mean_pairs_series"]) for r in beams])
+    ok = ok and all(gs[i] > gs[i + 1] and es[i] < es[i + 1] for i in range(2))
     return CheckResult("monotonicity-suite", ok, float(ok), 1.0,
                        f"gamma(8,30,52deg)={gs[0]:.3g},{gs[1]:.3g},{gs[2]:.3g}")
 
 
 def check_power_optimum() -> list[CheckResult]:
-    """Interior optimum for the dense sweep and density ordering of optima."""
-    base = load_scenario(preset="paper-fig5")
-    dense = base.with_value("lambda_per_m2", 2.0)
-    sparse = base.with_value("lambda_per_m2", 0.5)
-    grid = np.arange(-20.0, 20.0 + 1e-9, 0.5)
-    vals = [throughput.rate_components(dense, float(p)).area_rate_bps_m2 for p in grid]
-    i = int(np.argmax(vals))
-    interior = 0 < i < len(grid) - 1 and vals[i] > vals[0] and vals[i] > vals[-1]
-    p_dense = throughput.optimize_power(dense).point.p_tx_dbm
-    p_sparse = throughput.optimize_power(sparse).point.p_tx_dbm
+    """paper-fig5 sweep-power rows: interior optimum at 2/m2, density ordering of optima."""
+    rows = cli_rows.sweep_power_rows(load_scenario(preset="paper-fig5"))
+    dense = [r for r in rows if r["row_type"] == "point" and r["sweep_value"] == 2.0]
+    optima = {r["sweep_value"]: r["p_tx_dbm"] for r in rows if r["row_type"] == "optimum"}
+    vals = [r["area_rate_bps_m2"] for r in dense]
+    i = vals.index(max(vals))
+    interior = 0 < i < len(vals) - 1 and vals[i] > vals[0] and vals[i] > vals[-1]
+    p_arg, p_dense, p_sparse = dense[i]["p_tx_dbm"], optima[2.0], optima[0.5]
     ordered = p_dense <= p_sparse + 0.1
     return [
-        CheckResult("power-interior-maximum", interior, float(grid[i]), 20.0,
-                    f"argmax={grid[i]:.1f} dBm of [-20,20]"),
+        CheckResult("power-interior-maximum", interior, p_arg, 20.0,
+                    f"argmax={p_arg:.1f} dBm of [-20,20]"),
         CheckResult("power-optimum-density-ordering", ordered, p_dense - p_sparse, 0.1,
                     f"p_opt(2/m2)={p_dense:.2f} <= p_opt(0.5/m2)={p_sparse:.2f}"),
     ]
@@ -205,6 +190,7 @@ def check_determinism(jobs: int = 1) -> CheckResult:
 
 
 def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
+    check_simulation_budget([scn])
     if scn.sweep is not None:
         raise ScenarioError("sweep_param: validate checks one scenario, not a sweep")
     if scn.deployment.lambda_density == 0.0:
@@ -218,7 +204,7 @@ def run_all(scn: Scenario, jobs: int) -> list[CheckResult]:
         check_beam_area(),
         check_closed_vs_series(),
     ]
-    results.extend(check_cross_engine(scn, simulator.run(scn, jobs=jobs)))
+    results.extend(check_cross_engine(scn, cli_rows.simulate_rows(scn, jobs=jobs)[0]))
     results.append(check_hard_core(scn))
     results.append(check_monotonicity())
     results.extend(check_power_optimum())

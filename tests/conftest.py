@@ -6,8 +6,13 @@ from hypothesis import settings
 from beamcap import AntennaModel, RadioParams
 
 # `pytest --hypothesis-profile=ci` runs five times the default example count
-# where a test scales its count with examples() in tests/test_admission.py
+# where a test scales its count with examples()
 settings.register_profile("ci", max_examples=500)
+
+
+def examples(n):
+    """n under the default Hypothesis profile, scaled with the loaded profile's count."""
+    return n * settings.default.max_examples // 100
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ same checks back the ``beamcap validate`` command.
 
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -54,17 +55,29 @@ def test_criterion_5_closed_form_vs_series():
 
 @pytest.fixture(scope="module")
 def desk_stats():
+    """desk-fig4 and its simulate row, with the time the row took."""
     scn = load_scenario(preset="desk-fig4")
     t0 = time.time()
-    stats = simulator.run(scn, jobs=JOBS)
-    return scn, stats, time.time() - t0
+    row = cli_rows.simulate_rows(scn, jobs=JOBS)[0]
+    return scn, row, time.time() - t0
 
 
 def test_criterion_6_cross_engine_validation(desk_stats):
-    scn, stats, dt = desk_stats
-    results = validation.check_cross_engine(scn, stats=stats)
+    scn, row, dt = desk_stats
+    results = validation.check_cross_engine(scn, row)
     for result in results:
         report(result, 300.0, dt)
+
+
+def test_cross_engine_reads_the_analyze_row(desk_stats, monkeypatch):
+    """The check compares the mean that analyze prints: doubling it there fails the check."""
+    scn, row, _ = desk_stats
+    analyze_rows = cli_rows.analyze_rows
+    monkeypatch.setattr(cli_rows, "analyze_rows", lambda s: [
+        dict(r, mean_pairs_series=2.0 * r["mean_pairs_series"]) for r in analyze_rows(s)])
+    results = {r.name: r for r in validation.check_cross_engine(scn, row)}
+    assert not results["cross-engine-mean-pairs"].passed
+    assert results["cross-engine-p-accept"].passed
 
 
 def test_one_way_chain_matches_one_way_simulation():
@@ -116,26 +129,24 @@ def test_hard_core_audit_catches_overlapping_pairs(monkeypatch):
 def test_fault_isolation_damaged_gamma(desk_stats):
     """A corrupted footprint ratio must trip the cross-engine comparison
     while leaving the self-contained identity checks untouched."""
-    scn, stats, _ = desk_stats
+    scn, row, _ = desk_stats
     assert validation.check_telescoping().passed
-    gamma, e_n, p_acc = validation.analytic_reference(scn)
+    gamma = cli_rows.analyze_rows(scn)[0]["gamma"]
     from beamcap.queueing import ChainParams, mean_pairs, steady_state
     wrong = ChainParams(scn.deployment.lambda_total, scn.deployment.mu,
                         2.0 * gamma, scn.variant)
     e_wrong = mean_pairs(steady_state(wrong))
-    assert abs(stats.mean_pairs - e_wrong) / e_wrong > 0.15
+    assert abs(row["mean_pairs"] - e_wrong) / e_wrong > 0.15
 
 
 def test_validate_command_reports_all_checks(tmp_path, capsys):
-    """Structural check of the validate command on a reduced desk bundle."""
+    """The validate command on a reduced desk bundle prints, byte for byte, its
+    12 verdicts pinned in tests/golden/validate-mini.txt, all of them PASS."""
     from beamcap.cli import main
     cfg = tmp_path / "mini.cfg"
     cfg.write_text("r_d_m = 300\nlambda_per_m2 = 3.33e-4\nreplications = 6\n"
                    "warmup_s = 20\nhorizon_s = 90\nseed = 3\n")
-    code = main(["validate", "--config", str(cfg), "--jobs", str(JOBS)])
+    code = main(["validate", "--config", str(cfg), "--jobs", "2"])
     out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l.startswith("[")]
-    assert len(lines) == 12  # criteria 6 and 8 each report two checks, plus the hard-core audit
-    verdicts_ok = all(l.startswith("[PASS]") for l in lines)
-    assert code == (0 if verdicts_ok else 1)
-    assert verdicts_ok, out
+    assert out.encode() == (Path(__file__).parent / "golden" / "validate-mini.txt").read_bytes()
+    assert code == 0

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +20,6 @@ from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admiss
                      coverage_radius, simulator)
 from beamcap.radio import _wrap_angle, max_directivity, received_power_mw
 from beamcap.simulator import _ANGLE_ERR, _scalar_test, _SectorGrid, max_cross_pair_power
-
-
-def examples(n):
-    """n under the default Hypothesis profile, scaled with the loaded profile's count."""
-    return n * settings.default.max_examples // 100
 
 
 def _powers_from_devices(pos, bore, target, radio, antenna):

@@ -18,8 +18,6 @@ import beamcap
 
 ROOT = Path(__file__).parent.parent
 CHECK_ROUTES: set[str] = set()
-# the truncation-boundary property tests set the state limit
-TEST_SET_PARAMETERS = {("steady_state", "max_states")}
 
 
 def program_files() -> list[Path]:
@@ -123,8 +121,7 @@ def test_every_defaulted_parameter_is_set_by_the_program():
             continue
         for i, p in enumerate(inspect.signature(fn).parameters.values()):
             by_position = p.kind is not p.KEYWORD_ONLY and positional.get(name, 0) > i
-            if (p.default is not p.empty and not by_position and (name, p.name) not in keywords
-                    and (name, p.name) not in TEST_SET_PARAMETERS):
+            if p.default is not p.empty and not by_position and (name, p.name) not in keywords:
                 unset.append(f"{name}({p.name})")
     assert not unset, f"defaulted parameters no program call sets: {unset}"
 

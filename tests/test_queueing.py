@@ -1,15 +1,17 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 from beamcap import (ChainParams, NonConvergenceError, SteadyState, Variant,
                      acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
-                     steady_state)
+                     queueing, steady_state)
 from beamcap.queueing import _LOG_EPS_FLOOR, _log_accept
 
 VARIANTS = [Variant.PIECEWISE_LINEAR, Variant.LOGISTIC, Variant.EXPONENTIAL]
@@ -152,7 +154,7 @@ class TestSteadyState:
         assert mean_pairs(ss) == pytest.approx(0.854778070447717, rel=1e-9)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(a=st.floats(0.01, 200.0), gamma=st.floats(0.0, 0.5))
     def test_normalization(self, variant, a, gamma):
         ss = steady_state(chain(lam=a, gamma=gamma, variant=variant))
@@ -173,27 +175,30 @@ class TestSteadyState:
         assert mean_pairs(ss) == pytest.approx(5.46e4, rel=2e-2)
 
     def test_non_convergence_error(self):
-        with pytest.raises(NonConvergenceError, match="lambda/mu"):
-            steady_state(chain(lam=1e6, gamma=0.0), max_states=1000)
+        with mock.patch.object(queueing, "_MAX_STATES", 1000), \
+                pytest.raises(NonConvergenceError, match="lambda/mu"):
+            steady_state(chain(lam=1e6, gamma=0.0))
 
     def test_non_convergence_fails_fast(self):
         t0 = time.perf_counter()
         with pytest.raises(NonConvergenceError) as err:
-            steady_state(chain(lam=1e8, gamma=0.0), max_states=10_000_000)
+            steady_state(chain(lam=1e8, gamma=0.0))
         assert time.perf_counter() - t0 < 0.2
         assert str(err.value) == ("steady state not truncated within 10000000 states "
                                   "(load lambda/mu = 1e+08, gamma = 0)")
 
     def test_max_states_is_the_last_state_examined(self):
         params = chain(lam=50.0, gamma=0.0)
-        last = steady_state(params).probs.size - 1
-        assert np.array_equal(steady_state(params, max_states=last).probs,
-                              steady_state(params).probs)
-        with pytest.raises(NonConvergenceError):
-            steady_state(params, max_states=last - 1)
+        full = steady_state(params)
+        last = full.probs.size - 1
+        with mock.patch.object(queueing, "_MAX_STATES", last):
+            assert np.array_equal(steady_state(params).probs, full.probs)
+        with mock.patch.object(queueing, "_MAX_STATES", last - 1), \
+                pytest.raises(NonConvergenceError):
+            steady_state(params)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(a=st.floats(0.01, 1e5), gamma=st.floats(0.0, 1.0),
            k=st.integers(0, 100_000))
     def test_max_states_limits_exactly_the_walk(self, variant, a, gamma, k):
@@ -204,12 +209,14 @@ class TestSteadyState:
         ss = steady_state(params)
         t = ss.probs.size - 1
         for limit in (t, t + k):
-            got = steady_state(params, max_states=limit)
+            with mock.patch.object(queueing, "_MAX_STATES", limit):
+                got = steady_state(params)
             assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
         for limit in {t - 1, t - 1 - k}:
             if limit >= 0:
-                with pytest.raises(NonConvergenceError):
-                    steady_state(params, max_states=limit)
+                with mock.patch.object(queueing, "_MAX_STATES", limit), \
+                        pytest.raises(NonConvergenceError):
+                    steady_state(params)
 
     @pytest.mark.parametrize("lam, gamma", [(1e308, 1.0), (1.0, 1000.0)])
     def test_closed_form_overflow_only_sizes_blocks(self, lam, gamma):
@@ -221,7 +228,7 @@ class TestSteadyState:
         assert ss.tail_bound == pytest.approx(tail, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(a=st.floats(0.01, 1e4), gamma=st.floats(0.0, 1.0),
            epsilon=st.sampled_from([1e-12, 1e-9, 1e-6]))
     @example(a=2e5, gamma=0.0, epsilon=1e-9)   # four blocks for every shape
@@ -271,7 +278,7 @@ class TestMetrics:
         assert acceptance_prob(ss) == pytest.approx(0.854778070447717, rel=1e-9)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(a=st.floats(0.1, 100.0), gamma=st.floats(1e-5, 0.5))
     def test_flow_balance(self, variant, a, gamma):
         # in equilibrium the admitted rate equals the departure rate:
@@ -284,7 +291,7 @@ class TestMetrics:
 class TestChainProperties:
     """Invariants of the solved chain over random load, footprint and shape."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(load=st.floats(0.01, 1e5), mu=st.floats(0.01, 100.0),
            gamma=st.floats(0.0, 1.0), variant=st.sampled_from(VARIANTS))
     def test_littles_law_and_tail_bound(self, load, mu, gamma, variant):
@@ -294,7 +301,7 @@ class TestChainProperties:
         assert params.lambda_total * acceptance_prob(ss) == pytest.approx(
             params.mu * mean_pairs(ss), rel=1e-8)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(load=st.floats(0.01, 100.0), gamma=st.floats(0.0, 1.0))
     def test_exponential_matches_telescoped_weights(self, load, gamma):
         # an independent route: closed-form weights, no recurrence.  Rounding

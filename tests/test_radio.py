@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,7 +110,7 @@ class TestReceivePower:
         ant = AntennaModel.analytic()
         assert receive_power(r, ant, 25.0, lo) >= receive_power(r, ant, 25.0, hi)
 
-    @settings(max_examples=60)
+    @settings(max_examples=examples(60))
     @given(p_tx=st.floats(-20.0, 30.0), margin=st.floats(10.0, 100.0),
            theta_deg=st.floats(4.0, 179.0), kappa=st.floats(1.5, 5.0),
            c=st.floats(1e3, 1e8))

@@ -511,6 +511,27 @@ class TestCliEntry:
             queueing.steady_state(scn.chain(scn.p_tx_min_dbm))
         assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
 
+    @pytest.mark.parametrize("line, key, count", [
+        ("p_tx_step_db = 1e-7", "p_tx_step_db", "4e+08"),
+        ("opt_tol_db = 1e-7", "opt_tol_db", "4e+08"),
+        ("p_tx_step_db = 0.0004", "p_tx_step_db", "1e+05"),
+        ("opt_tol_db = 5e-324", "opt_tol_db", "inf"),
+        ("p_tx_min_dbm = -80", "p_tx_min_dbm", "-80.0 <= -78.0"),
+        ("p_tx_max_dbm = 4000", "p_tx_max_dbm", "coverage radius inf"),
+    ])
+    def test_infeasible_power_grid_fails_before_any_work(self, line, key, count, tmp_path,
+                                                        capsys):
+        # a grid past 1e5 powers per sweep value would take hours and tens of GB
+        # at 1e-7; a range end below n_thr_dbm used to name p_tx_dbm, a key not set
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(line + "\n")
+        t0 = time.perf_counter()
+        assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"beamcap: error: {key}: ") and count in err
+        assert "Traceback" not in err
+
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert run_python(code) == "[]\n"
@@ -591,6 +612,18 @@ class TestSimulationBudget:
         cfg.write_text("lambda_per_m2 = 0\n")
         assert main(["validate", "--preset", "desk-fig4", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("beamcap: error: lambda_per_m2: ")
+
+    def test_simulate_rows_checks_the_whole_sweep_before_any_run(self, monkeypatch):
+        # library callers are refused too; 200 /s/m2 expects ~3.4e10 arrivals
+        from beamcap import simulator
+
+        def no_simulation(config, jobs):
+            raise AssertionError("simulation started before the budget check")
+
+        monkeypatch.setattr(simulator, "run", no_simulation)
+        scn = load_scenario(preset="desk-fig5", overrides={"sweep_values": "0.005,200"})
+        with pytest.raises(ScenarioError, match="^lambda_per_m2, horizon_s, replications: "):
+            simulate_rows(scn)
 
     def test_sweep_power_does_not_simulate_and_is_not_limited(self, capsys):
         # simulating paper-fig5 would expect ~3.4e10 arrivals at its first sweep value
