@@ -9,8 +9,8 @@ for area rate, and a CLI binds everything to declarative scenarios.
 from .queueing import (ChainParams, NonConvergenceError, SteadyState, Variant,
                        acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
                        steady_state)
-from .radio import (AntennaModel, AntennaVariant, RadioParams, beam_area, coverage_radius,
-                    dbm_to_mw, max_directivity, received_power_mw)
+from .radio import (AntennaModel, RadioParams, beam_area, coverage_radius, dbm_to_mw,
+                    max_directivity, received_power_mw)
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairPlacement, SimStats, UniformDistance, admission_check,
                         place_pair, run, run_replication)

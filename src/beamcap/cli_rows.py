@@ -15,6 +15,7 @@ from . import queueing, simulator, throughput
 from .scenario import Scenario, ScenarioError, check_simulation_budget, sweep_points
 
 MAX_POWER_POINTS = 100_000
+MAX_SERIES_STATES = 1e8
 
 
 def _fmt(v) -> str:
@@ -80,7 +81,7 @@ def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
             "replications": scn.replications,
             "mean_pairs": stats.mean_pairs,
             "ci_mean_pairs": stats.ci_halfwidth_mean_pairs,
-            "mean_pairs_per_m2": stats.mean_pairs_per_m2,
+            "mean_pairs_per_m2": stats.mean_pairs / scn.deployment.area,
             "p_accept": stats.p_accept,
             "ci_p_accept": stats.ci_halfwidth_p_accept,
             "arrivals_observed": stats.arrivals_observed,
@@ -96,7 +97,10 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     optimizer grid of more than MAX_POWER_POINTS powers, a range end whose
     coverage radius degenerates (the radius grows with power, so the ends
     bound the range), and with the series engine every sweep value's chain
-    at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit.
+    at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit,
+    then walks of more than MAX_SERIES_STATES states in all: the closed-form mean
+    (about one state per pair) over the display grid, the optimizer's grid, and
+    its 38 or fewer ternary steps (at the p_tx_min_dbm mean).
     """
     lo, hi = scenario.p_tx_min_dbm, scenario.p_tx_max_dbm   # no power key is sweepable
     for key in ("p_tx_step_db", "opt_tol_db"):
@@ -117,6 +121,13 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
     # a step that does not divide the range ends on the maximum itself
     grid = [p for p in grid if p < hi - 1e-9] + [hi]
+    n_opt = max(math.ceil((hi - lo) / scenario.opt_tol_db), 1)   # optimize_power's grid
+    powers = grid + [lo + (hi - lo) * i / n_opt for i in range(n_opt + 1)] + [lo] * 38
+    states = sum(queueing.mean_pairs_closed_form(scn.chain(p)) for _, _, scn in points
+                 if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
+    if states > MAX_SERIES_STATES:
+        raise ScenarioError(f"mean_engine: the series engine would walk about {states:.3g} chain "
+                            f"states, past the limit of {MAX_SERIES_STATES:.0e}")
     rows = []
     for param, value, scn in points:
         found = [("point", throughput.rate_components(scn, p), "") for p in grid]

@@ -100,12 +100,7 @@ def _first_block(params: ChainParams) -> int:
     scale, so the block covers 1.1 times the mean plus eight square roots of
     it.  A short first block costs one more block, never a different answer.
     """
-    try:
-        mean = mean_pairs_closed_form(params)
-    except OverflowError:  # exp(gamma) overflows: the mean is below one pair
-        return _BLOCK_MIN
-    if not mean < _BLOCK_MAX:  # also a nan from an overflowing Lambert-W argument
-        return _BLOCK_MAX
+    mean = min(mean_pairs_closed_form(params), _BLOCK_MAX)
     return min(max(_BLOCK_MIN, math.ceil(1.1 * mean + 8.0 * math.sqrt(mean))), _BLOCK_MAX)
 
 
@@ -224,21 +219,16 @@ def acceptance_prob(ss: SteadyState) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function for x >= -1/e.
+    """Principal branch of the Lambert W function for x >= 0.
 
     Guarded initial guess followed by Halley updates until the residual
     w*exp(w) - x is within 1e-12 of scale.
     """
-    inv_e = math.exp(-1.0)
-    if x < -inv_e:
-        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
+    if x < 0.0:
+        raise ValueError(f"lambert_w0 requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    if x < -0.25:
-        # series around the branch point
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x < 1.0:
+    if x < 1.0:
         w = x
     elif x < math.e:
         w = math.log1p(x)
@@ -260,13 +250,25 @@ def lambert_w0(x: float) -> float:
 
 
 def mean_pairs_closed_form(params: ChainParams) -> float:
-    """Closed-form mean population W(2*gamma*(lambda/mu)*e^gamma) / (2*gamma).
+    """Closed-form mean population W(x) / (2*gamma), x = 2*gamma*(lambda/mu)*e^gamma.
 
     The gamma -> 0 limit is lambda/mu, matching the pure immigration-death
-    reduction, and is returned exactly at gamma == 0.
+    reduction, and is returned exactly at gamma == 0.  Past the floats (gamma
+    near 700 on), w = W(x) solves w + log w = y = log x: Newton's method from
+    y - log y, below the root for y > 1, rises to it and stops where a step no
+    longer does.  (y <= 1 there needs a subnormal load.)
     """
-    a = params.load
-    g = params.gamma
-    if g == 0.0:
+    a, g = params.load, params.gamma
+    if g == 0.0 or a == 0.0:
         return a
-    return lambert_w0(2.0 * g * a * math.exp(g)) / (2.0 * g)
+    try:
+        x = 2.0 * g * a * math.exp(g)
+    except OverflowError:
+        x = math.inf
+    if x < math.inf:
+        return lambert_w0(x) / (2.0 * g)
+    y = math.log(2.0 * g) + math.log(a) + g
+    w = y - math.log(y)
+    while (w_next := w + (y - w - math.log(w)) / (1.0 + 1.0 / w)) > w:
+        w = w_next
+    return w / (2.0 * g)

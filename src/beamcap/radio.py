@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -72,28 +71,19 @@ class RadioParams:
         return dbm_to_mw(self.n_thr_dbm)
 
 
-class AntennaVariant(Enum):
-    ANALYTIC = "analytic"
-    TABLE = "table"
-
-
 @dataclass(frozen=True, eq=False)
 class AntennaModel:
     """Directional gain model: analytic cone or a sampled pattern table.
 
-    The analytic variant composes the maximum directivity with the linear
-    roll-off factor.  The table variant interpolates measured (angle, gain)
-    samples linearly in dB and clamps beyond the last sampled angle.
+    With no samples (angles is None), the cone: maximum directivity times the linear roll-off.
+    With both arrays, a table: linear in dB between samples, clamped beyond the last angle.
     """
 
-    variant: AntennaVariant = AntennaVariant.ANALYTIC
     angles: np.ndarray | None = None      # radians, ascending, starting at 0
     gains_dbi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.variant is AntennaVariant.ANALYTIC:
-            if self.angles is not None or self.gains_dbi is not None:
-                raise ValueError("analytic antenna takes no pattern table")
+        if self.angles is None and self.gains_dbi is None:
             return
         if self.angles is None or self.gains_dbi is None:
             raise ValueError("table antenna requires angle and gain samples")
@@ -114,13 +104,13 @@ class AntennaModel:
 
     @classmethod
     def analytic(cls) -> "AntennaModel":
-        return cls(AntennaVariant.ANALYTIC)
+        return cls()
 
     @classmethod
     def from_table(cls, samples) -> "AntennaModel":
         """Build from an iterable of (angle_rad, gain_dbi) pairs."""
         arr = np.asarray(list(samples), dtype=float).reshape(-1, 2)  # no rows: shape (0, 2)
-        return cls(AntennaVariant.TABLE, arr[:, 0].copy(), arr[:, 1].copy())
+        return cls(arr[:, 0].copy(), arr[:, 1].copy())
 
     @classmethod
     def from_pattern_file(cls, path) -> "AntennaModel":
@@ -144,7 +134,7 @@ class AntennaModel:
 
     def gain_linear(self, alpha, radio: RadioParams):
         """Composite directional gain at deviation angle(s) alpha, linear scale."""
-        if self.variant is AntennaVariant.ANALYTIC:
+        if self.angles is None:
             d0 = max_directivity(radio.theta)
             return d0 * np.maximum(1.0 - np.asarray(alpha) / radio.theta, 0.0)
         g_db = np.interp(np.asarray(alpha), self.angles, self.gains_dbi)
@@ -152,7 +142,7 @@ class AntennaModel:
 
     def peak_gain_linear(self, radio: RadioParams) -> float:
         """Largest gain at any angle; a table's largest sample may exceed D0."""
-        if self.variant is AntennaVariant.ANALYTIC:
+        if self.angles is None:
             return max_directivity(radio.theta)
         return 10.0 ** (float(self.gains_dbi.max()) / 10.0)   # OverflowError, not inf
 

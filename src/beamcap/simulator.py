@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .radio import AntennaModel, AntennaVariant, RadioParams, link_budget, received_power_mw
+from .radio import AntennaModel, RadioParams, link_budget, received_power_mw
 
 if TYPE_CHECKING:  # scenario imports the parameter classes from here
     from .scenario import Scenario
@@ -146,7 +146,6 @@ class SimStats:
     """
 
     mean_pairs: float
-    mean_pairs_per_m2: float
     p_accept: float
     state_histogram: np.ndarray
     ci_halfwidth_mean_pairs: float
@@ -236,7 +235,7 @@ def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest:
     reach^2, at least 1e-300, as a subnormal r2 could round below a d2 the kernel covers."""
     kappa, k0 = radio.kappa, link_budget(radio, antenna.peak_gain_linear(radio))
     reach = k0 ** (1.0 / kappa) * (1.0 + 1e-9)      # farthest any gain (<= peak) reaches
-    analytic = antenna.variant is AntennaVariant.ANALYTIC
+    analytic = antenna.angles is None
     if (analytic and 1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE
             and 1.0 / _RANGE < reach * reach < _RANGE):
         r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
@@ -455,9 +454,9 @@ def run_replication(scn: Scenario, rep_index: int, *,
                     snapshot_times: Sequence[float] = ()) -> ReplicationResult:
     """One independent replication with its own generator and event set.
 
-    The Poisson stream has exactly one pending arrival, held in t_arrival;
-    the heap holds departures as (time, pair id), and pair ids rise in
-    admission order, which orders tied departures as admission order does.
+    The Poisson stream has exactly one pending arrival, held in t_arrival; the
+    departure heap is the active set, (time, pair id, placement) per pair.  Pair
+    ids rise in admission order, which orders tied departures and snapshots.
     An arrival and a departure at exactly the same time (probability zero)
     are taken arrival first.
     """
@@ -465,12 +464,11 @@ def run_replication(scn: Scenario, rep_index: int, *,
     dep = scn.deployment
     lam = dep.lambda_total
     warmup, horizon = scn.warmup, scn.horizon
-    active: dict[int, PairPlacement] = {}
     index = _SectorGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius)
     admit, remove = index.admit, index.remove
     exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
     mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu
-    departures: list[tuple[float, int]] = []
+    departures: list[tuple[float, int, PairPlacement]] = []
     next_pair_id = 0
     state_time: dict[int, float] = {}
     observed = accepted = 0
@@ -483,12 +481,12 @@ def run_replication(scn: Scenario, rep_index: int, *,
         t = departures[0][0] if departures and departures[0][0] < t_arrival else t_arrival
         while pending and pending[-1] < t:
             pending.pop()
-            snapshots.append(tuple(active.values()))
+            snapshots.append(tuple(p for _, _, p in sorted(departures, key=lambda e: e[1])))
         if t > warmup:              # time in the state since t_prev, clipped to the window
             hi = t if t < horizon else horizon
             lo = t_prev if t_prev > warmup else warmup
             if hi > lo:
-                n = len(active)
+                n = len(departures)
                 state_time[n] = state_time.get(n, 0.0) + (hi - lo)
         if t > horizon:
             break
@@ -500,17 +498,13 @@ def run_replication(scn: Scenario, rep_index: int, *,
             if post:
                 observed += 1
             if admit(next_pair_id, placement):
-                active[next_pair_id] = placement
                 if post:
                     accepted += 1
-                push(departures, (t + exponential(mean_service), next_pair_id))
+                push(departures, (t + exponential(mean_service), next_pair_id, placement))
                 next_pair_id += 1
             t_arrival = t + exponential(mean_gap)
         else:
-            pair_id = pop(departures)[1]
-            remove(pair_id)
-            del active[pair_id]
-        assert len(departures) == len(active)           # one pending departure per active pair
+            remove(pop(departures)[1])
 
     return ReplicationResult(observed, accepted, state_time, tuple(snapshots))
 
@@ -565,7 +559,6 @@ def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
     hist /= hist.sum()
     return SimStats(
         mean_pairs=mean_pairs,
-        mean_pairs_per_m2=mean_pairs / scn.deployment.area,
         p_accept=p_accept,
         state_histogram=hist,
         ci_halfwidth_mean_pairs=ci_mean,

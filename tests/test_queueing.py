@@ -320,13 +320,11 @@ class TestLambertW:
         assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
         assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, abs=1e-10)
 
-    def test_branch_point(self):
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-6)
-        assert lambert_w0(-0.3) == pytest.approx(-0.4894022271802149, rel=1e-9)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-1.0 / math.e - 1e-6)
+    @pytest.mark.parametrize("x", [-5e-324, -0.3, -1.0 / math.e, -1.0 / math.e - 1e-6, -math.inf])
+    def test_negative_argument_raises(self, x):
+        # the closed form passes x >= 0 only, so the branch x < 0 is not served
+        with pytest.raises(ValueError, match="x >= 0"):
+            lambert_w0(x)
 
     def test_residual_on_log_grid(self):
         for x in np.geomspace(1e-12, 1e9, 200):
@@ -349,6 +347,22 @@ class TestClosedForm:
     def test_unit_load_example(self):
         # 5 * W(0.2 * e^0.1) evaluated through the residual-verified solver
         assert mean_pairs_closed_form(chain()) == pytest.approx(0.919519599403794, rel=1e-10)
+
+    @pytest.mark.parametrize("lam, gamma", [
+        (2 * math.pi * 3000**2, 686.9),   # 2*gamma*load*e^gamma rounds to inf
+        (1.0, 710.0),                     # exp(gamma) overflows
+        (1e-12, 712.0),                   # so does exp(gamma); log x is 692
+        (1e308, 1.0),
+        (1e-6, 1e300),
+    ])
+    def test_past_the_float_range_matches_mpmath(self, lam, gamma):
+        import mpmath
+
+        got = mean_pairs_closed_form(chain(lam=lam, gamma=gamma))
+        with mpmath.workdps(50):
+            g, a = mpmath.mpf(gamma), mpmath.mpf(lam)
+            exact = mpmath.lambertw(2 * g * a * mpmath.exp(g)).real / (2 * g)
+            assert abs(got - exact) <= 1e-12 * exact
 
     def test_dense_deployment_vs_series(self):
         params = chain(lam=2 * math.pi * 3000**2, gamma=6.3528955286054768e-5)

@@ -229,8 +229,10 @@ class TestAntennaTable:
             AntennaModel.from_table([(0.0, 1.0), (0.0, 0.0)])
         with pytest.raises(ValueError, match="finite"):
             AntennaModel.from_table([(0.0, 1.0), (0.2, -math.inf)])
-        with pytest.raises(ValueError, match="no pattern table"):
-            AntennaModel(angles=np.array([0.0, 1.0]), gains_dbi=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="requires angle and gain samples"):
+            AntennaModel(angles=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="requires angle and gain samples"):
+            AntennaModel(gains_dbi=np.array([1.0, 0.0]))
 
 
 def test_dbm_roundtrip():

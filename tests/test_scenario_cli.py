@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -144,8 +146,8 @@ class TestConfigParsing:
         pattern = tmp_path / "pattern.csv"
         pattern.write_text("angle_deg,gain_dbi\n0,12.96\n26,9.95\n52,-150\n")
         scn = load_scenario(overrides={"antenna": f"table:{pattern}"})
-        from beamcap import AntennaVariant
-        assert scn.antenna.variant is AntennaVariant.TABLE
+        assert scn.antenna.angles.tolist() == [0.0, math.radians(26.0), math.radians(52.0)]
+        assert scn.antenna.gains_dbi.tolist() == [12.96, 9.95, -150.0]
 
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
         pattern_dir = tmp_path / "a#b"
@@ -511,6 +513,18 @@ class TestCliEntry:
             queueing.steady_state(scn.chain(scn.p_tx_min_dbm))
         assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
 
+    def test_series_sweep_power_past_the_state_budget_fails_at_once(self, tmp_path, capsys):
+        # paper-fig5 with the series engine passes the state limit at every
+        # power but would walk 1.55e9 states in all, about 5 minutes
+        cfg = tmp_path / "series.cfg"
+        cfg.write_text("mean_engine = series\n")
+        t0 = time.perf_counter()
+        assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            "beamcap: error: mean_engine: the series engine would walk about 1.55e+09 chain "
+            "states, past the limit of 1e+08\n")
+
     @pytest.mark.parametrize("line, key, count", [
         ("p_tx_step_db = 1e-7", "p_tx_step_db", "4e+08"),
         ("opt_tol_db = 1e-7", "opt_tol_db", "4e+08"),
@@ -699,6 +713,27 @@ class TestLinkBudgetRange:
         assert row["arrivals_observed"] > 300
         assert row["p_accept"] == 1.0                     # no pair within reach of another
 
+
+    @pytest.mark.parametrize("command, lines", [
+        ("analyze", "p_tx_dbm = 78\nsweep_param =\n"),     # gamma 687: the argument is inf
+        ("analyze", "p_tx_dbm = 80\nsweep_param =\n"),     # exp(gamma) overflows
+        ("analyze", "p_tx_dbm = 300\nsweep_param =\n"),
+        ("sweep-power", "p_tx_max_dbm = 80\n"),
+        ("sweep-power", "p_tx_max_dbm = 300\n"),
+        ("sweep-power", "p_tx_max_dbm = 1000\n"),
+    ])
+    def test_closed_form_past_the_float_range(self, command, lines, tmp_path, capsys):
+        # 2*gamma*load*e^gamma leaves the floats from about 78 dBm on paper-fig5;
+        # test_queueing checks the closed form there against mpmath
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(lines)
+        t0 = time.perf_counter()
+        assert main([command, "--preset", "paper-fig5", "--config", str(cfg)]) == 0
+        assert time.perf_counter() - t0 < 5.0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        means = [float(v) for row in rows for k, v in row.items() if k.startswith("mean_pairs")]
+        assert max(float(row["gamma"]) for row in rows) > 686.0
+        assert means and all(math.isfinite(v) for v in means)
 
     def test_reach_whose_square_overflows_runs(self):
         # kappa = 0.02: coverage radius ~6e164 m, r2 = inf, and the kernel
