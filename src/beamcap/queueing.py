@@ -93,15 +93,23 @@ class SteadyState:
 
 
 def _first_block(params: ChainParams) -> int:
-    """Size of steady_state's first block of states.
+    """Size of steady_state's first block of states, per rejection shape.
 
-    The Lambert-W mean is exact for the exponential shape only.  The logistic
-    shape rejects less, and its mean sits up to about 9% above it at paper
-    scale, so the block covers 1.1 times the mean plus eight square roots of
-    it.  A short first block costs one more block, never a different answer.
+    The exponential block covers its Lambert-W mean plus eight square roots
+    of it.  The logistic and piecewise-linear shapes reject less at low
+    occupancy, and their means can sit above that one (the logistic one by up
+    to 9% at paper scale), so their blocks cover 1.1 times it plus the eight
+    square roots.  A piecewise-linear block stops at the chain's first dead
+    state, at most floor(1/gamma) + 1; 1/gamma is capped while still a float,
+    so a subnormal gamma cannot overflow.  A short first block costs one more
+    block, never a different answer.
     """
     mean = min(mean_pairs_closed_form(params), _BLOCK_MAX)
-    return min(max(_BLOCK_MIN, math.ceil(1.1 * mean + 8.0 * math.sqrt(mean))), _BLOCK_MAX)
+    scale = 1.0 if params.variant is Variant.EXPONENTIAL else 1.1
+    block = math.ceil(scale * mean + 8.0 * math.sqrt(mean))
+    if params.variant is Variant.PIECEWISE_LINEAR and params.gamma > 0.0:
+        block = min(block, math.floor(min(1.0 / params.gamma, _BLOCK_MAX)) + 2)
+    return min(max(_BLOCK_MIN, block), _BLOCK_MAX)
 
 
 def _not_truncated(params: ChainParams) -> NonConvergenceError:
@@ -140,14 +148,15 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     NonConvergenceError is raised; check_state_limit raises it before the
     walk where it can tell that no state will stop it.
 
-    States are evaluated in array blocks.  The first block is sized from the
-    Lambert-W mean (at least 1,024 states); each later block doubles, up to
-    65,536 states, so no temporary array exceeds about 0.5 MB.  Within a
-    block, log w_m is carried by cumsum and the running log-sum by
+    States are evaluated in array blocks.  The first block is sized per
+    rejection shape (_first_block, at least 1,024 states); each later block
+    doubles, up to 65,536 states, so no temporary array exceeds about 0.5 MB.
+    Within a block, log w_m is carried by cumsum and the running log-sum by
     logaddexp.accumulate, each seeded with the previous block's last value.
     Both accumulate strictly left to right, so they round exactly as the
-    state-by-state recurrence does, and the stopping rule is tested on every
-    state of the block at once.
+    state-by-state recurrence does.  The end of the chain is tested on every
+    state of the block at once; the tail bound only from the block's first
+    state with a step ratio below one, which past the mode is a short run.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -167,17 +176,22 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
         w = np.cumsum(np.concatenate(([logw], log_r)))
         block_logw = w[:-1]
         block_sum = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1:]
-        # where log_r >= 0 the bound is undefined (nan or inf) and the test is masked
+        stop = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
+        # the tail bound is tested from the first state with log_r < 0; where
+        # log_r >= 0 it is undefined (nan or inf) and masked
+        below = np.flatnonzero(log_r < 0.0)
+        s = int(below[0]) if below.size else m.size
+        r = log_r[s:]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            block_tail = block_logw + log_r - np.log1p(-np.exp(log_r))
-            converged = (log_r < 0.0) & (block_tail - np.logaddexp(block_sum, block_tail) <= log_eps)
-        dead = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
-        stop = np.flatnonzero(dead | converged)
-        if stop.size:
-            k = int(stop[0])
+            block_tail = block_logw[s:] + r - np.log1p(-np.exp(r))
+            stop[s:] |= (r < 0.0) & (block_tail - np.logaddexp(block_sum[s:], block_tail)
+                                     <= log_eps)
+        hits = np.flatnonzero(stop)
+        if hits.size:
+            k = int(hits[0])
             logws.append(block_logw[:k + 1])
             log_sum = block_sum[k]
-            log_tail = -math.inf if dead[k] else block_tail[k]
+            log_tail = -math.inf if la[k] < _LOG_EPS_FLOOR else block_tail[k - s]
             break
         if m0 + m.size > _MAX_STATES:
             raise _not_truncated(params)

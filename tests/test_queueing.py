@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
-from beamcap import (ChainParams, NonConvergenceError, SteadyState, Variant,
+from beamcap import (ChainParams, CheckMode, NonConvergenceError, SteadyState, Variant,
                      acceptance_prob, lambert_w0, mean_pairs, mean_pairs_closed_form,
                      queueing, steady_state)
-from beamcap.queueing import _LOG_EPS_FLOOR, _log_accept
+from beamcap.queueing import _BLOCK_MAX, _BLOCK_MIN, _LOG_EPS_FLOOR, _log_accept
+from beamcap.scenario import PRESETS, load_scenario, sweep_points
 
 VARIANTS = [Variant.PIECEWISE_LINEAR, Variant.LOGISTIC, Variant.EXPONENTIAL]
 
@@ -217,6 +218,45 @@ class TestSteadyState:
                 with mock.patch.object(queueing, "_MAX_STATES", limit), \
                         pytest.raises(NonConvergenceError):
                     steady_state(params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=examples(40), deadline=None)
+    @given(a=st.floats(0.01, 1e5), gamma=st.floats(0.0, 1.0))
+    def test_block_splits_never_change_a_bit(self, variant, a, gamma):
+        # cumsum and logaddexp.accumulate carry each block's last value into
+        # the next, and every other step is elementwise, so the first block's
+        # size may cost blocks but never a bit of the answer
+        params = chain(lam=a, gamma=gamma, variant=variant)
+        ss = steady_state(params)
+        for first in (1, 3, _BLOCK_MIN, 5000):
+            with mock.patch.object(queueing, "_first_block", return_value=first):
+                got = steady_state(params)
+            assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
+
+    @staticmethod
+    def assert_first_block_fits(params):
+        # the walk ends inside the first block unless that block is capped, and
+        # the block overshoots the states kept by at most 15%
+        first, kept = queueing._first_block(params), steady_state(params).probs.size
+        assert kept <= first or first == _BLOCK_MAX
+        assert first <= max(_BLOCK_MIN, 1.15 * kept)
+
+    @pytest.mark.parametrize("check_mode", list(CheckMode))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_first_block_fits_every_preset(self, preset, variant, check_mode):
+        scn = load_scenario(preset=preset, overrides={"variant": variant.value,
+                                                      "check_mode": check_mode.value})
+        for _, _, point in sweep_points(scn):
+            self.assert_first_block_fits(point.chain(point.radio.p_tx_dbm))
+
+    @pytest.mark.parametrize("lam, gamma", [
+        (50.0, 2.2e-311),                           # 1/gamma overflows to inf
+        (1e9, 1 / 2000), (1e9, 1 / 4999), (1e9, 1 / 10007), (1e9, 1 / 30011),
+    ])
+    def test_piecewise_first_block_stops_at_the_dead_state(self, lam, gamma):
+        self.assert_first_block_fits(chain(lam=lam, gamma=gamma,
+                                           variant=Variant.PIECEWISE_LINEAR))
 
     @pytest.mark.parametrize("lam, gamma", [(1e308, 1.0), (1.0, 1000.0)])
     def test_closed_form_overflow_only_sizes_blocks(self, lam, gamma):
