@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import sys
 
 from . import cli_rows, validation
@@ -22,9 +21,7 @@ from .scenario import ScenarioError, load_scenario
 from .simulator import PlacementError
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="beamcap",
         description="Capacity analysis for dynamic networks of directional device pairs.",

@@ -205,12 +205,18 @@ class TestSteadyState:
     def test_max_states_limits_exactly_the_walk(self, variant, a, gamma, k):
         # the up-front check may raise only where the walk itself would: a
         # chain truncating at index t solves unchanged for any limit >= t and
-        # raises for any limit < t
+        # raises for any limit < t. cumsum and logaddexp.accumulate carry each
+        # block's last value into the next, and every other step is
+        # elementwise, so the first block's size may cost blocks but never a
+        # bit of the answer
         params = chain(lam=a, gamma=gamma, variant=variant)
         ss = steady_state(params)
         t = ss.probs.size - 1
-        for limit in (t, t + k):
-            with mock.patch.object(queueing, "_MAX_STATES", limit):
+        patches = [("_MAX_STATES", limit) for limit in (t, t + k)]
+        patches += [("_first_block", mock.Mock(return_value=first))
+                    for first in (1, 3, _BLOCK_MIN, 5000)]
+        for name, value in patches:
+            with mock.patch.object(queueing, name, value):
                 got = steady_state(params)
             assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
         for limit in {t - 1, t - 1 - k}:
@@ -218,20 +224,6 @@ class TestSteadyState:
                 with mock.patch.object(queueing, "_MAX_STATES", limit), \
                         pytest.raises(NonConvergenceError):
                     steady_state(params)
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @settings(max_examples=examples(40), deadline=None)
-    @given(a=st.floats(0.01, 1e5), gamma=st.floats(0.0, 1.0))
-    def test_block_splits_never_change_a_bit(self, variant, a, gamma):
-        # cumsum and logaddexp.accumulate carry each block's last value into
-        # the next, and every other step is elementwise, so the first block's
-        # size may cost blocks but never a bit of the answer
-        params = chain(lam=a, gamma=gamma, variant=variant)
-        ss = steady_state(params)
-        for first in (1, 3, _BLOCK_MIN, 5000):
-            with mock.patch.object(queueing, "_first_block", return_value=first):
-                got = steady_state(params)
-            assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
 
     @staticmethod
     def assert_first_block_fits(params):

@@ -391,43 +391,6 @@ class TestSeedOverride:
         assert "seed: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
-class TestParserReuse:
-    """main builds its parser once per process, so no call may leave state for the next."""
-
-    @staticmethod
-    def call(argv, capsys):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse's own exit, as for --jobs 0
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    @pytest.mark.parametrize("first, second", [
-        (["simulate", "--config", "{cfg}", "--seed", "5"], ["simulate", "--config", "{cfg}"]),
-        (["analyze", "--preset", "desk-fig4", "--format", "json"],
-         ["analyze", "--preset", "desk-fig4", "--format", "csv"]),
-        (["analyze", "--preset", "desk-fig4", "--jobs", "0"], ["analyze", "--preset", "desk-fig4"]),
-    ])
-    def test_consecutive_calls_print_what_each_prints_alone(self, first, second, tmp_path,
-                                                            capsys):
-        import beamcap.cli as cli_mod
-
-        cfg = tmp_path / "fast.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in FAST_SIM.items()))
-        calls = [[str(cfg) if a == "{cfg}" else a for a in argv] for argv in (first, second)]
-        alone = []
-        for argv in calls:
-            cli_mod._build_parser.cache_clear()
-            alone.append(self.call(argv, capsys))
-        cli_mod._build_parser.cache_clear()
-        together = [self.call(argv, capsys) for argv in calls]
-        assert cli_mod._build_parser.cache_info().hits == 1
-        assert together == alone
-        assert [code for code, _, _ in alone] == [2 if "--jobs" in first else 0, 0]
-        assert all(out for code, out, _ in alone if code == 0)
-
-
 class TestSweepPowerRows:
     def test_single_power_point(self):
         scn = load_scenario(preset="paper-fig5", overrides={
