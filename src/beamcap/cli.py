@@ -22,25 +22,22 @@ from .simulator import PlacementError
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    commands = {"analyze": "steady-state chain metrics per sweep value",
+                "simulate": "spatial Monte Carlo statistics per sweep value",
+                "sweep-power": "area-rate sweep over transmit power with optimum summary",
+                "validate": "run the acceptance checks and report verdicts"}
     parser = argparse.ArgumentParser(
-        prog="beamcap",
+        prog="beamcap", usage="%(prog)s <command> [flags]", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Capacity analysis for dynamic networks of directional device pairs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "steady-state chain metrics per sweep value"),
-        ("simulate", "spatial Monte Carlo statistics per sweep value"),
-        ("sweep-power", "area-rate sweep over transmit power with optimum summary"),
-        ("validate", "run the acceptance checks and report verdicts"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="scenario config file (key = value lines)")
-        p.add_argument("--preset", help="bundled scenario preset name")
-        p.add_argument("--seed", type=int, help="override the scenario's seed key (>= 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for replications (>= 1; at most one per replication)")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        epilog="commands:\n" + "".join(f"  {name:<13}{text}\n" for name, text in commands.items()))
+    parser.add_argument("command", choices=commands, help="flags may come before or after it")
+    parser.add_argument("--config", help="scenario config file (key = value lines)")
+    parser.add_argument("--preset", help="bundled scenario preset name")
+    parser.add_argument("--seed", type=int, help="override the scenario's seed key (>= 0)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for replications (>= 1; at most one per replication)")
+    parser.add_argument("--out", help="write output to this path instead of stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -51,8 +51,8 @@ class ChainParams:
             raise ValueError(f"lambda_total must be >= 0, got {self.lambda_total}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
     @property
     def load(self) -> float:

@@ -290,6 +290,9 @@ class TestSteadyState:
             ChainParams(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             ChainParams(1.0, 1.0, -0.1)
+        for gamma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                ChainParams(1.0, 1.0, gamma)
 
 
 class TestMetrics:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import beamcap
-from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area,
+from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area, cli,
                      coverage_radius, queueing)
 from beamcap.cli import main
 from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
@@ -483,6 +483,16 @@ class TestCliEntry:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "horizon_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["exponential", "logistic", "piecewise-linear"])
+    def test_infinite_gamma_exit_code(self, variant, tmp_path, capsys):
+        # the footprint ratio of this tiny region overflows to inf
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"r_d_m = 1e-153\npair_model = fixed:1e-300\nvariant = {variant}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "beamcap: error: gamma must be finite and >= 0, got inf\n"
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad2.cfg"
         cfg.write_text("bogus = 1\n")
@@ -601,6 +611,54 @@ class TestCliEntry:
         assert main(["analyze", "--preset", "desk-fig4", "--out", str(out)]) == 0
         assert out.read_text().startswith("sweep_param,")
         capsys.readouterr()
+
+
+class TestParser:
+    """One parser: a command plus six flags, which may sit on either side of it."""
+
+    PURPOSES = {
+        "analyze": "steady-state chain metrics per sweep value",
+        "simulate": "spatial Monte Carlo statistics per sweep value",
+        "sweep-power": "area-rate sweep over transmit power with optimum summary",
+        "validate": "run the acceptance checks and report verdicts",
+    }
+    FLAGS = ["--config", "x.cfg", "--preset", "desk-fig4", "--seed", "3", "--jobs", "2",
+             "--out", "rows.json", "--format", "json"]
+
+    @pytest.mark.parametrize("command", sorted(PURPOSES))
+    def test_flags_on_either_side_of_the_command(self, command):
+        expected = {"command": command, "config": "x.cfg", "preset": "desk-fig4", "seed": 3,
+                    "jobs": 2, "out": "rows.json", "format": "json"}
+        for argv in ([command, *self.FLAGS], [*self.FLAGS, command],
+                     [*self.FLAGS[:6], command, *self.FLAGS[6:]]):
+            assert vars(cli._build_parser().parse_args(argv)) == expected
+
+    def test_flags_first_prints_the_same_bytes(self, capsys):
+        assert main(["analyze", "--preset", "desk-fig4", "--format", "json"]) == 0
+        after = capsys.readouterr()
+        assert main(["--preset", "desk-fig4", "--format", "json", "analyze"]) == 0
+        assert capsys.readouterr() == after
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "beamcap: error: the following arguments are required: command"),
+        (["--preset", "desk-fig4"], "beamcap: error: the following arguments are required: command"),
+        (["frob"], "beamcap: error: argument command: invalid choice: 'frob' (choose from "
+                   "'analyze', 'simulate', 'sweep-power', 'validate')"),
+        (["--jobs", "0", "validate"], "beamcap: error: --jobs must be >= 1, got 0"),
+    ])
+    def test_bad_arguments_exit_2_with_one_error_line(self, argv, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"usage: beamcap <command> [flags]\n{line}\n"
+
+    def test_help_names_every_command_with_its_purpose(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command, purpose in self.PURPOSES.items():
+            assert any(line.split() == [command, *purpose.split()] for line in lines), command
 
 
 class TestSimulationBudget:
