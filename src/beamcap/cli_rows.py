@@ -16,6 +16,9 @@ from .scenario import Scenario, ScenarioError, check_simulation_budget, sweep_po
 
 MAX_POWER_POINTS = 100_000
 MAX_SERIES_STATES = 1e8
+# optimize_power's refinement: a bracket of two grid spacings (<= 2*opt_tol_db) shrinks
+# to 2/3 a step down to opt_tol_db*1e-3: ceil(log 2000 / log 1.5) = 19 steps of 2 evaluations
+MAX_REFINE_EVALS = 38
 
 
 def _fmt(v) -> str:
@@ -100,7 +103,7 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit,
     then walks of more than MAX_SERIES_STATES states in all: the closed-form mean
     (about one state per pair) over the display grid, the optimizer's grid, and
-    its 38 or fewer ternary steps (at the p_tx_min_dbm mean).
+    its MAX_REFINE_EVALS or fewer refinement evaluations (at the p_tx_min_dbm mean).
     """
     lo, hi = scenario.p_tx_min_dbm, scenario.p_tx_max_dbm   # no power key is sweepable
     for key in ("p_tx_step_db", "opt_tol_db"):
@@ -122,7 +125,7 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     # a step that does not divide the range ends on the maximum itself
     grid = [p for p in grid if p < hi - 1e-9] + [hi]
     n_opt = max(math.ceil((hi - lo) / scenario.opt_tol_db), 1)   # optimize_power's grid
-    powers = grid + [lo + (hi - lo) * i / n_opt for i in range(n_opt + 1)] + [lo] * 38
+    powers = grid + [lo + (hi - lo) * i / n_opt for i in range(n_opt + 1)] + [lo] * MAX_REFINE_EVALS
     states = sum(queueing.mean_pairs_closed_form(scn.chain(p)) for _, _, scn in points
                  if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
     if states > MAX_SERIES_STATES:

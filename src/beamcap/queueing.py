@@ -61,13 +61,14 @@ class ChainParams:
 
 def _log_accept(n: np.ndarray, gamma: float, variant: Variant) -> np.ndarray:
     """log(1 - Q_n) for an array of states n, exact in log space for every variant."""
-    x = n * gamma
-    if variant is Variant.PIECEWISE_LINEAR:
-        return np.log1p(-x, out=np.full(x.shape, -np.inf), where=x < 1.0)
-    if variant is Variant.LOGISTIC:
-        # 1 - tanh(x) = 2 exp(-2x) / (1 + exp(-2x))
-        return math.log(2.0) - 2.0 * x - np.logaddexp(0.0, -2.0 * x)
-    return -2.0 * x
+    with np.errstate(over="ignore"):   # x or 2x past the floats is inf: exactly a dead state
+        x = n * gamma
+        if variant is Variant.PIECEWISE_LINEAR:
+            return np.log1p(-x, out=np.full(x.shape, -np.inf), where=x < 1.0)
+        if variant is Variant.LOGISTIC:
+            # 1 - tanh(x) = 2 exp(-2x) / (1 + exp(-2x))
+            return math.log(2.0) - 2.0 * x - np.logaddexp(0.0, -2.0 * x)
+        return -2.0 * x
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +174,8 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
         m = np.arange(m0, min(m0 + size, _MAX_STATES + 1))
         la = _log_accept(m, params.gamma, params.variant)
         log_r = log_a + la - np.log(m + 1)
-        w = np.cumsum(np.concatenate(([logw], log_r)))
+        with np.errstate(over="ignore"):   # only past a dead state can this reach -inf
+            w = np.cumsum(np.concatenate(([logw], log_r)))
         block_logw = w[:-1]
         block_sum = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1:]
         stop = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included

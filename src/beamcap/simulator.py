@@ -147,21 +147,16 @@ class SimStats:
 
     mean_pairs: float
     p_accept: float
-    state_histogram: np.ndarray
     ci_halfwidth_mean_pairs: float
     ci_halfwidth_p_accept: float
     arrivals_observed: int
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        hist = np.asarray(self.state_histogram, dtype=float)
-        if hist.size and abs(hist.sum() - 1.0) > 1e-12:
-            raise ValueError(f"state histogram must sum to 1, got {hist.sum()}")
         if not math.isnan(self.p_accept) and not 0.0 <= self.p_accept <= 1.0:
             raise ValueError(f"p_accept must lie in [0, 1], got {self.p_accept}")
         if self.ci_halfwidth_mean_pairs < 0 or self.ci_halfwidth_p_accept < 0:
             raise ValueError("CI halfwidths must be >= 0")
-        object.__setattr__(self, "state_histogram", hist)
 
 
 @dataclass(frozen=True)
@@ -551,16 +546,9 @@ def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
             flags.append("partial-arrivals")
     if len(reps) < 2:
         flags.append("low-confidence")
-    max_state = max(max(r.state_time) if r.state_time else 0 for r in reps)
-    hist = np.zeros(max_state + 1)
-    for r in reps:
-        for n, dt in r.state_time.items():
-            hist[n] += dt
-    hist /= hist.sum()
     return SimStats(
         mean_pairs=mean_pairs,
         p_accept=p_accept,
-        state_histogram=hist,
         ci_halfwidth_mean_pairs=ci_mean,
         ci_halfwidth_p_accept=ci_p,
         arrivals_observed=int(sum(r.observed for r in reps)),

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -492,6 +493,29 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "beamcap: error: gamma must be finite and >= 0, got inf\n"
+
+    @pytest.mark.parametrize("variant", ["exponential", "logistic", "piecewise-linear"])
+    @pytest.mark.parametrize("r_d, row", [
+        # n*gamma overflows at state 1e7 and the log weights past state 1 sum
+        # below -1.8e308
+        ("1e-150", ",,5.717605975744928e+302,0.0,0.5,0.0,1.0,3.141592653589914e-300"),
+        # n*gamma is finite at state 1e7, but 2n*gamma is not
+        ("7e-150", ",,1.1668583623969242e+301,0.0,0.5,0.0,1.0,1.5393804002589984e-298"),
+    ], ids=["r_d_1e-150", "r_d_7e-150"])
+    def test_huge_finite_gamma_runs_without_warnings(self, variant, r_d, row, tmp_path,
+                                                     capsys):
+        # the overflows are exact limits (a dead state), not faults to report;
+        # numpy attributes the cumsum's warning to its own module, so pyproject's
+        # error::RuntimeWarning:beamcap filter alone would not catch it
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"r_d_m = {r_d}\npair_model = fixed:1e-300\nvariant = {variant}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--config", str(cfg)]) == 0
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == row
+        assert captured.err == ""
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad2.cfg"

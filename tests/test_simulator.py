@@ -12,7 +12,8 @@ from beamcap import (AntennaModel, CheckMode, CuboidProjection, DeploymentParams
                      place_pair, run, run_replication)
 from beamcap.cli import main
 from beamcap.scenario import ScenarioError, build_scenario, load_scenario
-from beamcap.simulator import PlacementError, max_cross_pair_power, mean_projected_distance
+from beamcap.simulator import (PlacementError, aggregate, max_cross_pair_power,
+                               mean_projected_distance)
 
 DEG = math.pi / 180.0
 
@@ -239,7 +240,6 @@ class TestRun:
     def test_no_arrivals(self):
         stats = run(sim_scenario(lam=0.0, reps=2))
         assert stats.mean_pairs == 0.0
-        assert stats.state_histogram.tolist() == [1.0]
         assert math.isnan(stats.p_accept)
         assert "undefined" in stats.flags
         assert stats.arrivals_observed == 0
@@ -249,7 +249,6 @@ class TestRun:
         s1, s2 = run(cfg), run(cfg)
         assert s1.mean_pairs == s2.mean_pairs
         assert s1.p_accept == s2.p_accept
-        assert np.array_equal(s1.state_histogram, s2.state_histogram)
         assert s1.ci_halfwidth_mean_pairs == s2.ci_halfwidth_mean_pairs
         s3 = run(sim_scenario(seed=43))
         assert s3.mean_pairs != s1.mean_pairs
@@ -295,15 +294,20 @@ class TestRun:
         lam_density = 5.0 / (math.pi * 50.0**2)
         cfg = sim_scenario(lam=lam_density, r_d=50.0, p_tx_dbm=-70.0, seed=5,
                          reps=4, warmup=20.0, horizon=520.0)
-        stats = run(cfg)
+        reps = [run_replication(cfg, i) for i in range(cfg.replications)]
+        stats = aggregate(reps, cfg)
         assert stats.p_accept == 1.0
         assert abs(stats.mean_pairs - 5.0) <= max(3 * stats.ci_halfwidth_mean_pairs, 0.15)
         # chi-square against the Poisson pmf at the 1% level, effective
         # sample count discounted for autocorrelation (one per 2/mu)
         n_eff = 4 * 500.0 / 2.0
+        occupancy = np.zeros(max(max(r.state_time) for r in reps) + 1)
+        for r in reps:
+            for k, dt in r.state_time.items():
+                occupancy[k] += dt
         pmf = np.array([math.exp(k * math.log(5.0) - 5.0 - math.lgamma(k + 1))
-                        for k in range(stats.state_histogram.size)])
-        obs = stats.state_histogram * n_eff
+                        for k in range(occupancy.size)])
+        obs = occupancy / occupancy.sum() * n_eff
         exp = pmf * n_eff
         keep = exp >= 5.0
         obs_binned = np.append(obs[keep], obs[~keep].sum())

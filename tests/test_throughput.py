@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import examples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamcap import RadioParams, link_rate, noise_power, optimize_power, rate_components
-from beamcap.cli_rows import render_csv, sweep_power_rows
+from beamcap import (RadioParams, link_rate, noise_power, optimize_power, rate_components,
+                     throughput)
+from beamcap.cli_rows import MAX_REFINE_EVALS, render_csv, sweep_power_rows
 from beamcap.scenario import build_scenario
 
 DEG = math.pi / 180.0
@@ -152,3 +156,23 @@ class TestOptimizePower:
         a = optimize_power(scenario(lam=2.0))
         b = optimize_power(scenario(lam=2.0, p_tx_min_dbm="-20.05", p_tx_max_dbm="20.05"))
         assert abs(a.point.p_tx_dbm - b.point.p_tx_dbm) <= 0.1
+
+    @settings(max_examples=examples(50), deadline=None)
+    @given(lo=st.floats(-30.0, 20.0), span=st.floats(0.0, 20.0), tol=st.floats(0.05, 2.0),
+           variant=st.sampled_from(["exponential", "logistic", "piecewise-linear"]))
+    def test_evaluations_within_the_series_budget(self, lo, span, tol, variant):
+        # sweep_power_rows budgets the series walks of optimize_power at its
+        # grid plus MAX_REFINE_EVALS refinement evaluations
+        scn = scenario(lam=2e-3, r_d=300.0, engine="series", variant=variant,
+                       p_tx_min_dbm=repr(lo), p_tx_max_dbm=repr(lo + span), opt_tol_db=repr(tol))
+        calls = []
+
+        def counted(scn, p_tx_dbm):
+            calls.append(p_tx_dbm)
+            return rate_components(scn, p_tx_dbm)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(throughput, "rate_components", counted)
+            optimize_power(scn)
+        grid = max(math.ceil((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / tol), 1) + 1
+        assert len(calls) <= grid + MAX_REFINE_EVALS
