@@ -19,6 +19,13 @@ _MAX_STATES = 10_000_000
 # steady_state block sizes: the cap keeps each temporary array near 0.5 MB
 _BLOCK_MIN = 1_024
 _BLOCK_MAX = 65_536
+# _late_start: the running log-sum skips states more than _LATE_DROP below
+# the peak's log weight (their probabilities underflow to 0.0) where the sum
+# is at least _LATE_MIN; its two runs go on until a state outweighs the
+# upper seed by _LATE_MARGIN (e^-64, far below one ulp)
+_LATE_DROP = 746.0
+_LATE_MIN = 1_024.0
+_LATE_MARGIN = 64.0
 
 
 class Variant(Enum):
@@ -136,6 +143,36 @@ def check_state_limit(params: ChainParams) -> None:
         raise _not_truncated(params)
 
 
+def _late_start(lws: np.ndarray, s: int) -> tuple[int, float]:
+    """Where steady_state's running log-sum may start: (c, its value at c),
+    c <= s, with the bits of np.logaddexp.accumulate(lws)[c]; (-1, -inf) to
+    start at state 0.  lws[:s + 1] is non-decreasing, up to the peak s.
+
+    States below j0, the first with lws[j0] >= lws[s] - _LATE_DROP, add
+    nothing to any sum from s on, but their rounding still reaches it.  So
+    the accumulate runs twice from j0, over a window ending by s: once
+    seeded with -inf, once with high = lws[j0 - 1] + log(j0) + 1, above the
+    sum of those j0 states, which all weigh at most lws[j0 - 1].  The window
+    ends at the first state that outweighs high by _LATE_MARGIN.  The walk
+    from state 0 lies between the two runs, so where both hold the same
+    float it holds it too.  This rests on a float logaddexp step never
+    falling as its first input grows: from a sum of _LATE_MIN on, one ulp of
+    it is over a thousand times glibc's error on log1p(exp(d)) <= log 2.
+    Where lws[j0] < _LATE_MIN, or the runs do not meet, the sum starts at 0.
+    """
+    j0 = int(np.searchsorted(lws[:s + 1], lws[s] - _LATE_DROP))
+    if j0 == 0 or lws[j0] < _LATE_MIN:
+        return -1, -math.inf
+    high = lws[j0 - 1] + math.log(j0) + 1.0
+    window = lws[j0:s + 1]
+    window = window[:np.searchsorted(window, high + _LATE_MARGIN) + 1]
+    low = np.logaddexp.accumulate(window)
+    met = np.flatnonzero(low == np.logaddexp.accumulate(np.concatenate(([high], window)))[1:])
+    if not met.size:
+        return -1, -math.inf
+    return j0 + int(met[0]), low[met[0]]
+
+
 def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     """Solve the chain by the ratio recurrence, truncating by a tail bound.
 
@@ -152,12 +189,18 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     States are evaluated in array blocks.  The first block is sized per
     rejection shape (_first_block, at least 1,024 states); each later block
     doubles, up to 65,536 states, so no temporary array exceeds about 0.5 MB.
-    Within a block, log w_m is carried by cumsum and the running log-sum by
-    logaddexp.accumulate, each seeded with the previous block's last value.
-    Both accumulate strictly left to right, so they round exactly as the
-    state-by-state recurrence does.  The end of the chain is tested on every
-    state of the block at once; the tail bound only from the block's first
-    state with a step ratio below one, which past the mode is a short run.
+    Within a block, log w_m is carried by cumsum, seeded with the previous
+    block's last value; it accumulates strictly left to right, so it rounds
+    exactly as the state-by-state recurrence does.  Neither the end of the
+    chain nor the tail bound can stop the walk before the peak s, the first
+    state with a step ratio below one, so the running log-sum is needed only
+    from s on.  Blocks below the peak keep their log weights and take no
+    log-sum.  The block holding s starts the sum late, near the peak
+    (_late_start), with the bits of a sum from state 0; each later
+    block carries it on by logaddexp.accumulate, seeded with the previous
+    block's last value.  The end of the chain is tested on every state of
+    the block at once; the tail bound only from s, which past the mode is a
+    short run.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -168,7 +211,8 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     log_a = math.log(a)
     log_eps = math.log(epsilon)
     logws = []
-    logw, log_sum = 0.0, -math.inf  # log weight of state m0; log of the summed weights below m0
+    # log weight of state m0; log of the summed weights below m0, None below the peak
+    logw, log_sum = 0.0, None
     m0, size = 0, _first_block(params)
     while True:
         m = np.arange(m0, min(m0 + size, _MAX_STATES + 1))
@@ -177,32 +221,38 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
         with np.errstate(over="ignore"):   # only past a dead state can this reach -inf
             w = np.cumsum(np.concatenate(([logw], log_r)))
         block_logw = w[:-1]
-        block_sum = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1:]
-        stop = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
         # the tail bound is tested from the first state with log_r < 0; where
         # log_r >= 0 it is undefined (nan or inf) and masked
         below = np.flatnonzero(log_r < 0.0)
         s = int(below[0]) if below.size else m.size
-        r = log_r[s:]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            block_tail = block_logw[s:] + r - np.log1p(-np.exp(r))
-            stop[s:] |= (r < 0.0) & (block_tail - np.logaddexp(block_sum[s:], block_tail)
-                                     <= log_eps)
-        hits = np.flatnonzero(stop)
-        if hits.size:
-            k = int(hits[0])
-            logws.append(block_logw[:k + 1])
-            log_sum = block_sum[k]
-            log_tail = -math.inf if la[k] < _LOG_EPS_FLOOR else block_tail[k - s]
-            break
+        logws.append(block_logw)
+        if log_sum is None and s < m.size:   # the peak: one array from state 0 on
+            logws = [np.concatenate(logws)]
+            c, log_sum = _late_start(logws[0], m0 + s)
+            sums = np.logaddexp.accumulate(np.concatenate(([log_sum], logws[0][c + 1:])))
+            sums = sums[m0 + s - c:]
+        elif log_sum is not None:
+            sums = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1 + s:]
+        if log_sum is not None:   # below the peak nothing stops the walk
+            stop = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
+            r = log_r[s:]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                block_tail = block_logw[s:] + r - np.log1p(-np.exp(r))
+                stop[s:] |= (r < 0.0) & (block_tail - np.logaddexp(sums, block_tail) <= log_eps)
+            hits = np.flatnonzero(stop)
+            if hits.size:
+                k = int(hits[0])
+                log_sum = sums[k - s]
+                log_tail = -math.inf if la[k] < _LOG_EPS_FLOOR else block_tail[k - s]
+                break
+            log_sum = sums[-1]
         if m0 + m.size > _MAX_STATES:
             raise _not_truncated(params)
-        logws.append(block_logw)
-        logw, log_sum = w[-1], block_sum[-1]
+        logw = w[-1]
         m0 += m.size
         size = min(2 * size, _BLOCK_MAX)
     log_z = np.logaddexp(log_sum, log_tail)
-    probs = np.exp(np.concatenate(logws) - log_z)
+    probs = np.exp(np.concatenate(logws)[:m0 + k + 1] - log_z)
     tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
     total = float(probs.sum()) + tail
     probs /= total
@@ -229,7 +279,8 @@ def acceptance_prob(ss: SteadyState) -> float:
     elif p.variant is Variant.LOGISTIC:
         accept = 1.0 - np.tanh(x)
     else:
-        accept = np.exp(-2.0 * x)
+        with np.errstate(over="ignore"):   # 2x past the floats is inf: exactly no acceptance
+            accept = np.exp(-2.0 * x)
     total = accept[:-1] @ ss.probs + accept[-1] * ss.tail_bound
     return float(min(total, 1.0))
 
@@ -272,7 +323,8 @@ def mean_pairs_closed_form(params: ChainParams) -> float:
     reduction, and is returned exactly at gamma == 0.  Past the floats (gamma
     near 700 on), w = W(x) solves w + log w = y = log x: Newton's method from
     y - log y, below the root for y > 1, rises to it and stops where a step no
-    longer does.  (y <= 1 there needs a subnormal load.)
+    longer does.  (y <= 1 there needs a subnormal load.)  Where 2*gamma itself
+    overflows (gamma > 9e307), log(2*gamma) is taken as log 2 + log gamma.
     """
     a, g = params.load, params.gamma
     if g == 0.0 or a == 0.0:
@@ -283,8 +335,9 @@ def mean_pairs_closed_form(params: ChainParams) -> float:
         x = math.inf
     if x < math.inf:
         return lambert_w0(x) / (2.0 * g)
-    y = math.log(2.0 * g) + math.log(a) + g
+    log_2g = math.log(2.0 * g) if 2.0 * g < math.inf else math.log(2.0) + math.log(g)
+    y = log_2g + math.log(a) + g
     w = y - math.log(y)
     while (w_next := w + (y - w - math.log(w)) / (1.0 + 1.0 / w)) > w:
         w = w_next
-    return w / (2.0 * g)
+    return w / 2.0 / g   # the bits of w / (2 gamma), where 2 gamma is a float

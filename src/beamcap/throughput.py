@@ -91,7 +91,9 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
     """Maximize the area rate over [p_tx_min_dbm, p_tx_max_dbm].
 
     Grid search at opt_tol_db spacing, then ternary refinement between the
-    grid neighbours of the best point.  Ties break toward lower power.
+    grid neighbours of the best point, down to a bracket of opt_tol_db/1000
+    or until a third no longer falls strictly inside the bracket, where the
+    float spacing of the powers ends it.  Ties break toward lower power.
     A flat objective returns the point at the range minimum, p_tx_min_dbm
     itself, with the flat flag set.
     """
@@ -109,6 +111,8 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
     while hi_p - lo_p > tol * 1e-3:
         m1 = lo_p + (hi_p - lo_p) / 3.0
         m2 = hi_p - (hi_p - lo_p) / 3.0
+        if m1 <= lo_p or m2 >= hi_p:   # a bracket one or two floats wide
+            break
         pt1, pt2 = rate_components(scn, m1), rate_components(scn, m2)
         v1, v2 = pt1.area_rate_bps_m2, pt2.area_rate_bps_m2
         if v1 > best.area_rate_bps_m2 or (v1 == best.area_rate_bps_m2 and m1 < best.p_tx_dbm):

@@ -87,6 +87,20 @@ def reference_steady_state(params, epsilon):
     return probs / total, tail / total
 
 
+def log_weights_past_the_peak(params):
+    """Log weights of states 0..n-1, n > 2s, summed left to right as
+    steady_state's cumsum sums them, and the peak s: the first state with a
+    step ratio below one."""
+    n = _BLOCK_MIN
+    while True:
+        m = np.arange(n)
+        log_r = math.log(params.load) + _log_accept(m, params.gamma, params.variant) - np.log(m + 1)
+        below = np.flatnonzero(log_r < 0.0)
+        if below.size and n > 2 * below[0]:
+            return np.cumsum(np.concatenate(([0.0], log_r)))[:-1], int(below[0])
+        n *= 2
+
+
 class TestRejectionProb:
     """The Q_n shapes in both forms the chain uses: log for the solve, linear for P_acc."""
 
@@ -275,6 +289,65 @@ class TestSteadyState:
         np.testing.assert_allclose(ss.probs, probs, rtol=1e-12, atol=1e-300)
         assert ss.tail_bound == pytest.approx(tail, rel=1e-12, abs=1e-300)
 
+    @staticmethod
+    def late_sums(lws, s):
+        """Running log-sums of lws at indices s on, started where _late_start says."""
+        c, log_sum = queueing._late_start(lws, s)
+        assert c <= s
+        return np.logaddexp.accumulate(np.concatenate(([log_sum], lws[c + 1:])))[s - c:]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=examples(25), deadline=None)
+    @given(a=st.floats(0.0, 7.0).map(lambda e: 10.0 ** e),
+           gamma=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e),
+           drop=st.sampled_from([queueing._LATE_DROP, 20.0, 25.0, 30.0, 33.0, 36.0, 40.0]))
+    @example(a=1e4, gamma=1e-4, drop=queueing._LATE_DROP)   # the logistic peak is in block 2
+    @example(a=1e5, gamma=1e-4, drop=queueing._LATE_DROP)   # a late start for every shape
+    @example(a=1e7, gamma=1e-5, drop=queueing._LATE_DROP)   # the peak lies past 65,536 states
+    @example(a=1e5, gamma=1e-4, drop=20.0)
+    # the skipped states sum to well above lws[j0 - 1]: the upper run needs its slack
+    @example(a=7351.86609839353, gamma=0.0012899797056869426, drop=30.0)
+    @example(a=77442.78707041199, gamma=0.0007908172184274374, drop=25.0)
+    def test_late_start_keeps_every_bit(self, variant, a, gamma, drop):
+        # the sums that steady_state reads, from the peak on, are those of the
+        # walk from state 0 bit for bit, wherever the late start begins.  Where
+        # j0 is only 20-40 below the peak, the states below it still move the
+        # bits; the runs then either meet where the walk does or never meet
+        lws, s = log_weights_past_the_peak(chain(lam=a, gamma=gamma, variant=variant))
+        with mock.patch.object(queueing, "_LATE_DROP", drop):
+            assert np.array_equal(self.late_sums(lws, s), np.logaddexp.accumulate(lws)[s:])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("a, gamma", [(1e4, 1e-4), (1e5, 1e-4), (1e7, 1e-3), (2e3, 1e-5)])
+    @pytest.mark.parametrize("first", [None, _BLOCK_MIN])
+    def test_late_start_solves_as_from_state_0(self, variant, a, gamma, first):
+        # _LATE_MIN = inf sums every chain from state 0; a first block of
+        # _BLOCK_MIN states puts each peak past it
+        params = chain(lam=a, gamma=gamma, variant=variant)
+        lws, s = log_weights_past_the_peak(params)
+        assert queueing._late_start(lws, s)[0] > 0
+        block = queueing._first_block if first is None else mock.Mock(return_value=first)
+        with mock.patch.object(queueing, "_first_block", block):
+            got = steady_state(params)
+            with mock.patch.object(queueing, "_LATE_MIN", math.inf):
+                full = steady_state(params)
+        assert np.array_equal(got.probs, full.probs) and got.tail_bound == full.tail_bound
+
+    @pytest.mark.parametrize("name, value", [
+        ("_LATE_MARGIN", -math.inf),   # a one-state window: the runs cannot meet
+        ("_LATE_MIN", 1e4),            # above this chain's lw[j0] = 5,330
+    ])
+    def test_late_start_falls_back_to_state_0(self, name, value):
+        params = chain(lam=1e4, gamma=1e-4)
+        lws, s = log_weights_past_the_peak(params)
+        ss = steady_state(params)
+        assert queueing._late_start(lws, s)[0] > 0
+        with mock.patch.object(queueing, name, value):
+            assert queueing._late_start(lws, s) == (-1, -math.inf)
+            assert np.array_equal(self.late_sums(lws, s), np.logaddexp.accumulate(lws)[s:])
+            got = steady_state(params)
+        assert np.array_equal(got.probs, ss.probs) and got.tail_bound == ss.tail_bound
+
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
             steady_state(chain(), epsilon=0.0)
@@ -389,6 +462,8 @@ class TestClosedForm:
         (1e-12, 712.0),                   # so does exp(gamma); log x is 692
         (1e308, 1.0),
         (1e-6, 1e300),
+        (1.0, 9.5e307),                   # 2*gamma overflows
+        (1e7, 1.7e308),
     ])
     def test_past_the_float_range_matches_mpmath(self, lam, gamma):
         import mpmath

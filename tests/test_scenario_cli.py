@@ -501,7 +501,9 @@ class TestCliEntry:
         ("1e-150", ",,5.717605975744928e+302,0.0,0.5,0.0,1.0,3.141592653589914e-300"),
         # n*gamma is finite at state 1e7, but 2n*gamma is not
         ("7e-150", ",,1.1668583623969242e+301,0.0,0.5,0.0,1.0,1.5393804002589984e-298"),
-    ], ids=["r_d_1e-150", "r_d_7e-150"])
+        # 2*gamma overflows, in the closed form's log(2*gamma) and in exp(-2*gamma)
+        ("2e-153", ",,1.429401493936232e+308,0.0,0.5,0.0,1.0,1.2566370614358997e-305"),
+    ], ids=["r_d_1e-150", "r_d_7e-150", "r_d_2e-153"])
     def test_huge_finite_gamma_runs_without_warnings(self, variant, r_d, row, tmp_path,
                                                      capsys):
         # the overflows are exact limits (a dead state), not faults to report;

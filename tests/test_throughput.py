@@ -176,3 +176,22 @@ class TestOptimizePower:
             optimize_power(scn)
         grid = max(math.ceil((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / tol), 1) + 1
         assert len(calls) <= grid + MAX_REFINE_EVALS
+
+    @pytest.mark.parametrize("lo, hi, tol", [
+        ("10", "10.00000000001", "1e-13"),   # tol/1000 is below the float spacing at 10
+        ("7.99999999999999", "8.00000000000001", "1e-15"),   # the spacing doubles at 8
+    ])
+    def test_refinement_stops_at_the_float_spacing(self, lo, hi, tol):
+        scn = scenario(lam=2.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi, opt_tol_db=tol)
+        grid = max(math.ceil((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.opt_tol_db), 1) + 1
+        calls = []
+
+        def counted(scn, p_tx_dbm):   # fails where the refinement would never end
+            calls.append(p_tx_dbm)
+            assert len(calls) <= grid + MAX_REFINE_EVALS
+            return rate_components(scn, p_tx_dbm)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(throughput, "rate_components", counted)
+            opt = optimize_power(scn)
+        assert scn.p_tx_min_dbm <= opt.point.p_tx_dbm <= scn.p_tx_max_dbm
