@@ -99,7 +99,8 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     Everything that would fail is refused before any work: a display or
     optimizer grid of more than MAX_POWER_POINTS powers, a range end whose
     coverage radius degenerates (the radius grows with power, so the ends
-    bound the range), and with the series engine every sweep value's chain
+    bound the range), an area rate that may leave the floats (a bound over the
+    whole range), and with the series engine every sweep value's chain
     at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit,
     then walks of more than MAX_SERIES_STATES states in all: the closed-form mean
     (about one state per pair) over the display grid, the optimizer's grid, and
@@ -120,6 +121,10 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                 raise ScenarioError(f"{key}: {exc}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
             queueing.check_state_limit(chain)
+        bound = throughput.area_rate_bound(scn)
+        if not bound < math.inf:
+            raise ScenarioError(f"r_d_m, bandwidth_hz: the area rate may reach {bound:g} b/s/m^2 "
+                                f"over a disk of {scn.deployment.area:g} m^2, past the floats")
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
     # a step that does not divide the range ends on the maximum itself

@@ -20,9 +20,10 @@ _MAX_STATES = 10_000_000
 _BLOCK_MIN = 1_024
 _BLOCK_MAX = 65_536
 # _late_start: the running log-sum skips states more than _LATE_DROP below
-# the peak's log weight (their probabilities underflow to 0.0) where the sum
-# is at least _LATE_MIN; its two runs go on until a state outweighs the
-# upper seed by _LATE_MARGIN (e^-64, far below one ulp)
+# the peak's log weight (their probabilities underflow to 0.0; exp does from
+# -745.2 on) where the sum is at least _LATE_MIN; its two runs go on until a
+# state outweighs the upper seed by _LATE_MARGIN (e^-64, far below one ulp).
+# steady_state's final exp skips the states _LATE_DROP below the total
 _LATE_DROP = 746.0
 _LATE_MIN = 1_024.0
 _LATE_MARGIN = 64.0
@@ -58,6 +59,9 @@ class ChainParams:
             raise ValueError(f"lambda_total must be >= 0, got {self.lambda_total}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
+        if not self.load < math.inf:
+            raise ValueError(f"lambda_total, mu must give a finite load lambda_total / mu, got "
+                             f"{self.lambda_total:g} / {self.mu:g}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
@@ -90,7 +94,7 @@ class SteadyState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty 1-D vector")
-        if np.any(p < 0) or np.any(p > 1):
+        if p.min() < 0 or p.max() > 1:   # NaN passes here and fails the sum below
             raise ValueError("steady-state probabilities must lie in [0, 1]")
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be >= 0")
@@ -198,9 +202,17 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     log-sum.  The block holding s starts the sum late, near the peak
     (_late_start), with the bits of a sum from state 0; each later
     block carries it on by logaddexp.accumulate, seeded with the previous
-    block's last value.  The end of the chain is tested on every state of
-    the block at once; the tail bound only from s, which past the mode is a
-    short run.
+    block's last value.  The end of the chain and the tail bound are tested
+    only from s, which past the mode is a short run.
+
+    The probabilities are exp(log w_m - log Z).  Every state whose log weight
+    lies more than _LATE_DROP below log Z underflows to 0.0, and below the
+    peak those states form a prefix, found by binary search; exp and the
+    final divide run only on the window after it, and the prefix stays 0.0.
+    The normalising sum runs over the whole zero-padded array, as do the
+    dot products of mean_pairs and acceptance_prob: a reduction over a
+    shorter array would group its terms in other SIMD/BLAS lanes and could
+    round the last bit otherwise.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
@@ -223,27 +235,32 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
         block_logw = w[:-1]
         # the tail bound is tested from the first state with log_r < 0; where
         # log_r >= 0 it is undefined (nan or inf) and masked
-        below = np.flatnonzero(log_r < 0.0)
-        s = int(below[0]) if below.size else m.size
+        below = log_r < 0.0
+        s = int(below.argmax())
+        if not below[s]:
+            s = m.size
         logws.append(block_logw)
         if log_sum is None and s < m.size:   # the peak: one array from state 0 on
-            logws = [np.concatenate(logws)]
-            c, log_sum = _late_start(logws[0], m0 + s)
+            peak = m0 + s
+            if len(logws) > 1:
+                logws = [np.concatenate(logws)]
+            c, log_sum = _late_start(logws[0], peak)
             sums = np.logaddexp.accumulate(np.concatenate(([log_sum], logws[0][c + 1:])))
-            sums = sums[m0 + s - c:]
+            sums = sums[peak - c:]
         elif log_sum is not None:
             sums = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1 + s:]
         if log_sum is not None:   # below the peak nothing stops the walk
-            stop = la < _LOG_EPS_FLOOR  # birth rate vanished, la == -inf included
             r = log_r[s:]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 block_tail = block_logw[s:] + r - np.log1p(-np.exp(r))
-                stop[s:] |= (r < 0.0) & (block_tail - np.logaddexp(sums, block_tail) <= log_eps)
-            hits = np.flatnonzero(stop)
-            if hits.size:
-                k = int(hits[0])
-                log_sum = sums[k - s]
-                log_tail = -math.inf if la[k] < _LOG_EPS_FLOOR else block_tail[k - s]
+                # the birth rate vanishes (la == -inf included) only from s on:
+                # below it log_r >= 0, so la >= -log(lambda/mu) >= -709.8
+                stop = (la[s:] < _LOG_EPS_FLOOR) | (
+                    (r < 0.0) & (block_tail - np.logaddexp(sums, block_tail) <= log_eps))
+            k = int(stop.argmax())
+            if stop[k]:
+                log_sum = sums[k]
+                log_tail = -math.inf if la[s + k] < _LOG_EPS_FLOOR else block_tail[k]
                 break
             log_sum = sums[-1]
         if m0 + m.size > _MAX_STATES:
@@ -252,17 +269,22 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
         m0 += m.size
         size = min(2 * size, _BLOCK_MAX)
     log_z = np.logaddexp(log_sum, log_tail)
-    probs = np.exp(np.concatenate(logws)[:m0 + k + 1] - log_z)
+    lws = logws[0] if len(logws) == 1 else np.concatenate(logws)
+    # below lo every probability underflows to 0.0; the sum stays full length
+    lo =int(np.searchsorted(lws[:peak + 1], log_z - _LATE_DROP))
+    probs = np.zeros(m0 + s + k + 1)
+    window = probs[lo:]
+    np.exp(np.subtract(lws[lo:probs.size], log_z, out=window), out=window)
     tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
     total = float(probs.sum()) + tail
-    probs /= total
+    window /= total
     tail /= total
     return SteadyState(probs, float(tail), params)
 
 
 def mean_pairs(ss: SteadyState) -> float:
     """Expected number of active pairs under the truncated distribution."""
-    return float(np.arange(ss.probs.size) @ ss.probs)
+    return float(np.arange(ss.probs.size, dtype=float) @ ss.probs)
 
 
 def acceptance_prob(ss: SteadyState) -> float:
@@ -272,15 +294,17 @@ def acceptance_prob(ss: SteadyState) -> float:
     first excluded state, which keeps the gamma = 0 case exactly one.
     """
     p = ss.params
-    n = np.arange(ss.probs.size + 1)
-    x = n * p.gamma
+    # states before the first nonzero probability add nothing: their factors stay 0.0
+    lo = int(np.argmax(ss.probs != 0.0))
+    accept = np.zeros(ss.probs.size + 1)
+    x = np.arange(lo, accept.size, dtype=float) * p.gamma
     if p.variant is Variant.PIECEWISE_LINEAR:
-        accept = np.maximum(1.0 - np.minimum(x, 1.0), 0.0)
+        accept[lo:] = np.maximum(1.0 - np.minimum(x, 1.0), 0.0)
     elif p.variant is Variant.LOGISTIC:
-        accept = 1.0 - np.tanh(x)
+        accept[lo:] = 1.0 - np.tanh(x)
     else:
         with np.errstate(over="ignore"):   # 2x past the floats is inf: exactly no acceptance
-            accept = np.exp(-2.0 * x)
+            accept[lo:] = np.exp(-2.0 * x)
     total = accept[:-1] @ ss.probs + accept[-1] * ss.tail_bound
     return float(min(total, 1.0))
 

@@ -53,8 +53,13 @@ class RadioParams:
             )
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if not math.isfinite(self.snr_max_db):
-            raise ValueError(f"snr_max_db must be finite, got {self.snr_max_db}")
+        try:   # link_rate's linear cap
+            cap = 10.0 ** (self.snr_max_db / 10.0)
+        except OverflowError:
+            cap = math.inf
+        if not cap < math.inf:
+            raise ValueError(f"snr_max_db must be finite with a finite linear cap "
+                             f"10^(snr_max_db/10), got {self.snr_max_db}")
         try:   # p_tx_mw, D0 or the root may overflow or divide by zero
             r = coverage_radius(self)
         except (OverflowError, ZeroDivisionError):

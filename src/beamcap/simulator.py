@@ -113,6 +113,19 @@ class DeploymentParams:
             raise ValueError(f"lambda_density must be >= 0, got {self.lambda_density}")
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
+        try:   # the square may leave the floats
+            area = self.area
+        except OverflowError:
+            area = math.inf
+        if not 0.0 < area < math.inf:
+            raise ValueError(f"region_radius must give a positive, finite disk area, "
+                             f"got {area} m^2")
+        if not self.lambda_total < math.inf:
+            raise ValueError(f"region_radius, lambda_density give an infinite arrival rate "
+                             f"lambda_total, got {self.lambda_total}")
+        if not self.lambda_total / self.mu < math.inf:
+            raise ValueError(f"mu must give a finite load lambda_total / mu, got "
+                             f"{self.lambda_total:g} / {self.mu:g}")
 
     @property
     def area(self) -> float:

@@ -68,17 +68,33 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
     boresight; E[N] comes from the selected queueing engine and reacts to
     transmit power through the coverage radius and footprint ratio.
     """
-    radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
     chain = scn.chain(p_tx_dbm)
     if scn.mean_engine is MeanEngine.CLOSED:
         e_n = queueing.mean_pairs_closed_form(chain)
     else:
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
+    c = _pair_rate(scn, p_tx_dbm)
+    return RatePoint(p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
+
+
+def _pair_rate(scn: Scenario, p_tx_dbm: float) -> float:
+    """Link rate [bit/s] of a pair at the expected pair distance, on boresight."""
+    radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
     p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
-    p_n = noise_power(radio.n_thr_dbm, scn.k_neighbors)
-    c = link_rate(radio, p_rx, p_n)
-    return RatePoint(radio.p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
+    return link_rate(radio, p_rx, noise_power(radio.n_thr_dbm, scn.k_neighbors))
+
+
+def area_rate_bound(scn: Scenario) -> float:
+    """An upper bound on rate_components' area rate over [p_tx_min_dbm, p_tx_max_dbm].
+
+    The link rate grows with power.  Both engines' E[N] lie below
+    max(lambda/mu, 1/2): the series mean is lambda/mu times the acceptance
+    probability, and the closed-form mean n = (lambda/mu) e^(gamma (1 - 2n))
+    lies between lambda/mu and 1/2.
+    """
+    load = scn.deployment.lambda_total / scn.deployment.mu
+    return _pair_rate(scn, scn.p_tx_max_dbm) * max(load, 0.5) / scn.deployment.area
 
 
 @dataclass(frozen=True)

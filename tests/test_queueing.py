@@ -87,6 +87,38 @@ def reference_steady_state(params, epsilon):
     return probs / total, tail / total
 
 
+def full_length_oracle(params, n):
+    """probs, tail_bound, mean_pairs and acceptance_prob of a chain kept to
+    states 0..n-1, each computed over all n states: exp of every kept log
+    weight, its running log-sum from state 0, and the acceptance factor of
+    every state.  steady_state must match it bit for bit."""
+    m = np.arange(n)
+    la = _log_accept(m, params.gamma, params.variant)
+    log_r = math.log(params.load) + la - np.log(m + 1)
+    lws = np.cumsum(np.concatenate(([0.0], log_r[:-1])))
+    log_sum = np.logaddexp.accumulate(lws)[-1]
+    log_tail = -math.inf
+    if la[-1] >= _LOG_EPS_FLOOR:
+        r = log_r[-1:]
+        log_tail = (lws[-1:] + r - np.log1p(-np.exp(r)))[0]
+    log_z = np.logaddexp(log_sum, log_tail)
+    probs = np.exp(lws - log_z)
+    tail = float(np.exp(log_tail - log_z)) if log_tail != -math.inf else 0.0
+    total = float(probs.sum()) + tail
+    probs /= total
+    tail /= total
+    x = np.arange(n + 1) * params.gamma
+    if params.variant is Variant.PIECEWISE_LINEAR:
+        accept = np.maximum(1.0 - np.minimum(x, 1.0), 0.0)
+    elif params.variant is Variant.LOGISTIC:
+        accept = 1.0 - np.tanh(x)
+    else:
+        with np.errstate(over="ignore"):
+            accept = np.exp(-2.0 * x)
+    p_accept = float(min(accept[:-1] @ probs + accept[-1] * tail, 1.0))
+    return probs, tail, float(np.arange(n) @ probs), p_accept
+
+
 def log_weights_past_the_peak(params):
     """Log weights of states 0..n-1, n > 2s, summed left to right as
     steady_state's cumsum sums them, and the peak s: the first state with a
@@ -363,6 +395,9 @@ class TestSteadyState:
             ChainParams(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             ChainParams(1.0, 1.0, -0.1)
+        for lam, mu in ((math.inf, 1.0), (1e300, 1e-10), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite load"):
+                ChainParams(lam, mu, 0.1)
         for gamma in (math.inf, math.nan):
             with pytest.raises(ValueError, match="gamma must be finite"):
                 ChainParams(1.0, 1.0, gamma)
@@ -420,6 +455,36 @@ class TestChainProperties:
         normal = weights > 1e-290
         ratio = ss.probs[normal] / weights[normal]
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=examples(20), deadline=None)
+    @given(a=st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e),
+           gamma=st.one_of(st.just(0.0), st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e)),
+           epsilon=st.sampled_from([1e-12, 1e-9, 1e-6]),
+           patch=st.sampled_from([None, ("_first_block", 1), ("_first_block", _BLOCK_MIN),
+                                  ("_LATE_MIN", math.inf), ("_LATE_MARGIN", -math.inf)]))
+    @example(a=3.0, gamma=0.1, epsilon=1e-9, patch=None)       # every state prints nonzero
+    @example(a=1e5, gamma=1e-4, epsilon=1e-9, patch=None)      # a late start for every shape
+    @example(a=2e5, gamma=0.0, epsilon=1e-9, patch=None)       # four blocks
+    @example(a=1e4, gamma=1e-4, epsilon=1e-9, patch=("_first_block", _BLOCK_MIN))
+    @example(a=1e4, gamma=1e-4, epsilon=1e-9, patch=("_LATE_MARGIN", -math.inf))
+    @example(a=1e9, gamma=1 / 2000, epsilon=1e-9, patch=None)  # a piecewise dead state
+    def test_window_matches_full_length_oracle(self, variant, a, gamma, epsilon, patch):
+        # exp and the divide skip the states that print 0.0, and acceptance_prob
+        # the factors they would weigh; every value, and every sum over the
+        # zero-padded arrays, keeps the bits of the full-length passes.  The
+        # patches force multi-block walks and the late start's fallback to state 0
+        params = chain(lam=a, gamma=gamma, variant=variant)
+        if patch is None:
+            ss = steady_state(params, epsilon=epsilon)
+        else:
+            name, value = patch
+            value = mock.Mock(return_value=value) if name == "_first_block" else value
+            with mock.patch.object(queueing, name, value):
+                ss = steady_state(params, epsilon=epsilon)
+        probs, tail, mean, p_accept = full_length_oracle(params, ss.probs.size)
+        assert np.array_equal(ss.probs, probs) and ss.tail_bound == tail
+        assert mean_pairs(ss) == mean and acceptance_prob(ss) == p_accept
 
 
 class TestLambertW:

@@ -519,6 +519,31 @@ class TestCliEntry:
         assert captured.out.splitlines()[1] == row
         assert captured.err == ""
 
+    @pytest.mark.parametrize("command, lines, key", [
+        ("analyze", "r_d_m = 1e-170\n", "r_d_m"),            # the disk area underflows to 0
+        ("sweep-power", "r_d_m = 1e-170\n", "r_d_m"),
+        ("analyze", "r_d_m = 1e300\n", "r_d_m"),             # its square overflows
+        ("sweep-power", "r_d_m = 1e300\n", "r_d_m"),
+        ("analyze", "mu_per_s = 5e-324\n", "mu_per_s"),      # the load lambda/mu is inf
+        ("sweep-power", "mu_per_s = 5e-324\n", "mu_per_s"),
+        ("sweep-power", "snr_max_db = 1e6\n", "snr_max_db"),  # the linear cap overflows
+        # a 3e-300 m^2 disk: c * E[N] / area is inf at every power
+        ("sweep-power", "r_d_m = 1e-150\nlambda_per_m2 = 89.9\ncheck_mode = one-way\n"
+                        "p_tx_max_dbm = 10\np_tx_step_db = 10\n", "r_d_m"),
+    ], ids=["tiny-area-analyze", "tiny-area-sweep", "huge-area-analyze", "huge-area-sweep",
+            "inf-load-analyze", "inf-load-sweep", "huge-snr-cap-sweep", "inf-area-rate-sweep"])
+    def test_non_finite_deployment_or_rate_exit_code(self, command, lines, key, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(lines)
+        t0 = time.perf_counter()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"beamcap: error: {key}")
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad2.cfg"
         cfg.write_text("bogus = 1\n")
