@@ -80,7 +80,9 @@ def main(argv=None) -> int:
             out.write(render(rows))
             return 0
     except (ScenarioError, NonConvergenceError, PlacementError, ValueError) as exc:
-        print(f"beamcap: error: {exc}", file=sys.stderr)
+        # a chain too long to truncate has too high a load lambda_per_m2 * area / mu_per_s
+        keys = "lambda_per_m2, r_d_m, mu_per_s: " if isinstance(exc, NonConvergenceError) else ""
+        print(f"beamcap: error: {keys}{exc}", file=sys.stderr)
         return 2
 
 

@@ -193,17 +193,16 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     States are evaluated in array blocks.  The first block is sized per
     rejection shape (_first_block, at least 1,024 states); each later block
     doubles, up to 65,536 states, so no temporary array exceeds about 0.5 MB.
-    Within a block, log w_m is carried by cumsum, seeded with the previous
-    block's last value; it accumulates strictly left to right, so it rounds
-    exactly as the state-by-state recurrence does.  Neither the end of the
-    chain nor the tail bound can stop the walk before the peak s, the first
-    state with a step ratio below one, so the running log-sum is needed only
-    from s on.  Blocks below the peak keep their log weights and take no
-    log-sum.  The block holding s starts the sum late, near the peak
-    (_late_start), with the bits of a sum from state 0; each later
-    block carries it on by logaddexp.accumulate, seeded with the previous
-    block's last value.  The end of the chain and the tail bound are tested
-    only from s, which past the mode is a short run.
+    The log weights live in one array that grows by doubling; each block
+    writes its log step ratios after the last weight and runs cumsum over
+    them in place, strictly left to right, so it rounds exactly as the
+    state-by-state recurrence does.  Neither the end of the chain nor the
+    tail bound can stop the walk before the peak s, the first state with a
+    step ratio below one, so the running log-sum is needed only from s on.
+    It is one carry, the log-sum of states 0..c: _late_start sets it near
+    the peak, with the bits of a sum from state 0, and each block from s on
+    carries it on by logaddexp.accumulate.  The end of the chain and the
+    tail bound are tested only from s, which past the mode is a short run.
 
     The probabilities are exp(log w_m - log Z).  Every state whose log weight
     lies more than _LATE_DROP below log Z underflows to 0.0, and below the
@@ -222,37 +221,34 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
     check_state_limit(params)
     log_a = math.log(a)
     log_eps = math.log(epsilon)
-    logws = []
-    # log weight of state m0; log of the summed weights below m0, None below the peak
-    logw, log_sum = 0.0, None
+    lws = np.zeros(1)   # log weights of states 0..m0; lws[m0] seeds the next block
+    peak = None   # from the peak on, (c, log_sum) is the log-sum of states 0..c
     m0, size = 0, _first_block(params)
     while True:
-        m = np.arange(m0, min(m0 + size, _MAX_STATES + 1))
+        end = min(m0 + size, _MAX_STATES + 1)
+        m = np.arange(m0, end)
         la = _log_accept(m, params.gamma, params.variant)
         log_r = log_a + la - np.log(m + 1)
+        if lws.size <= end:   # doubling keeps the copies linear in the states walked
+            lws, old = np.empty(max(end + 1, 2 * lws.size)), lws
+            lws[:m0 + 1] = old[:m0 + 1]
+        w = lws[m0:end + 1]
+        w[1:] = log_r
         with np.errstate(over="ignore"):   # only past a dead state can this reach -inf
-            w = np.cumsum(np.concatenate(([logw], log_r)))
-        block_logw = w[:-1]
+            np.cumsum(w, out=w)
         # the tail bound is tested from the first state with log_r < 0; where
         # log_r >= 0 it is undefined (nan or inf) and masked
         below = log_r < 0.0
         s = int(below.argmax())
-        if not below[s]:
-            s = m.size
-        logws.append(block_logw)
-        if log_sum is None and s < m.size:   # the peak: one array from state 0 on
-            peak = m0 + s
-            if len(logws) > 1:
-                logws = [np.concatenate(logws)]
-            c, log_sum = _late_start(logws[0], peak)
-            sums = np.logaddexp.accumulate(np.concatenate(([log_sum], logws[0][c + 1:])))
-            sums = sums[peak - c:]
-        elif log_sum is not None:
-            sums = np.logaddexp.accumulate(np.concatenate(([log_sum], block_logw)))[1 + s:]
-        if log_sum is not None:   # below the peak nothing stops the walk
+        if below[s]:   # below the peak nothing stops the walk
+            if peak is None:
+                peak = m0 + s
+                c, log_sum = _late_start(lws, peak)
+            sums = np.logaddexp.accumulate(np.concatenate(([log_sum], lws[c + 1:end])))
+            sums = sums[m0 + s - c:]
             r = log_r[s:]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                block_tail = block_logw[s:] + r - np.log1p(-np.exp(r))
+                block_tail = lws[m0 + s:end] + r - np.log1p(-np.exp(r))
                 # the birth rate vanishes (la == -inf included) only from s on:
                 # below it log_r >= 0, so la >= -log(lambda/mu) >= -709.8
                 stop = (la[s:] < _LOG_EPS_FLOOR) | (
@@ -262,16 +258,14 @@ def steady_state(params: ChainParams, epsilon: float = 1e-9) -> SteadyState:
                 log_sum = sums[k]
                 log_tail = -math.inf if la[s + k] < _LOG_EPS_FLOOR else block_tail[k]
                 break
-            log_sum = sums[-1]
-        if m0 + m.size > _MAX_STATES:
+            c, log_sum = end - 1, sums[-1]
+        if end > _MAX_STATES:
             raise _not_truncated(params)
-        logw = w[-1]
-        m0 += m.size
+        m0 = end
         size = min(2 * size, _BLOCK_MAX)
     log_z = np.logaddexp(log_sum, log_tail)
-    lws = logws[0] if len(logws) == 1 else np.concatenate(logws)
     # below lo every probability underflows to 0.0; the sum stays full length
-    lo =int(np.searchsorted(lws[:peak + 1], log_z - _LATE_DROP))
+    lo = int(np.searchsorted(lws[:peak + 1], log_z - _LATE_DROP))
     probs = np.zeros(m0 + s + k + 1)
     window = probs[lo:]
     np.exp(np.subtract(lws[lo:probs.size], log_z, out=window), out=window)

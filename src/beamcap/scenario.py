@@ -228,7 +228,11 @@ class Scenario:
         gamma = footprint / self.deployment.area
         if self.check_mode is CheckMode.ONE_WAY:
             gamma *= 0.5
-        return ChainParams(self.deployment.lambda_total, self.deployment.mu, gamma, self.variant)
+        try:   # the load is checked by DeploymentParams; gamma overflows on a tiny disk
+            return ChainParams(self.deployment.lambda_total, self.deployment.mu, gamma,
+                               self.variant)
+        except ValueError as exc:
+            raise ValueError(f"r_d_m: {exc}") from None
 
     def with_value(self, key: str, value) -> "Scenario":
         """Rebuild with one key overridden; used to apply sweep points.

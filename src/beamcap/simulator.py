@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -533,6 +532,8 @@ def run(scn: Scenario, jobs: int = 1) -> SimStats:
     indices = range(scn.replications)
     workers = min(jobs, scn.replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: 10-20 ms of start-up
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_replicate, [scn] * len(indices), indices))
     else:
@@ -546,8 +547,7 @@ def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
     means = np.array([sum(n * dt for n, dt in r.state_time.items()) / window for r in reps])
     mean_pairs = float(means.mean())
     ci_mean = _t_halfwidth(means)
-    p_vals = np.array([r.accepted / r.observed if r.observed > 0 else math.nan for r in reps])
-    defined = p_vals[~np.isnan(p_vals)]
+    defined = np.array([r.accepted / r.observed for r in reps if r.observed > 0])
     if defined.size == 0:
         p_accept = math.nan
         ci_p = math.inf
@@ -555,7 +555,7 @@ def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
     else:
         p_accept = float(defined.mean())
         ci_p = _t_halfwidth(defined)
-        if defined.size < p_vals.size:
+        if defined.size < len(reps):
             flags.append("partial-arrivals")
     if len(reps) < 2:
         flags.append("low-confidence")

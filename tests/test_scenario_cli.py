@@ -492,7 +492,7 @@ class TestCliEntry:
         assert main(["analyze", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "beamcap: error: gamma must be finite and >= 0, got inf\n"
+        assert captured.err == "beamcap: error: r_d_m: gamma must be finite and >= 0, got inf\n"
 
     @pytest.mark.parametrize("variant", ["exponential", "logistic", "piecewise-linear"])
     @pytest.mark.parametrize("r_d, row", [
@@ -572,7 +572,8 @@ class TestCliEntry:
         scn = load_scenario(preset="paper-fig6", overrides={"theta_deg": "52", "sweep_param": ""})
         with pytest.raises(NonConvergenceError) as exc:
             queueing.steady_state(scn.chain(scn.p_tx_min_dbm))
-        assert capsys.readouterr().err == f"beamcap: error: {exc.value}\n"
+        assert capsys.readouterr().err == (
+            f"beamcap: error: lambda_per_m2, r_d_m, mu_per_s: {exc.value}\n")
 
     def test_series_sweep_power_past_the_state_budget_fails_at_once(self, tmp_path, capsys):
         # paper-fig5 with the series engine passes the state limit at every
@@ -610,6 +611,11 @@ class TestCliEntry:
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         assert run_python(code) == "[]\n"
+
+    def test_cli_import_loads_no_process_pool(self):
+        # only a --jobs run with two or more replications starts a pool
+        code = "import sys, beamcap.cli; print('concurrent.futures.process' in sys.modules)"
+        assert run_python(code) == "False\n"
 
     def test_simulate_loads_no_scipy_stats(self, tmp_path):
         # the Student-t quantile of the intervals comes from scipy.special

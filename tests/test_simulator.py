@@ -384,7 +384,7 @@ class TestRun:
         assert calls["place_pair"] == calls["admit"] >= int(plain.splitlines()[1].split(",")[9]) > 0
 
     def test_workers_capped_at_replications(self, monkeypatch):
-        from beamcap import simulator
+        import concurrent.futures
         started = []
 
         class InProcessPool:
@@ -402,7 +402,7 @@ class TestRun:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = sim_scenario(seed=3, reps=2, warmup=5.0, horizon=10.0)
         fanned = run(cfg, jobs=10_000)
         assert started == [2]
