@@ -79,9 +79,16 @@ def main(argv=None) -> int:
             render = cli_rows.render_json if args.format == "json" else cli_rows.render_csv
             out.write(render(rows))
             return 0
-    except (ScenarioError, NonConvergenceError, PlacementError, ValueError) as exc:
-        # a chain too long to truncate has too high a load lambda_per_m2 * area / mu_per_s
-        keys = "lambda_per_m2, r_d_m, mu_per_s: " if isinstance(exc, NonConvergenceError) else ""
+    except (NonConvergenceError, PlacementError, ValueError) as exc:   # ScenarioError included
+        keys = ""
+        if isinstance(exc, NonConvergenceError):
+            # a chain too long to truncate has too high a load lambda_per_m2 * area / mu_per_s
+            # for its footprint ratio, which the link budget at the command's power sets
+            power = "p_tx_min_dbm" if args.command == "sweep-power" else "p_tx_dbm"
+            keys = (f"lambda_per_m2, r_d_m, mu_per_s, {power}, n_thr_dbm, theta_deg, kappa, "
+                    "c_const: ")
+        elif isinstance(exc, PlacementError):   # a pair model that barely fits the disk
+            keys = "pair_model, r_d_m: "
         print(f"beamcap: error: {keys}{exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Row builders and renderers for the command-line experiment runner.
 
-Every command emits a fixed column set; floats are rendered with repr so
-output is locale-independent and reproduces bit-exactly for equal seeds.
+Every command emits a fixed column set.  csv writes each value as str, which
+for a Python float is its repr, so output is locale-independent and
+reproduces bit-exactly for equal seeds; a numpy float prints as a plain number.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import json
 import math
 
 from . import queueing, simulator, throughput
-from .scenario import Scenario, ScenarioError, check_simulation_budget, sweep_points
+from .scenario import (Scenario, ScenarioError, check_simulation_budget, field_keys,
+                       sweep_points)
 
 MAX_POWER_POINTS = 100_000
 MAX_SERIES_STATES = 1e8
@@ -21,21 +23,11 @@ MAX_SERIES_STATES = 1e8
 MAX_REFINE_EVALS = 38
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    if not rows:
-        return ""
-    writer = csv.writer(buf, lineterminator="\n")
-    columns = list(rows[0].keys())
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -110,21 +102,23 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     for key in ("p_tx_step_db", "opt_tol_db"):
         count = (hi - lo) / getattr(scenario, key) + 1.0
         if count > MAX_POWER_POINTS:
-            raise ScenarioError(f"{key}: {count:.3g} power grid points per sweep value exceed "
-                                f"the limit of {MAX_POWER_POINTS}")
+            raise ScenarioError(f"p_tx_min_dbm, p_tx_max_dbm, {key}: {count:.3g} power grid points "
+                                f"per sweep value exceed the limit of {MAX_POWER_POINTS}")
     points = list(sweep_points(scenario))
     for _, _, scn in points:
         for key in ("p_tx_max_dbm", "p_tx_min_dbm"):   # chain is left at the minimum
             try:
                 chain = scn.chain(getattr(scn, key))
-            except ValueError as exc:
-                raise ScenarioError(f"{key}: {exc}") from None
+            except ValueError as exc:   # the power key, and the fields the check compares
+                keys = dict.fromkeys([key, *field_keys(exc, p_tx_dbm=key)])
+                raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
             queueing.check_state_limit(chain)
         bound = throughput.area_rate_bound(scn)
         if not bound < math.inf:
-            raise ScenarioError(f"r_d_m, bandwidth_hz: the area rate may reach {bound:g} b/s/m^2 "
-                                f"over a disk of {scn.deployment.area:g} m^2, past the floats")
+            raise ScenarioError(f"r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s: the area rate may "
+                                f"reach {bound:g} b/s/m^2 over a disk of {scn.deployment.area:g} "
+                                f"m^2, past the floats")
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
     # a step that does not divide the range ends on the maximum itself

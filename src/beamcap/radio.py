@@ -47,10 +47,8 @@ class RadioParams:
         if self.c_const <= 0:
             raise ValueError(f"c_const must be positive, got {self.c_const}")
         if self.p_tx_dbm <= self.n_thr_dbm:
-            raise ValueError(
-                "p_tx_dbm must exceed n_thr_dbm (coverage radius degenerates): "
-                f"{self.p_tx_dbm} <= {self.n_thr_dbm}"
-            )
+            raise ValueError(f"p_tx_dbm, n_thr_dbm must satisfy p_tx_dbm > n_thr_dbm (coverage "
+                             f"radius degenerates), got {self.p_tx_dbm} <= {self.n_thr_dbm}")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         try:   # link_rate's linear cap

@@ -192,12 +192,11 @@ class Scenario:
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.p_tx_max_dbm < self.p_tx_min_dbm:
-            raise ValueError(f"p_tx_max_dbm {self.p_tx_max_dbm} is below "
-                             f"p_tx_min_dbm {self.p_tx_min_dbm}")
+            raise ValueError(f"p_tx_min_dbm, p_tx_max_dbm must not decrease, got "
+                             f"{self.p_tx_min_dbm} > {self.p_tx_max_dbm}")
         if not self.horizon > self.warmup > 0:
-            raise ValueError(
-                f"horizon must exceed warmup > 0, got horizon={self.horizon} warmup={self.warmup}"
-            )
+            raise ValueError(f"horizon, warmup must satisfy horizon > warmup > 0, got "
+                             f"horizon={self.horizon} warmup={self.warmup}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.seed < 0:
@@ -241,7 +240,7 @@ class Scenario:
         read once per command, not once per sweep value.
         """
         kv = dict(self.raw)
-        kv[key] = repr(value) if isinstance(value, float) else str(value)
+        kv[key] = str(value)
         return build_scenario(kv, antenna=None if key == "antenna" else self.antenna)
 
 
@@ -313,13 +312,20 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
             opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
         )
     except ValueError as exc:
-        fields = re.match(r"\w*(?:, \w+)*", str(exc)).group().split(", ")
-        raise ScenarioError(f"{', '.join(_FIELD_KEYS.get(f, f) for f in fields)}: {exc}") from None
+        raise ScenarioError(f"{', '.join(field_keys(exc))}: {exc}") from None
     model = v["pair_model"]
     if isinstance(model, FixedDistance) and model.distance >= 2.0 * v["r_d_m"]:
         raise ScenarioError(f"pair_model: fixed distance {model.distance:g} m does not fit "
                             f"in a disk of diameter {2.0 * v['r_d_m']:g} m (r_d_m)")
     return scenario
+
+
+def field_keys(exc: ValueError, **renamed: str) -> list[str]:
+    """The config keys named by a dataclass check message's leading field list;
+    renamed maps more fields to keys, such as p_tx_dbm to the key that set the power."""
+    fields = re.match(r"\w*(?:, \w+)*", str(exc)).group().split(", ")
+    names = _FIELD_KEYS | renamed
+    return [names.get(f, f) for f in fields]
 
 
 def load_scenario(path=None, preset: str | None = None,
@@ -334,7 +340,7 @@ def load_scenario(path=None, preset: str | None = None,
         try:
             text = Path(path).read_text()
         except OSError as exc:
-            raise ScenarioError(str(exc)) from None
+            raise ScenarioError(f"--config: {exc}") from None
         kv.update(parse_config_text(text, source=str(path)))
     if overrides:
         kv.update(overrides)

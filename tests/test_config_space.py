@@ -2,9 +2,12 @@
 refused with one line that names its keys.
 
 A config sets one to four float keys to extreme values, plus a random
-rejection shape, check mode and mean engine.  `analyze` and `sweep-power`
-run in process with `--jobs 1`; `validate` runs only up to its first check,
-so only its refusal paths are covered.  No worker process is started.
+rejection shape, check mode and mean engine.  `analyze`, `sweep-power` and
+`simulate` run in process with `--jobs 1`; `validate` runs only up to its
+first check, so only its refusal paths are covered.  No worker process is
+started.  `simulate` starts from a 3 m disk with a 2-s horizon, and its
+arrival budget is lowered to SIM_ARRIVALS for the run: a config that expects
+more arrivals is refused by the budget check, so no example simulates long.
 """
 
 import contextlib
@@ -23,7 +26,7 @@ from conftest import examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamcap import CheckMode, MeanEngine, Variant, validation
+from beamcap import CheckMode, MeanEngine, Variant, scenario, validation
 from beamcap.cli import main
 from beamcap.scenario import KEYS, _float
 
@@ -33,10 +36,21 @@ DB_EXTREMES = EXTREMES + ("300", "-300")
 ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): .+\n")
 # a hang fails the example here; the Hypothesis deadline reports a slow one
 HANG_S = 15
+SIM_ARRIVALS = 2000
+SIM_BASE = {"r_d_m": "3", "replications": "2", "warmup_s": "1", "horizon_s": "2"}   # 113 arrivals
+# non-finite by design: a CI from one replication is infinite, and p_accept is
+# NaN, flagged undefined, where no replication saw an arrival
+OPEN_COLUMNS = {"ci_mean_pairs", "ci_p_accept"}
 
 
 class _Accepted(Exception):
     """validate accepted the config and reached its first check."""
+
+
+def extreme_values(draw, pool):
+    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    return {k: draw(st.sampled_from(DB_EXTREMES if k.endswith(("_dbm", "_db")) else EXTREMES))
+            for k in keys}
 
 
 @st.composite
@@ -45,15 +59,20 @@ def configs(draw):
     # a series sweep walks about one state per pair at each of some 500 powers;
     # on a 3 m disk each walk is short, and a load past the state limit is
     # refused before any walk
-    pool = [k for k in FLOAT_KEYS if engine == "closed" or k != "r_d_m"]
-    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    kv = {k: draw(st.sampled_from(DB_EXTREMES if k.endswith(("_dbm", "_db")) else EXTREMES))
-          for k in keys}
+    kv = extreme_values(draw, [k for k in FLOAT_KEYS if engine == "closed" or k != "r_d_m"])
     if engine == "series":
         kv["r_d_m"] = "3"
     kv["variant"] = draw(st.sampled_from([v.value for v in Variant]))
     kv["check_mode"] = draw(st.sampled_from([m.value for m in CheckMode]))
     kv["mean_engine"] = engine
+    return kv
+
+
+@st.composite
+def sim_configs(draw):
+    kv = dict(SIM_BASE, replications=draw(st.sampled_from(["1", "2"])))
+    kv.update(extreme_values(draw, FLOAT_KEYS))
+    kv["check_mode"] = draw(st.sampled_from([m.value for m in CheckMode]))
     return kv
 
 
@@ -91,19 +110,38 @@ def run_cli(command, kv):
 @example(command="sweep-power",
          kv={"p_tx_dbm": "1e-30", "variant": "piecewise-linear", "mean_engine": "series"})
 def test_exits_with_finite_rows_or_names_its_keys(command, kv):
-    code, out, err = run_cli(command, kv)
+    check_outcome(command, *run_cli(command, kv))
+
+
+@settings(max_examples=examples(40), deadline=timedelta(seconds=10))
+@given(kv=sim_configs())
+# a pair model that does not fit a 3e-150 m disk: this used to exit 2 naming no key
+@example(kv={**SIM_BASE, "r_d_m": "1e-150", "lambda_per_m2": "1e300", "check_mode": "two-way"})
+# past the arrival budget, and a horizon of 1e-30 s
+@example(kv={**SIM_BASE, "r_d_m": "180", "check_mode": "two-way"})
+@example(kv={**SIM_BASE, "horizon_s": "1e-30", "warmup_s": "1e-300", "check_mode": "one-way"})
+def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
+    with mock.patch.object(scenario, "MAX_SIM_ARRIVALS", SIM_ARRIVALS):
+        check_outcome("simulate", *run_cli("simulate", kv))
+
+
+def check_outcome(command, code, out, err):
     if code is None:
         assert command == "validate" and out == err == ""
     elif code == 0:
         assert command != "validate" and err == ""
-        rows = list(csv.reader(io.StringIO(out)))
-        assert len(rows) > 1
-        for cell in (c for row in rows[1:] for c in row):
-            try:
-                value = float(cell)
-            except ValueError:   # a row type, a flag or an empty sweep column
-                continue
-            assert math.isfinite(value), f"{cell} in {out}"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows
+        for row in rows:
+            undefined = "undefined" in row.get("flags", "")
+            for column, cell in row.items():
+                if column in OPEN_COLUMNS or (column == "p_accept" and undefined):
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:   # a row type, a flag or an empty sweep column
+                    continue
+                assert math.isfinite(value), f"{column} = {cell} in {out}"
     else:
         assert code == 2 and out == ""
         line = ERROR_LINE.fullmatch(err)

@@ -214,6 +214,21 @@ class TestAntennaTable:
         with pytest.raises(ValueError, match="b.csv:3"):
             AntennaModel.from_pattern_file(bad_row)
 
+    def test_pattern_file_rows(self, tmp_path):
+        # a blank line is skipped; a row needs two fields and an angle of at most 180 deg
+        blank = tmp_path / "blank.csv"
+        blank.write_text("angle_deg,gain_dbi\n0,3\n\n  \n180,0\n")
+        ant = AntennaModel.from_pattern_file(blank)
+        assert ant.angles.tolist() == [0.0, math.pi] and ant.gains_dbi.tolist() == [3.0, 0.0]
+        three = tmp_path / "three.csv"
+        three.write_text("angle_deg,gain_dbi\n0,3\n90,1,2\n")
+        with pytest.raises(ValueError, match="three.csv:3: expected 'angle_deg,gain_dbi' row"):
+            AntennaModel.from_pattern_file(three)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("angle_deg,gain_dbi\n0,3\n181,0\n")
+        with pytest.raises(ValueError, match="must not exceed pi"):
+            AntennaModel.from_pattern_file(wide)
+
     def test_header_only_pattern_file_is_a_value_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("angle_deg,gain_dbi\n")

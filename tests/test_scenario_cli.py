@@ -10,11 +10,12 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamcap
 from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area, cli,
-                     coverage_radius, queueing)
+                     coverage_radius, queueing, validation)
 from beamcap.cli import main
 from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
                               sweep_power_rows)
@@ -22,11 +23,14 @@ from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, Scenari
                               build_scenario, check_simulation_budget, load_scenario,
                               parse_config_text, sweep_points)
 
-# one bad value per key: (overrides, key the error must name); a cross-key
-# failure names the key the range check is attached to
+# a refusal: one line whose key list names the keys its check compares
+ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): .+\n")
+
+# one bad value per key: (overrides, keys the error must name); a cross-key
+# failure names every key the range check compares
 BAD_VALUES = {
-    "p_tx_dbm": ({"p_tx_dbm": "-90"}, "p_tx_dbm"),
-    "n_thr_dbm": ({"n_thr_dbm": "20"}, "p_tx_dbm"),
+    "p_tx_dbm": ({"p_tx_dbm": "-90"}, "p_tx_dbm, n_thr_dbm"),
+    "n_thr_dbm": ({"n_thr_dbm": "20"}, "p_tx_dbm, n_thr_dbm"),
     "theta_deg": ({"theta_deg": "0"}, "theta_deg"),
     "kappa": ({"kappa": "-1"}, "kappa"),
     "c_const": ({"c_const": "0"}, "c_const"),
@@ -43,10 +47,10 @@ BAD_VALUES = {
     "mean_engine": ({"mean_engine": "exact"}, "mean_engine"),
     "seed": ({"seed": "-1"}, "seed"),
     "replications": ({"replications": "0"}, "replications"),
-    "warmup_s": ({"warmup_s": "200"}, "horizon_s"),
-    "horizon_s": ({"horizon_s": "10"}, "horizon_s"),
-    "p_tx_min_dbm": ({"p_tx_min_dbm": "30"}, "p_tx_max_dbm"),
-    "p_tx_max_dbm": ({"p_tx_max_dbm": "-30"}, "p_tx_max_dbm"),
+    "warmup_s": ({"warmup_s": "200"}, "horizon_s, warmup_s"),
+    "horizon_s": ({"horizon_s": "10"}, "horizon_s, warmup_s"),
+    "p_tx_min_dbm": ({"p_tx_min_dbm": "30"}, "p_tx_min_dbm, p_tx_max_dbm"),
+    "p_tx_max_dbm": ({"p_tx_max_dbm": "-30"}, "p_tx_min_dbm, p_tx_max_dbm"),
     "p_tx_step_db": ({"p_tx_step_db": "0"}, "p_tx_step_db"),
     "opt_tol_db": ({"opt_tol_db": "-0.1"}, "opt_tol_db"),
     "sweep_param": ({"sweep_param": "pair_model", "sweep_values": "1"}, "sweep_param"),
@@ -227,10 +231,35 @@ class TestConfigParsing:
         with pytest.raises(ScenarioError, match="k_neighbors: not an integer"):
             build_scenario({"k_neighbors": "2.5"})
 
+    def test_with_value_takes_a_numpy_float(self):
+        scn = build_scenario({}).with_value("kappa", np.float64(2.5))
+        assert scn.raw["kappa"] == "2.5" and scn.radio.kappa == 2.5
+
     @pytest.mark.parametrize("spec", ["fixed:nan", "uniform:inf", "cuboid:0.3xnanx0.6"])
     def test_non_finite_pair_model_rejected(self, spec):
         with pytest.raises(ScenarioError, match="pair_model: must be finite"):
             build_scenario({"pair_model": spec})
+
+    @pytest.mark.parametrize("spec, message", [
+        ("uniform:0", "d_max must be positive, got 0.0"),
+        ("cuboid:0x0.5x0.6", "cuboid dimensions must be positive"),
+    ])
+    def test_zero_pair_model_dimension_rejected(self, spec, message):
+        with pytest.raises(ScenarioError, match=f"^pair_model: {message}$"):
+            build_scenario({"pair_model": spec})
+
+    def test_infinite_arrival_rate_names_its_keys(self):
+        # the disk area, 3.1e300 m^2, is finite; times 1e300 /s/m^2 it is not
+        with pytest.raises(ScenarioError, match="^r_d_m, lambda_per_m2: region_radius, "
+                                                "lambda_density give an infinite arrival rate"):
+            build_scenario({"r_d_m": "1e150", "lambda_per_m2": "1e300"})
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path / "absent.cfg")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamcap: error: --config: ")
+        assert "absent.cfg" in captured.err and len(captured.err.splitlines()) == 1
 
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -462,6 +491,20 @@ class TestCliEntry:
         assert rows[0]["ci_mean_pairs"] is None and rows[0]["ci_p_accept"] is None
         assert "low-confidence" in rows[0]["flags"]
 
+    def test_render_csv_prints_a_numpy_float_as_its_number(self):
+        rows = [{"a": np.float64(0.1), "b": 0.1, "c": np.float64(1e-300), "d": 3, "e": ""}]
+        assert render_csv(rows) == "a,b,c,d,e\n0.1,0.1,1e-300,3,\n"
+
+    def test_validate_json_format(self, monkeypatch, capsys):
+        results = [validation.CheckResult("first", True, 0.5, 1.0, "ok"),
+                   validation.CheckResult("second", False, math.inf, 0.05)]
+        monkeypatch.setattr(cli.validation, "run_all", lambda scn, jobs: results)
+        assert main(["validate", "--format", "json"]) == 1
+        assert strict_json(capsys.readouterr().out) == [
+            {"name": "first", "passed": True, "measured": 0.5, "tolerance": 1.0, "detail": "ok"},
+            {"name": "second", "passed": False, "measured": None, "tolerance": 0.05,
+             "detail": ""}]
+
     def test_render_json_prints_every_non_finite_float_as_null(self):
         text = render_json([{"a": math.inf, "b": -math.inf, "c": math.nan, "d": 1.5}])
         assert strict_json(text) == [
@@ -573,7 +616,18 @@ class TestCliEntry:
         with pytest.raises(NonConvergenceError) as exc:
             queueing.steady_state(scn.chain(scn.p_tx_min_dbm))
         assert capsys.readouterr().err == (
-            f"beamcap: error: lambda_per_m2, r_d_m, mu_per_s: {exc.value}\n")
+            "beamcap: error: lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, n_thr_dbm, theta_deg, "
+            f"kappa, c_const: {exc.value}\n")
+
+    def test_series_sweep_power_at_zero_load(self, tmp_path, capsys):
+        # a chain with no arrivals passes the state limit at once and holds no pair
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("mean_engine = series\nlambda_per_m2 = 0\np_tx_step_db = 10\n")
+        assert main(["sweep-power", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["row_type"] for r in rows] == ["point"] * 5 + ["optimum"]
+        assert {(r["mean_pairs"], r["area_rate_bps_m2"]) for r in rows} == {("0.0", "0.0")}
+        assert rows[-1]["flags"] == "flat" and rows[-1]["p_tx_dbm"] == "-20.0"
 
     def test_series_sweep_power_past_the_state_budget_fails_at_once(self, tmp_path, capsys):
         # paper-fig5 with the series engine passes the state limit at every
@@ -605,8 +659,8 @@ class TestCliEntry:
         assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
-        assert err.startswith(f"beamcap: error: {key}: ") and count in err
-        assert "Traceback" not in err
+        line = ERROR_LINE.fullmatch(err)
+        assert line and key in line.group(1).split(", ") and count in err
 
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -661,7 +715,34 @@ class TestCliEntry:
                        "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n")
         assert main(["simulate", "--config", str(cfg), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("beamcap: error: no placement inside the disk after 100 attempts")
+        assert err.startswith(
+            "beamcap: error: pair_model, r_d_m: no placement inside the disk after 100 attempts")
+
+    @pytest.mark.parametrize("argv, lines, keys", [
+        # a load past the state limit: the footprint ratio is set by the link budget
+        (["analyze"], "n_thr_dbm = 1e-150\n",
+         "lambda_per_m2, r_d_m, mu_per_s, p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+        (["sweep-power", "--preset", "paper-fig6"], "mean_engine = series\n",
+         "lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+        (["analyze"], "warmup_s = -1\n", "horizon_s, warmup_s"),
+        (["analyze"], "p_tx_min_dbm = 180\n", "p_tx_min_dbm, p_tx_max_dbm"),
+        (["analyze"], "n_thr_dbm = 180\n", "p_tx_dbm, n_thr_dbm"),
+        (["sweep-power"], "n_thr_dbm = 0\n", "p_tx_min_dbm, n_thr_dbm"),
+        (["sweep-power"], "p_tx_max_dbm = 1e300\n", "p_tx_min_dbm, p_tx_max_dbm, p_tx_step_db"),
+        (["sweep-power"], "mu_per_s = 1e-300\n", "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
+        (["simulate"], "r_d_m = 2\npair_model = fixed:3.999\nlambda_per_m2 = 1\n"
+                       "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n", "pair_model, r_d_m"),
+    ], ids=["analyze-state-limit", "sweep-state-limit", "negative-warmup", "empty-power-range",
+            "threshold-above-power", "threshold-above-range-start", "huge-power-range",
+            "tiny-service-rate", "placement"])
+    def test_refusal_names_every_key_it_compares(self, argv, lines, keys, tmp_path, capsys):
+        cfg = tmp_path / "refused.cfg"
+        cfg.write_text(lines)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = ERROR_LINE.fullmatch(captured.err)
+        assert line and line.group(1) == keys, captured.err
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

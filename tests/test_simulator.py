@@ -410,13 +410,25 @@ class TestRun:
         assert started == [2]
         assert (fanned.mean_pairs, fanned.p_accept) == (serial.mean_pairs, serial.p_accept)
 
+    def test_partial_arrivals_flag(self):
+        # a 3 m disk at 0.02 /s/m^2 expects 1.1 arrivals per 2-s window: at seed 2
+        # some replications see none, and p_accept averages those that see one
+        scn = sim_scenario(lam=0.02, r_d=3.0, seed=2, reps=3, warmup=1.0, horizon=3.0)
+        reps = [run_replication(scn, i) for i in range(3)]
+        seen = [r.accepted / r.observed for r in reps if r.observed > 0]
+        assert 0 < len(seen) < len(reps)
+        stats = run(scn)
+        assert stats.flags == ("partial-arrivals",)
+        assert stats.p_accept == np.mean(seen)
+
     def test_low_confidence_flag(self):
         stats = run(sim_scenario(seed=2, reps=1, warmup=10.0, horizon=12.0))
         assert "low-confidence" in stats.flags
         assert stats.ci_halfwidth_mean_pairs == math.inf
 
     def test_config_invariants(self):
-        with pytest.raises(ScenarioError, match="^horizon_s: horizon must exceed warmup > 0"):
+        with pytest.raises(ScenarioError, match="^horizon_s, warmup_s: horizon, warmup must "
+                                                "satisfy horizon > warmup > 0"):
             sim_scenario(warmup=10.0, horizon=10.0)
         with pytest.raises(ScenarioError, match="^replications: replications must be >= 1"):
             sim_scenario(reps=0)
