@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 
 from . import queueing, simulator, throughput
 from .scenario import (Scenario, ScenarioError, check_simulation_budget, field_keys,
@@ -18,9 +19,6 @@ from .scenario import (Scenario, ScenarioError, check_simulation_budget, field_k
 
 MAX_POWER_POINTS = 100_000
 MAX_SERIES_STATES = 1e8
-# optimize_power's refinement: a bracket of two grid spacings (<= 2*opt_tol_db) shrinks
-# to 2/3 a step down to opt_tol_db*1e-3: ceil(log 2000 / log 1.5) = 19 steps of 2 evaluations
-MAX_REFINE_EVALS = 38
 
 
 def render_csv(rows: list[dict]) -> str:
@@ -88,15 +86,16 @@ def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
 def sweep_power_rows(scenario: Scenario) -> list[dict]:
     """Power-sweep points plus one optimum summary row per sweep value.
 
-    Everything that would fail is refused before any work: a display or
-    optimizer grid of more than MAX_POWER_POINTS powers, a range end whose
-    coverage radius degenerates (the radius grows with power, so the ends
-    bound the range), an area rate that may leave the floats (a bound over the
-    whole range), and with the series engine every sweep value's chain
+    Refused before any work, in this order: a display or optimizer grid of
+    more than MAX_POWER_POINTS powers, a range end whose coverage radius
+    degenerates (the radius grows with power, so the ends bound the range),
+    and with the series engine every sweep value's chain
     at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit,
     then walks of more than MAX_SERIES_STATES states in all: the closed-form mean
     (about one state per pair) over the display grid, the optimizer's grid, and
     its MAX_REFINE_EVALS or fewer refinement evaluations (at the p_tx_min_dbm mean).
+    A row whose area rate is not finite is refused once computed: a sweep
+    value's point rows before the optimizer runs, its optimum row after.
     """
     lo, hi = scenario.p_tx_min_dbm, scenario.p_tx_max_dbm   # no power key is sweepable
     for key in ("p_tx_step_db", "opt_tol_db"):
@@ -111,20 +110,15 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                 chain = scn.chain(getattr(scn, key))
             except ValueError as exc:   # the power key, and the fields the check compares
                 keys = dict.fromkeys([key, *field_keys(exc, p_tx_dbm=key)])
-                raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
+                text = re.sub(r"^\w+(?:, \w+)*: ", "", str(exc))   # a message keyed already
+                raise ScenarioError(f"{', '.join(keys)}: {text}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
             queueing.check_state_limit(chain)
-        bound = throughput.area_rate_bound(scn)
-        if not bound < math.inf:
-            raise ScenarioError(f"r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s: the area rate may "
-                                f"reach {bound:g} b/s/m^2 over a disk of {scn.deployment.area:g} "
-                                f"m^2, past the floats")
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
     # a step that does not divide the range ends on the maximum itself
     grid = [p for p in grid if p < hi - 1e-9] + [hi]
-    n_opt = max(math.ceil((hi - lo) / scenario.opt_tol_db), 1)   # optimize_power's grid
-    powers = grid + [lo + (hi - lo) * i / n_opt for i in range(n_opt + 1)] + [lo] * MAX_REFINE_EVALS
+    powers = grid + throughput.optimizer_grid(scenario) + [lo] * throughput.MAX_REFINE_EVALS
     states = sum(queueing.mean_pairs_closed_form(scn.chain(p)) for _, _, scn in points
                  if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
     if states > MAX_SERIES_STATES:
@@ -133,8 +127,10 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     rows = []
     for param, value, scn in points:
         found = [("point", throughput.rate_components(scn, p), "") for p in grid]
+        _check_area_rates(scn, found)   # before any optimizer work
         opt = throughput.optimize_power(scn)
         found.append(("optimum", opt.point, "flat" if opt.flat else ""))
+        _check_area_rates(scn, found[-1:])
         rows.extend({
             "row_type": row_type, "sweep_param": param, "sweep_value": value,
             "p_tx_dbm": pt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
@@ -142,3 +138,13 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
             "flags": flags,
         } for row_type, pt, flags in found)
     return rows
+
+
+def _check_area_rates(scn: Scenario, found: list) -> None:
+    """Refuse a row whose area rate is inf, or NaN: an infinite link rate times no pairs."""
+    for _, pt, _ in found:
+        if not math.isfinite(pt.area_rate_bps_m2):
+            raise ScenarioError(
+                f"r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s: the area rate at {pt.p_tx_dbm:g} "
+                f"dBm is {pt.area_rate_bps_m2:g} b/s/m^2, {pt.link_rate_bps:g} b/s times "
+                f"{pt.mean_pairs:g} pairs over a disk of {scn.deployment.area:g} m^2")

@@ -19,6 +19,8 @@ from .radio import RadioParams, dbm_to_mw, received_power_mw
 if TYPE_CHECKING:  # scenario imports MeanEngine from here
     from .scenario import Scenario
 
+MAX_REFINE_EVALS = 38   # optimize_power's refinement: 2 per step, 2 * ceil(log 2000 / log 1.5)
+
 
 class MeanEngine(Enum):
     """How the rate layer computes E[N].
@@ -73,28 +75,18 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
         e_n = queueing.mean_pairs_closed_form(chain)
     else:
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
-    c = _pair_rate(scn, p_tx_dbm)
-    return RatePoint(p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
-
-
-def _pair_rate(scn: Scenario, p_tx_dbm: float) -> float:
-    """Link rate [bit/s] of a pair at the expected pair distance, on boresight."""
     radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
     p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
-    return link_rate(radio, p_rx, noise_power(radio.n_thr_dbm, scn.k_neighbors))
+    c = link_rate(radio, p_rx, noise_power(radio.n_thr_dbm, scn.k_neighbors))
+    return RatePoint(p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
 
 
-def area_rate_bound(scn: Scenario) -> float:
-    """An upper bound on rate_components' area rate over [p_tx_min_dbm, p_tx_max_dbm].
-
-    The link rate grows with power.  Both engines' E[N] lie below
-    max(lambda/mu, 1/2): the series mean is lambda/mu times the acceptance
-    probability, and the closed-form mean n = (lambda/mu) e^(gamma (1 - 2n))
-    lies between lambda/mu and 1/2.
-    """
-    load = scn.deployment.lambda_total / scn.deployment.mu
-    return _pair_rate(scn, scn.p_tx_max_dbm) * max(load, 0.5) / scn.deployment.area
+def optimizer_grid(scn: Scenario) -> list[float]:
+    """optimize_power's grid: the power range in equal steps of at most opt_tol_db."""
+    lo, hi = scn.p_tx_min_dbm, scn.p_tx_max_dbm
+    n = max(math.ceil((hi - lo) / scn.opt_tol_db), 1)
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -106,25 +98,23 @@ class PowerOptimum:
 def optimize_power(scn: Scenario) -> PowerOptimum:
     """Maximize the area rate over [p_tx_min_dbm, p_tx_max_dbm].
 
-    Grid search at opt_tol_db spacing, then ternary refinement between the
-    grid neighbours of the best point, down to a bracket of opt_tol_db/1000
-    or until a third no longer falls strictly inside the bracket, where the
-    float spacing of the powers ends it.  Ties break toward lower power.
-    A flat objective returns the point at the range minimum, p_tx_min_dbm
-    itself, with the flat flag set.
+    Grid search over optimizer_grid, then ternary refinement between the grid
+    neighbours of the best point, each two evaluations cutting a third off the
+    bracket (<= 2*opt_tol_db) down to opt_tol_db/1000, or until a third no longer
+    falls strictly inside it, at the float spacing.  Ties break toward lower power.
+    A flat, finite objective returns the point at the range minimum,
+    p_tx_min_dbm itself, with the flat flag set.
     """
-    p_min, p_max, tol = scn.p_tx_min_dbm, scn.p_tx_max_dbm, scn.opt_tol_db
-    n = max(int(math.ceil((p_max - p_min) / tol)), 1)
-    points = [rate_components(scn, p_min + (p_max - p_min) * i / n) for i in range(n + 1)]
+    points = [rate_components(scn, p) for p in optimizer_grid(scn)]
     vals = [pt.area_rate_bps_m2 for pt in points]
     hi = max(vals)
-    if hi - min(vals) <= 1e-12 * max(1.0, abs(hi)):
-        return PowerOptimum(replace(points[0], p_tx_dbm=p_min), True)
+    if hi < math.inf and hi - min(vals) <= 1e-12 * max(1.0, abs(hi)):   # inf is a peak
+        return PowerOptimum(replace(points[0], p_tx_dbm=scn.p_tx_min_dbm), True)
     i = vals.index(hi)
     lo_p = points[max(i - 1, 0)].p_tx_dbm
-    hi_p = points[min(i + 1, n)].p_tx_dbm
+    hi_p = points[min(i + 1, len(points) - 1)].p_tx_dbm
     best = points[i]
-    while hi_p - lo_p > tol * 1e-3:
+    while hi_p - lo_p > scn.opt_tol_db * 1e-3:
         m1 = lo_p + (hi_p - lo_p) / 3.0
         m2 = hi_p - (hi_p - lo_p) / 3.0
         if m1 <= lo_p or m2 >= hi_p:   # a bracket one or two floats wide

@@ -33,7 +33,8 @@ from beamcap.scenario import KEYS, _float
 FLOAT_KEYS = tuple(key for key, (_, parse, _) in KEYS.items() if parse is _float)
 EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-150", "1e-30", "180", "1e30", "1e300")
 DB_EXTREMES = EXTREMES + ("300", "-300")
-ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): .+\n")
+# the message after the key list does not start with another key list
+ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): (?!\w+(?:, \w+)*: ).+\n")
 # a hang fails the example here; the Hypothesis deadline reports a slow one
 HANG_S = 15
 SIM_ARRIVALS = 2000
@@ -109,6 +110,12 @@ def run_cli(command, kv):
 @example(command="analyze", kv={"kappa": "1e30", "variant": "logistic", "mean_engine": "closed"})
 @example(command="sweep-power",
          kv={"p_tx_dbm": "1e-30", "variant": "piecewise-linear", "mean_engine": "series"})
+# a range end whose footprint ratio overflows: this used to name r_d_m twice
+@example(command="sweep-power",
+         kv={"r_d_m": "1e-153", "pair_model": "fixed:1e-300", "mean_engine": "closed"})
+# a load of 2.8e307 that the footprint caps, and a link rate past the floats
+@example(command="sweep-power", kv={"mu_per_s": "1e-300", "mean_engine": "closed"})
+@example(command="sweep-power", kv={"bandwidth_hz": "1e308", "mean_engine": "closed"})
 def test_exits_with_finite_rows_or_names_its_keys(command, kv):
     check_outcome(command, *run_cli(command, kv))
 

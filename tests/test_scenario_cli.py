@@ -15,7 +15,7 @@ import pytest
 
 import beamcap
 from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area, cli,
-                     coverage_radius, queueing, validation)
+                     coverage_radius, optimize_power, queueing, rate_components, validation)
 from beamcap.cli import main
 from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
                               sweep_power_rows)
@@ -23,8 +23,9 @@ from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, Scenari
                               build_scenario, check_simulation_budget, load_scenario,
                               parse_config_text, sweep_points)
 
-# a refusal: one line whose key list names the keys its check compares
-ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): .+\n")
+# a refusal: one line whose key list names the keys its check compares, each
+# once: the message after it does not start with another key list
+ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): (?!\w+(?:, \w+)*: ).+\n")
 
 # one bad value per key: (overrides, keys the error must name); a cross-key
 # failure names every key the range check compares
@@ -729,12 +730,17 @@ class TestCliEntry:
         (["analyze"], "n_thr_dbm = 180\n", "p_tx_dbm, n_thr_dbm"),
         (["sweep-power"], "n_thr_dbm = 0\n", "p_tx_min_dbm, n_thr_dbm"),
         (["sweep-power"], "p_tx_max_dbm = 1e300\n", "p_tx_min_dbm, p_tx_max_dbm, p_tx_step_db"),
-        (["sweep-power"], "mu_per_s = 1e-300\n", "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
+        # the link rate is inf: times 9e6 pairs, or times the 0 pairs of no arrivals (NaN)
+        (["sweep-power"], "bandwidth_hz = 1e308\n", "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
+        (["sweep-power"], "bandwidth_hz = 1e308\nlambda_per_m2 = 0\n",
+         "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
+        # Scenario.chain's message names r_d_m already
+        (["sweep-power"], "r_d_m = 1e-153\npair_model = fixed:1e-300\n", "p_tx_max_dbm, r_d_m"),
         (["simulate"], "r_d_m = 2\npair_model = fixed:3.999\nlambda_per_m2 = 1\n"
                        "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n", "pair_model, r_d_m"),
     ], ids=["analyze-state-limit", "sweep-state-limit", "negative-warmup", "empty-power-range",
             "threshold-above-power", "threshold-above-range-start", "huge-power-range",
-            "tiny-service-rate", "placement"])
+            "inf-link-rate", "inf-link-rate-no-pairs", "inf-gamma-at-range-end", "placement"])
     def test_refusal_names_every_key_it_compares(self, argv, lines, keys, tmp_path, capsys):
         cfg = tmp_path / "refused.cfg"
         cfg.write_text(lines)
@@ -743,6 +749,36 @@ class TestCliEntry:
         assert captured.out == ""
         line = ERROR_LINE.fullmatch(captured.err)
         assert line and line.group(1) == keys, captured.err
+
+    def test_sweep_power_at_a_tiny_service_rate(self, tmp_path, capsys):
+        # a load of 2.8e307 pairs, but the footprint caps E[N] at 5.4e9: every rate is finite
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("mu_per_s = 1e-300\n")
+        assert main(["sweep-power", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["row_type"] for r in rows] == ["point"] * 81 + ["optimum"]
+        assert all(math.isfinite(float(r[column])) for r in rows for column in
+                   ("gamma", "mean_pairs", "link_rate_bps", "area_rate_bps_m2"))
+
+    @pytest.mark.parametrize("opt_tol_db", ["80", "40"], ids=["in-refinement", "on-opt-grid"])
+    def test_sweep_power_refuses_an_infinite_optimum(self, opt_tol_db, tmp_path, capsys):
+        # the point rows at -60 and 20 dBm are finite, but c * E[N] overflows near
+        # the peak at -21 dBm: first in the refinement, or on the optimizer's grid
+        # at -20 dBm, where an infinite peak must not read as a flat objective
+        keys = {"bandwidth_hz": "1e302", "p_tx_min_dbm": "-60", "p_tx_max_dbm": "20",
+                "p_tx_step_db": "80", "opt_tol_db": opt_tol_db}
+        scn = load_scenario(overrides=keys)
+        assert all(math.isfinite(rate_components(scn, p).area_rate_bps_m2) for p in (-60, 20))
+        opt = optimize_power(scn)
+        assert opt.point.area_rate_bps_m2 == math.inf and not opt.flat
+        cfg = tmp_path / "peak.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["sweep-power", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("beamcap: error: r_d_m, bandwidth_hz, lambda_per_m2, "
+                                       f"mu_per_s: the area rate at {opt.point.p_tx_dbm:g} dBm "
+                                       "is inf b/s/m^2")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

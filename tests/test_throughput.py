@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from beamcap import (RadioParams, link_rate, noise_power, optimize_power, rate_components,
                      throughput)
-from beamcap.cli_rows import MAX_REFINE_EVALS, render_csv, sweep_power_rows
+from beamcap.cli_rows import render_csv, sweep_power_rows
 from beamcap.scenario import build_scenario
+from beamcap.throughput import MAX_REFINE_EVALS
 
 DEG = math.pi / 180.0
 
