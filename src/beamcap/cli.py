@@ -17,7 +17,7 @@ import sys
 
 from . import cli_rows, validation
 from .queueing import NonConvergenceError
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, refusal
 from .simulator import PlacementError
 
 
@@ -80,16 +80,9 @@ def main(argv=None) -> int:
             out.write(render(rows))
             return 0
     except (NonConvergenceError, PlacementError, ValueError) as exc:   # ScenarioError included
-        keys = ""
-        if isinstance(exc, NonConvergenceError):
-            # a chain too long to truncate has too high a load lambda_per_m2 * area / mu_per_s
-            # for its footprint ratio, which the link budget at the command's power sets
-            power = "p_tx_min_dbm" if args.command == "sweep-power" else "p_tx_dbm"
-            keys = (f"lambda_per_m2, r_d_m, mu_per_s, {power}, n_thr_dbm, theta_deg, kappa, "
-                    "c_const: ")
-        elif isinstance(exc, PlacementError):   # a pair model that barely fits the disk
-            keys = "pair_model, r_d_m: "
-        print(f"beamcap: error: {keys}{exc}", file=sys.stderr)
+        # a sweep-power chain past the state limit is the one at p_tx_min_dbm
+        power = "p_tx_min_dbm" if args.command == "sweep-power" else "p_tx_dbm"
+        print(f"beamcap: error: {refusal(exc, power)}", file=sys.stderr)
         return 2
 
 

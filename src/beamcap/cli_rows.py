@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import re
 
 from . import queueing, simulator, throughput
 from .scenario import (Scenario, ScenarioError, check_simulation_budget, field_keys,
@@ -109,9 +108,8 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
             try:
                 chain = scn.chain(getattr(scn, key))
             except ValueError as exc:   # the power key, and the fields the check compares
-                keys = dict.fromkeys([key, *field_keys(exc, p_tx_dbm=key)])
-                text = re.sub(r"^\w+(?:, \w+)*: ", "", str(exc))   # a message keyed already
-                raise ScenarioError(f"{', '.join(keys)}: {text}") from None
+                keys = dict.fromkeys([key, *field_keys(exc, key)])
+                raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
             queueing.check_state_limit(chain)
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)

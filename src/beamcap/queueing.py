@@ -125,8 +125,9 @@ def _first_block(params: ChainParams) -> int:
 
 
 def _not_truncated(params: ChainParams) -> NonConvergenceError:
-    return NonConvergenceError(f"steady state not truncated within {_MAX_STATES} states "
-                               f"(load lambda/mu = {params.load:g}, gamma = {params.gamma:g})")
+    return NonConvergenceError(f"lambda_total, mu, gamma give a steady state not truncated within "
+                               f"{_MAX_STATES} states (load lambda/mu = {params.load:g}, "
+                               f"gamma = {params.gamma:g})")
 
 
 def check_state_limit(params: ChainParams) -> None:
@@ -341,8 +342,8 @@ def mean_pairs_closed_form(params: ChainParams) -> float:
     reduction, and is returned exactly at gamma == 0.  Past the floats (gamma
     near 700 on), w = W(x) solves w + log w = y = log x: Newton's method from
     y - log y, below the root for y > 1, rises to it and stops where a step no
-    longer does.  (y <= 1 there needs a subnormal load.)  Where 2*gamma itself
-    overflows (gamma > 9e307), log(2*gamma) is taken as log 2 + log gamma.
+    longer does; y <= 1 needs a subnormal load, and there W(e^y) is taken.  Where
+    2*gamma itself overflows (gamma > 9e307), log(2*gamma) is taken as log 2 + log gamma.
     """
     a, g = params.load, params.gamma
     if g == 0.0 or a == 0.0:
@@ -355,6 +356,8 @@ def mean_pairs_closed_form(params: ChainParams) -> float:
         return lambert_w0(x) / (2.0 * g)
     log_2g = math.log(2.0 * g) if 2.0 * g < math.inf else math.log(2.0) + math.log(g)
     y = log_2g + math.log(a) + g
+    if y <= 1.0:
+        return lambert_w0(math.exp(y)) / (2.0 * g)
     w = y - math.log(y)
     while (w_next := w + (y - w - math.log(w)) / (1.0 + 1.0 / w)) > w:
         w = w_next

@@ -113,10 +113,12 @@ KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
 DEFAULTS: dict[str, str] = {key: default for key, (default, _, _) in KEYS.items()}
 SWEEPABLE_KEYS = frozenset(key for key, (_, _, sweepable) in KEYS.items() if sweepable)
 
-# dataclass field -> config key, where the names differ; every dataclass
+# engine field -> the config keys that set it, where they differ; every engine
 # check message starts with its field name, or a list of them ("a, b, c ...")
 _FIELD_KEYS = {"theta": "theta_deg", "region_radius": "r_d_m", "lambda_density": "lambda_per_m2",
-               "mu": "mu_per_s", "horizon": "horizon_s", "warmup": "warmup_s"}
+               "mu": "mu_per_s", "horizon": "horizon_s", "warmup": "warmup_s",
+               "lambda_total": "lambda_per_m2, r_d_m",
+               "gamma": "r_d_m, p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"}
 
 # paper-* presets use the full-scale 3 km deployment; desk-*
 # variants shrink the region so cross-validation runs in minutes
@@ -227,11 +229,7 @@ class Scenario:
         gamma = footprint / self.deployment.area
         if self.check_mode is CheckMode.ONE_WAY:
             gamma *= 0.5
-        try:   # the load is checked by DeploymentParams; gamma overflows on a tiny disk
-            return ChainParams(self.deployment.lambda_total, self.deployment.mu, gamma,
-                               self.variant)
-        except ValueError as exc:
-            raise ValueError(f"r_d_m: {exc}") from None
+        return ChainParams(self.deployment.lambda_total, self.deployment.mu, gamma, self.variant)
 
     def with_value(self, key: str, value) -> "Scenario":
         """Rebuild with one key overridden; used to apply sweep points.
@@ -312,20 +310,26 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
             opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
         )
     except ValueError as exc:
-        raise ScenarioError(f"{', '.join(field_keys(exc))}: {exc}") from None
+        raise ScenarioError(refusal(exc)) from None
     model = v["pair_model"]
     if isinstance(model, FixedDistance) and model.distance >= 2.0 * v["r_d_m"]:
-        raise ScenarioError(f"pair_model: fixed distance {model.distance:g} m does not fit "
-                            f"in a disk of diameter {2.0 * v['r_d_m']:g} m (r_d_m)")
+        raise ScenarioError(f"pair_model, r_d_m: fixed distance {model.distance:g} m does not "
+                            f"fit in a disk of diameter {2.0 * v['r_d_m']:g} m")
     return scenario
 
 
-def field_keys(exc: ValueError, **renamed: str) -> list[str]:
-    """The config keys named by a dataclass check message's leading field list;
-    renamed maps more fields to keys, such as p_tx_dbm to the key that set the power."""
+def field_keys(exc: Exception, power: str = "p_tx_dbm") -> list[str]:
+    """The keys, each once, that set an engine check's leading fields; p_tx_dbm reads as power."""
     fields = re.match(r"\w*(?:, \w+)*", str(exc)).group().split(", ")
-    names = _FIELD_KEYS | renamed
-    return [names.get(f, f) for f in fields]
+    keys = ", ".join(_FIELD_KEYS.get(f, f) for f in fields).split(", ")
+    return list(dict.fromkeys(power if k == "p_tx_dbm" else k for k in keys))
+
+
+def refusal(exc: Exception, power: str = "p_tx_dbm") -> str:
+    """A refusal's text led by its keys: a ScenarioError's own, or field_keys' for an engine check."""
+    if isinstance(exc, ScenarioError):
+        return str(exc)
+    return f"{', '.join(field_keys(exc, power))}: {exc}"
 
 
 def load_scenario(path=None, preset: str | None = None,
@@ -365,6 +369,6 @@ def check_simulation_budget(scenarios) -> None:
     for scn in scenarios:
         arrivals = scn.deployment.lambda_total * scn.horizon * scn.replications
         if arrivals > MAX_SIM_ARRIVALS:
-            raise ScenarioError(f"lambda_per_m2, horizon_s, replications: {arrivals:.3g} expected "
-                                f"arrivals (lambda_per_m2 * disk area * horizon_s * replications) "
-                                f"exceed the limit of {MAX_SIM_ARRIVALS:.0e}")
+            raise ScenarioError(f"lambda_per_m2, r_d_m, horizon_s, replications: {arrivals:.3g} "
+                                f"expected arrivals (lambda_per_m2 * disk area * horizon_s * "
+                                f"replications) exceed the limit of {MAX_SIM_ARRIVALS:.0e}")

@@ -210,10 +210,9 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
         if ax * ax + ay * ay > r_d * r_d or bx * bx + by * by > r_d * r_d:
             continue
         return PairPlacement((ax, ay), (bx, by), atan2(by - ay, bx - ax), atan2(ay - by, ax - bx))
-    raise PlacementError(
-        f"no placement inside the disk after {_PLACEMENT_RETRIES} attempts "
-        f"(region_radius={r_d}, pair_model={model})"
-    )
+    raise PlacementError(f"pair_model, region_radius leave no placement inside the disk "
+                         f"after {_PLACEMENT_RETRIES} attempts (region_radius={r_d}, "
+                         f"pair_model={model})")
 
 
 class _ScalarTest(NamedTuple):

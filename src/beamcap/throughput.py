@@ -79,7 +79,9 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
     p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
     c = link_rate(radio, p_rx, noise_power(radio.n_thr_dbm, scn.k_neighbors))
-    return RatePoint(p_tx_dbm, chain.gamma, e_n, c, c * e_n / scn.deployment.area)
+    area = scn.deployment.area   # c * e_n may pass the floats where the area rate does not
+    rate = c * e_n / area
+    return RatePoint(p_tx_dbm, chain.gamma, e_n, c, rate if rate < math.inf else c * (e_n / area))
 
 
 def optimizer_grid(scn: Scenario) -> list[float]:

@@ -1,5 +1,6 @@
 """Whole-key-space property: every config either runs to finite rows or is
-refused with one line that names its keys.
+refused with one line that names its keys, among them a key it set to an
+extreme value (`validate` excepted: its arrival budget refuses its 3 km base).
 
 A config sets one to four float keys to extreme values, plus a random
 rejection shape, check mode and mean engine.  `analyze`, `sweep-power` and
@@ -62,7 +63,7 @@ def configs(draw):
     # refused before any walk
     kv = extreme_values(draw, [k for k in FLOAT_KEYS if engine == "closed" or k != "r_d_m"])
     if engine == "series":
-        kv["r_d_m"] = "3"
+        kv["r_d_m"] = SIM_BASE["r_d_m"]
     kv["variant"] = draw(st.sampled_from([v.value for v in Variant]))
     kv["check_mode"] = draw(st.sampled_from([m.value for m in CheckMode]))
     kv["mean_engine"] = engine
@@ -109,30 +110,43 @@ def run_cli(command, kv):
 @example(command="analyze", kv={"n_thr_dbm": "1e-150", "mean_engine": "closed"})
 @example(command="analyze", kv={"kappa": "1e30", "variant": "logistic", "mean_engine": "closed"})
 @example(command="sweep-power",
-         kv={"p_tx_dbm": "1e-30", "variant": "piecewise-linear", "mean_engine": "series"})
+         kv={"p_tx_min_dbm": "1e-30", "variant": "piecewise-linear", "mean_engine": "series"})
 # a range end whose footprint ratio overflows: this used to name r_d_m twice
 @example(command="sweep-power",
          kv={"r_d_m": "1e-153", "pair_model": "fixed:1e-300", "mean_engine": "closed"})
 # a load of 2.8e307 that the footprint caps, and a link rate past the floats
 @example(command="sweep-power", kv={"mu_per_s": "1e-300", "mean_engine": "closed"})
 @example(command="sweep-power", kv={"bandwidth_hz": "1e308", "mean_engine": "closed"})
+# a coverage radius so large that the footprint ratio overflows: this used to name
+# only r_d_m, a key not set
+@example(command="analyze", kv={"kappa": "0.5", "c_const": "1e-80"})
+@example(command="sweep-power", kv={"kappa": "0.5", "c_const": "1e-80"})
+# a subnormal load under a footprint ratio past 709: this used to exit 2 with
+# "math domain error"
+@example(command="sweep-power", kv={"lambda_per_m2": "5e-324", "mu_per_s": "180",
+                                    "p_tx_max_dbm": "180", "check_mode": "one-way"})
 def test_exits_with_finite_rows_or_names_its_keys(command, kv):
-    check_outcome(command, *run_cli(command, kv))
+    check_outcome(command, *run_cli(command, kv), extreme_keys(kv))
 
 
 @settings(max_examples=examples(40), deadline=timedelta(seconds=10))
 @given(kv=sim_configs())
 # a pair model that does not fit a 3e-150 m disk: this used to exit 2 naming no key
 @example(kv={**SIM_BASE, "r_d_m": "1e-150", "lambda_per_m2": "1e300", "check_mode": "two-way"})
-# past the arrival budget, and a horizon of 1e-30 s
+# past the arrival budget, which used to leave out r_d_m, and a horizon of 1e-30 s
 @example(kv={**SIM_BASE, "r_d_m": "180", "check_mode": "two-way"})
 @example(kv={**SIM_BASE, "horizon_s": "1e-30", "warmup_s": "1e-300", "check_mode": "one-way"})
 def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
     with mock.patch.object(scenario, "MAX_SIM_ARRIVALS", SIM_ARRIVALS):
-        check_outcome("simulate", *run_cli("simulate", kv))
+        check_outcome("simulate", *run_cli("simulate", kv), extreme_keys(kv))
 
 
-def check_outcome(command, code, out, err):
+def extreme_keys(kv):
+    """The float keys kv sets away from the base its strategy starts from."""
+    return {k for k, v in kv.items() if k in FLOAT_KEYS and v != SIM_BASE.get(k)}
+
+
+def check_outcome(command, code, out, err, extremes):
     if code is None:
         assert command == "validate" and out == err == ""
     elif code == 0:
@@ -153,4 +167,6 @@ def check_outcome(command, code, out, err):
         assert code == 2 and out == ""
         line = ERROR_LINE.fullmatch(err)
         assert line, err
-        assert set(line.group(1).split(", ")) <= set(KEYS), err
+        keys = set(line.group(1).split(", "))
+        assert keys <= set(KEYS), err
+        assert command == "validate" or keys & extremes, err

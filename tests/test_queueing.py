@@ -231,8 +231,8 @@ class TestSteadyState:
         with pytest.raises(NonConvergenceError) as err:
             steady_state(chain(lam=1e8, gamma=0.0))
         assert time.perf_counter() - t0 < 0.2
-        assert str(err.value) == ("steady state not truncated within 10000000 states "
-                                  "(load lambda/mu = 1e+08, gamma = 0)")
+        assert str(err.value) == ("lambda_total, mu, gamma give a steady state not truncated "
+                                  "within 10000000 states (load lambda/mu = 1e+08, gamma = 0)")
 
     def test_max_states_is_the_last_state_examined(self):
         params = chain(lam=50.0, gamma=0.0)
@@ -525,6 +525,8 @@ class TestClosedForm:
         (2 * math.pi * 3000**2, 686.9),   # 2*gamma*load*e^gamma rounds to inf
         (1.0, 710.0),                     # exp(gamma) overflows
         (1e-12, 712.0),                   # so does exp(gamma); log x is 692
+        (1e-318, 724.5),                  # a subnormal load: log x is -0.41
+        (1e-318, 725.5),                  # log x is 0.59
         (1e308, 1.0),
         (1e-6, 1e300),
         (1.0, 9.5e307),                   # 2*gamma overflows

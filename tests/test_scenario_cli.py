@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -14,14 +15,17 @@ import numpy as np
 import pytest
 
 import beamcap
-from beamcap import (CheckMode, MeanEngine, NonConvergenceError, Variant, beam_area, cli,
-                     coverage_radius, optimize_power, queueing, rate_components, validation)
+from beamcap import (ChainParams, CheckMode, MeanEngine, NonConvergenceError, RadioParams,
+                     Variant, beam_area, cli, coverage_radius, optimize_power, queueing,
+                     rate_components, validation)
 from beamcap.cli import main
 from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
                               sweep_power_rows)
 from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
-                              build_scenario, check_simulation_budget, load_scenario,
-                              parse_config_text, sweep_points)
+                              build_scenario, check_simulation_budget, field_keys,
+                              load_scenario, parse_config_text, sweep_points)
+from beamcap.simulator import DeploymentParams, FixedDistance, PlacementError, place_pair
+from beamcap.throughput import optimizer_grid
 
 # a refusal: one line whose key list names the keys its check compares, each
 # once: the message after it does not start with another key list
@@ -74,6 +78,47 @@ def run_python(code: str) -> str:
                           check=True).stdout
 
 
+def _radio(**kw):
+    return RadioParams(**{"p_tx_dbm": 10.0, "n_thr_dbm": -78.0, "theta": 0.9, "kappa": 2.0,
+                          "c_const": 6.3e6, **kw})
+
+
+def _deployment(**kw):
+    return DeploymentParams(**{"region_radius": 300.0, "lambda_density": 1.0, "mu": 1.0,
+                               "pair_model": FixedDistance(1.0), **kw})
+
+
+# (owner, a call that fails one of its checks, the keys that check names):
+# every range check of the engine parameter objects, the state limit and the
+# placement cap; each message leads with fields that field_keys maps to keys
+ENGINE_CHECKS = [
+    (RadioParams, lambda: _radio(theta=0.0), "theta_deg"),
+    (RadioParams, lambda: _radio(kappa=-1.0), "kappa"),
+    (RadioParams, lambda: _radio(c_const=0.0), "c_const"),
+    (RadioParams, lambda: _radio(p_tx_dbm=-90.0), "p_tx_dbm, n_thr_dbm"),
+    (RadioParams, lambda: _radio(bandwidth_hz=-5.0), "bandwidth_hz"),
+    (RadioParams, lambda: _radio(snr_max_db=1e6), "snr_max_db"),
+    (RadioParams, lambda: _radio(c_const=1e-300), "p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+    (DeploymentParams, lambda: _deployment(region_radius=0.0), "r_d_m"),
+    (DeploymentParams, lambda: _deployment(lambda_density=-1.0), "lambda_per_m2"),
+    (DeploymentParams, lambda: _deployment(mu=0.0), "mu_per_s"),
+    (DeploymentParams, lambda: _deployment(region_radius=1e-170), "r_d_m"),
+    (DeploymentParams, lambda: _deployment(region_radius=1e150, lambda_density=1e300),
+     "r_d_m, lambda_per_m2"),
+    (DeploymentParams, lambda: _deployment(mu=5e-324), "mu_per_s"),
+    (ChainParams, lambda: ChainParams(-1.0, 1.0, 0.1), "lambda_per_m2, r_d_m"),
+    (ChainParams, lambda: ChainParams(1.0, 0.0, 0.1), "mu_per_s"),
+    (ChainParams, lambda: ChainParams(1e308, 1e-10, 0.1), "lambda_per_m2, r_d_m, mu_per_s"),
+    (ChainParams, lambda: ChainParams(1.0, 1.0, math.inf),
+     "r_d_m, p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+    (queueing.check_state_limit, lambda: queueing.check_state_limit(ChainParams(1e8, 1.0, 0.0)),
+     "lambda_per_m2, r_d_m, mu_per_s, p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+    (place_pair, lambda: place_pair(np.random.default_rng(1),
+                                    _deployment(region_radius=10.0, pair_model=FixedDistance(50.0))),
+     "pair_model, r_d_m"),
+]
+
+
 class TestConfigParsing:
     def test_minimal_file_gets_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"
@@ -124,7 +169,8 @@ class TestConfigParsing:
 
     def test_fixed_pair_distance_must_fit_the_disk(self):
         build_scenario({"r_d_m": "2", "pair_model": "fixed:3.99"})
-        with pytest.raises(ScenarioError, match="^pair_model: fixed distance 4 m does not fit"):
+        with pytest.raises(ScenarioError,
+                           match="^pair_model, r_d_m: fixed distance 4 m does not fit"):
             build_scenario({"r_d_m": "2", "pair_model": "fixed:4"})
 
     def test_mean_engine_is_an_enum(self):
@@ -254,6 +300,19 @@ class TestConfigParsing:
         with pytest.raises(ScenarioError, match="^r_d_m, lambda_per_m2: region_radius, "
                                                 "lambda_density give an infinite arrival rate"):
             build_scenario({"r_d_m": "1e150", "lambda_per_m2": "1e300"})
+
+    @pytest.mark.parametrize("owner, fails, keys", ENGINE_CHECKS,
+                             ids=[f"{owner.__name__}-{keys}" for owner, _, keys in ENGINE_CHECKS])
+    def test_every_engine_check_leads_with_fields_that_name_keys(self, owner, fails, keys):
+        with pytest.raises((ValueError, NonConvergenceError, PlacementError)) as exc:
+            fails()
+        assert set(field_keys(exc.value)) <= set(KEYS)
+        assert ", ".join(field_keys(exc.value)) == keys
+
+    def test_engine_checks_cover_every_raise(self):
+        for owner in (RadioParams, DeploymentParams, ChainParams):
+            raises = inspect.getsource(owner.__post_init__).count("raise ValueError")
+            assert raises == sum(o is owner for o, _, _ in ENGINE_CHECKS), owner.__name__
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -536,7 +595,8 @@ class TestCliEntry:
         assert main(["analyze", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "beamcap: error: r_d_m: gamma must be finite and >= 0, got inf\n"
+        assert captured.err == ("beamcap: error: r_d_m, p_tx_dbm, n_thr_dbm, theta_deg, kappa, "
+                                "c_const: gamma must be finite and >= 0, got inf\n")
 
     @pytest.mark.parametrize("variant", ["exponential", "logistic", "piecewise-linear"])
     @pytest.mark.parametrize("r_d, row", [
@@ -599,11 +659,15 @@ class TestCliEntry:
         from beamcap import NonConvergenceError
 
         def explode(scn):
-            raise NonConvergenceError("steady state not truncated within 10000000 states")
+            raise NonConvergenceError("lambda_total, mu, gamma give a steady state not truncated "
+                                      "within 10000000 states")
 
         monkeypatch.setattr(cli_mod.cli_rows, "analyze_rows", explode)
         assert cli_mod.main(["analyze", "--preset", "desk-fig4"]) == 2
-        assert "not truncated" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "beamcap: error: lambda_per_m2, r_d_m, mu_per_s, p_tx_dbm, n_thr_dbm, theta_deg, "
+            "kappa, c_const: lambda_total, mu, gamma give a steady state not truncated within "
+            "10000000 states\n")
 
     def test_series_sweep_power_fails_before_any_walk(self, tmp_path, capsys):
         # 8, 15 and 30 deg walk millions of states per power; only 52 deg at
@@ -705,7 +769,7 @@ class TestCliEntry:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("r_d_m = 2\npair_model = fixed:5\n")
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("beamcap: error: pair_model: ")
+        assert capsys.readouterr().err.startswith("beamcap: error: pair_model, r_d_m: fixed ")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_placement_retry_exhaustion_exit_code(self, jobs, tmp_path, capsys):
@@ -716,8 +780,8 @@ class TestCliEntry:
                        "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n")
         assert main(["simulate", "--config", str(cfg), "--jobs", jobs]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "beamcap: error: pair_model, r_d_m: no placement inside the disk after 100 attempts")
+        assert err.startswith("beamcap: error: pair_model, r_d_m: pair_model, region_radius leave "
+                              "no placement inside the disk after 100 attempts")
 
     @pytest.mark.parametrize("argv, lines, keys", [
         # a load past the state limit: the footprint ratio is set by the link budget
@@ -734,13 +798,19 @@ class TestCliEntry:
         (["sweep-power"], "bandwidth_hz = 1e308\n", "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
         (["sweep-power"], "bandwidth_hz = 1e308\nlambda_per_m2 = 0\n",
          "r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s"),
-        # Scenario.chain's message names r_d_m already
-        (["sweep-power"], "r_d_m = 1e-153\npair_model = fixed:1e-300\n", "p_tx_max_dbm, r_d_m"),
+        # a footprint ratio past the floats: a tiny disk, or a huge coverage radius
+        (["sweep-power"], "r_d_m = 1e-153\npair_model = fixed:1e-300\n",
+         "p_tx_max_dbm, r_d_m, n_thr_dbm, theta_deg, kappa, c_const"),
+        (["analyze"], "kappa = 0.5\nc_const = 1e-80\n",
+         "r_d_m, p_tx_dbm, n_thr_dbm, theta_deg, kappa, c_const"),
+        (["sweep-power"], "kappa = 0.5\nc_const = 1e-80\n",
+         "p_tx_max_dbm, r_d_m, n_thr_dbm, theta_deg, kappa, c_const"),
         (["simulate"], "r_d_m = 2\npair_model = fixed:3.999\nlambda_per_m2 = 1\n"
                        "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n", "pair_model, r_d_m"),
     ], ids=["analyze-state-limit", "sweep-state-limit", "negative-warmup", "empty-power-range",
             "threshold-above-power", "threshold-above-range-start", "huge-power-range",
-            "inf-link-rate", "inf-link-rate-no-pairs", "inf-gamma-at-range-end", "placement"])
+            "inf-link-rate", "inf-link-rate-no-pairs", "inf-gamma-at-range-end",
+            "inf-gamma-analyze", "inf-gamma-sweep", "placement"])
     def test_refusal_names_every_key_it_compares(self, argv, lines, keys, tmp_path, capsys):
         cfg = tmp_path / "refused.cfg"
         cfg.write_text(lines)
@@ -760,15 +830,20 @@ class TestCliEntry:
         assert all(math.isfinite(float(r[column])) for r in rows for column in
                    ("gamma", "mean_pairs", "link_rate_bps", "area_rate_bps_m2"))
 
-    @pytest.mark.parametrize("opt_tol_db", ["80", "40"], ids=["in-refinement", "on-opt-grid"])
-    def test_sweep_power_refuses_an_infinite_optimum(self, opt_tol_db, tmp_path, capsys):
-        # the point rows at -60 and 20 dBm are finite, but c * E[N] overflows near
-        # the peak at -21 dBm: first in the refinement, or on the optimizer's grid
-        # at -20 dBm, where an infinite peak must not read as a flat objective
-        keys = {"bandwidth_hz": "1e302", "p_tx_min_dbm": "-60", "p_tx_max_dbm": "20",
-                "p_tx_step_db": "80", "opt_tol_db": opt_tol_db}
+    @pytest.mark.parametrize("opt_tol_db, bandwidth_hz", [("80", "1e307"), ("40", "2.2e307")],
+                             ids=["in-refinement", "on-opt-grid"])
+    def test_sweep_power_refuses_an_infinite_optimum(self, opt_tol_db, bandwidth_hz, tmp_path,
+                                                     capsys):
+        # the point rows at -60 and 20 dBm are finite, but the area rate itself
+        # overflows near its peak at -34 dBm: first in the refinement, or on the
+        # optimizer's grid at -20 dBm, where an infinite peak must not read as a
+        # flat objective
+        keys = {"bandwidth_hz": bandwidth_hz, "lambda_per_m2": "1e5", "p_tx_min_dbm": "-60",
+                "p_tx_max_dbm": "20", "p_tx_step_db": "80", "opt_tol_db": opt_tol_db}
         scn = load_scenario(overrides=keys)
-        assert all(math.isfinite(rate_components(scn, p).area_rate_bps_m2) for p in (-60, 20))
+        grid = [rate_components(scn, p).area_rate_bps_m2 for p in optimizer_grid(scn)]
+        assert grid[0] < math.inf and grid[-1] < math.inf
+        assert (math.inf in grid) == (opt_tol_db == "40")
         opt = optimize_power(scn)
         assert opt.point.area_rate_bps_m2 == math.inf and not opt.flat
         cfg = tmp_path / "peak.cfg"
@@ -779,6 +854,24 @@ class TestCliEntry:
         assert captured.err.startswith("beamcap: error: r_d_m, bandwidth_hz, lambda_per_m2, "
                                        f"mu_per_s: the area rate at {opt.point.p_tx_dbm:g} dBm "
                                        "is inf b/s/m^2")
+
+    def test_sweep_power_area_rate_where_only_rate_times_pairs_overflows(self, tmp_path, capsys):
+        # near -22 dBm c * E[N] is 2.5e302 b/s times 1.1e7 pairs, past the floats,
+        # but over the 2.8e7 m^2 disk the area rate is 1e302 b/s/m^2
+        cfg = tmp_path / "peak.cfg"
+        cfg.write_text("bandwidth_hz = 1e302\np_tx_min_dbm = -60\np_tx_max_dbm = 20\n"
+                       "p_tx_step_db = 80\nopt_tol_db = 80\n")
+        assert main(["sweep-power", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [r["row_type"] for r in rows] == ["point", "point", "optimum"]
+        opt = {k: float(v) for k, v in rows[-1].items() if k in ("p_tx_dbm", "mean_pairs",
+                                                                 "link_rate_bps", "area_rate_bps_m2")}
+        assert opt["p_tx_dbm"] == pytest.approx(-22.02, abs=0.01)
+        assert opt["link_rate_bps"] * opt["mean_pairs"] == math.inf
+        area = load_scenario(path=cfg).deployment.area
+        assert opt["area_rate_bps_m2"] == opt["link_rate_bps"] * (opt["mean_pairs"] / area)
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -868,7 +961,8 @@ class TestSimulationBudget:
 
         monkeypatch.setattr(simulator, "run", no_simulation)
         scn = load_scenario(preset="desk-fig5", overrides={"sweep_values": "0.005,200"})
-        with pytest.raises(ScenarioError, match="^lambda_per_m2, horizon_s, replications: "):
+        with pytest.raises(ScenarioError,
+                           match="^lambda_per_m2, r_d_m, horizon_s, replications: "):
             simulate_rows(scn)
 
     def test_sweep_power_does_not_simulate_and_is_not_limited(self, capsys):
