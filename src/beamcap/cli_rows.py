@@ -120,7 +120,9 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     states = sum(queueing.mean_pairs_closed_form(scn.chain(p)) for _, _, scn in points
                  if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
     if states > MAX_SERIES_STATES:
-        raise ScenarioError(f"mean_engine: the series engine would walk about {states:.3g} chain "
+        raise ScenarioError(f"mean_engine, lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, "
+                            f"p_tx_max_dbm, p_tx_step_db, opt_tol_db, n_thr_dbm, theta_deg, kappa, "
+                            f"c_const: the series engine would walk about {states:.3g} chain "
                             f"states, past the limit of {MAX_SERIES_STATES:.0e}")
     rows = []
     for param, value, scn in points:

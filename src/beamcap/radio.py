@@ -8,6 +8,7 @@ angle at which the directional gain reaches zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,13 +136,28 @@ class AntennaModel:
                 raise ValueError(f"{path}:{i}: {exc}") from None
         return cls.from_table(samples)
 
-    def gain_linear(self, alpha, radio: RadioParams):
-        """Composite directional gain at deviation angle(s) alpha, linear scale."""
-        if self.angles is None:
-            d0 = max_directivity(radio.theta)
-            return d0 * np.maximum(1.0 - np.asarray(alpha) / radio.theta, 0.0)
-        g_db = np.interp(np.asarray(alpha), self.angles, self.gains_dbi)
-        return 10.0 ** (g_db / 10.0)
+    def gain_law(self, radio: RadioParams):
+        """The composite directional gain, linear, as a scalar function of the deviation angle.
+
+        A table interpolates in dB as np.interp does: slope*(alpha - x_j) + y_j
+        between samples, a sample's own gain on it, the last gain past the end.
+        """
+        if self.angles is None:   # D0 * max(1 - alpha/theta, 0), bit for bit
+            d0, theta = max_directivity(radio.theta), radio.theta
+            return lambda alpha: d0 * (1.0 - alpha / theta) if alpha < theta else 0.0
+        xp, fp = self.angles.tolist(), self.gains_dbi.tolist()
+        end = len(xp) - 1
+        slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(end)]
+
+        def table(alpha: float) -> float:
+            j = bisect_right(xp, alpha) - 1      # xp[j] <= alpha < xp[j + 1]
+            if j < 0 or j == end or alpha == xp[j]:
+                g = fp[max(j, 0)]
+            else:
+                g = slopes[j] * (alpha - xp[j]) + fp[j]
+            return 10.0 ** (g / 10.0)
+
+        return table
 
     def peak_gain_linear(self, radio: RadioParams) -> float:
         """Largest gain at any angle; a table's largest sample may exceed D0."""
@@ -157,23 +173,44 @@ def max_directivity(theta: float) -> float:
     return 2.0 / (1.0 - math.cos(theta / 2.0))
 
 
-def _wrap_angle(x):
-    """Fold angles into [-pi, pi)."""
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
+def deviation_angle(dx: float, dy: float, bore: float) -> float:
+    """Angle in [0, pi] between the vector (dx, dy) and the boresight bore, wrapped as
+    abs((x + pi) % 2pi - pi); the admission scan computes it the same way."""
+    return abs((math.atan2(dy, dx) - bore + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def received_power_mw(dx, dy, bore, radio: RadioParams, antenna: AntennaModel):
-    """Power [mW] at omnidirectional receivers over transmitter-to-receiver
-    vectors (dx, dy) from transmitters with boresight bore; inf where d == 0.
+def power_kernel(radio: RadioParams, antenna: AntennaModel):
+    """Received power [mW] as a function of (dx, dy, alpha): the transmitter-to-receiver
+    vector and its deviation angle from the transmitter's boresight.
 
-    The directional transmitter contributes the composite gain; the
-    receiving end has unit gain.
+    p_tx * gain / (C * d^kappa) in that order, the directional transmitter
+    contributing the composite gain and the omnidirectional receiver unit
+    gain.  The edge values are numpy's: inf at d = 0, and where d^kappa (or
+    C times it) underflows under a positive gain; NaN there under zero gain;
+    0 where d^kappa or C times it overflows.
     """
-    dist = np.hypot(dx, dy)
-    alpha = np.abs(_wrap_angle(np.arctan2(dy, dx) - bore))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
+    p_tx, c, kappa, gain = radio.p_tx_mw, radio.c_const, radio.kappa, antenna.gain_law(radio)
+    hypot, inf = math.hypot, math.inf
+
+    def power(dx: float, dy: float, alpha: float) -> float:
+        dist = hypot(dx, dy)
+        num = p_tx * gain(alpha)
+        try:
+            den = c * dist ** kappa
+        except OverflowError:
+            den = inf
+        if den == 0.0:
+            return inf if num > 0.0 or dist == 0.0 else math.nan
+        return num / den
+
+    return power
+
+
+def received_power_mw(dx: float, dy: float, bore: float, radio: RadioParams,
+                      antenna: AntennaModel) -> float:
+    """Power [mW] at an omnidirectional receiver (dx, dy) from a transmitter with
+    boresight bore: the one definition of received power."""
+    return power_kernel(radio, antenna)(dx, dy, deviation_angle(dx, dy, bore))
 
 
 def link_budget(radio: RadioParams, gain: float) -> float:

@@ -8,13 +8,11 @@ aggregated across independent replications with Student-t intervals.
 The run reads the same Scenario the chain is formed from (Scenario.chain):
 one object serves both engines.
 
-One kernel, radio.received_power_mw, defines received power for
-admission and the audit.  A replication keeps its active devices in one
+One scalar kernel, radio.power_kernel (received_power_mw's), decides
+admission and the audit: a transmitter covers a receiver when it delivers
+the sensitivity threshold.  A replication keeps its active devices in one
 admission index for every antenna, a grid of beam sectors (_SectorGrid),
-whose pairs are decided in scalar code (_covers), or by the kernel inside
-a rounding band and where the scalar test cannot decide (a table antenna,
-a link budget out of range).  Every decision is the kernel's, so output
-bytes do not depend on which side decides.
+which hands the kernel only the pairs two exact screens leave.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .radio import AntennaModel, RadioParams, link_budget, received_power_mw
+from .radio import AntennaModel, RadioParams, deviation_angle, link_budget, power_kernel
 
 if TYPE_CHECKING:  # scenario imports the parameter classes from here
     from .scenario import Scenario
@@ -123,7 +121,7 @@ class DeploymentParams:
             raise ValueError(f"region_radius, lambda_density give an infinite arrival rate "
                              f"lambda_total, got {self.lambda_total}")
         if not self.lambda_total / self.mu < math.inf:
-            raise ValueError(f"mu must give a finite load lambda_total / mu, got "
+            raise ValueError(f"lambda_total, mu must give a finite load lambda_total / mu, got "
                              f"{self.lambda_total:g} / {self.mu:g}")
 
     @property
@@ -215,102 +213,7 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
                          f"pair_model={model})")
 
 
-class _ScalarTest(NamedTuple):
-    """Per-replication constants of the scalar admission test."""
-
-    k0: float          # p_tx*D0/(C*N_thr): power >= N_thr iff (1 - alpha/theta)*k0 >= d^kappa
-    r2: float          # squared screen radius: no pair farther apart covers
-    radius: float      # the grid's sector radius and cell side: sqrt(r2), or reach
-    theta: float       # the sector's half-angle: no pair past theta + 2*eta covers at d > 0
-    half_kappa: float
-    rel: float         # angle-free part of the band, 2*(9*kappa + 32)*u; inf: the kernel decides
-
-
-_U = 2.0 ** -53                 # float64 unit roundoff
-_ANGLE_ERR = 40.0 * _U          # |computed - exact| deviation angle on either path [rad]
-_ANGLE_BAND = 88.0 * _U         # 2*(_ANGLE_ERR + pi*u), rounded up
-_TINY = 1e-300                  # smaller d^2 or d^kappa may be subnormal: the kernel decides
-_RANGE = 1e250                  # k0, reach^2 and C*k0 inside (1/R, R) keep both paths normal
 _TWO_PI = 2.0 * math.pi
-
-
-def _scalar_test(radio: RadioParams, antenna: AntennaModel) -> _ScalarTest:
-    """Constants of the scalar test.  Where it cannot decide, rel = inf and the kernel
-    decides every pair the screens leave: a table antenna, whose sector is the disk of
-    radius reach (theta = pi), or an analytic link budget out of range.  There r2 =
-    reach^2, at least 1e-300, as a subnormal r2 could round below a d2 the kernel covers."""
-    kappa, k0 = radio.kappa, link_budget(radio, antenna.peak_gain_linear(radio))
-    reach = k0 ** (1.0 / kappa) * (1.0 + 1e-9)      # farthest any gain (<= peak) reaches
-    analytic = antenna.angles is None
-    if (analytic and 1.0 / _RANGE < k0 < _RANGE and k0 * radio.c_const < _RANGE
-            and 1.0 / _RANGE < reach * reach < _RANGE):
-        r2 = k0 ** (2.0 / kappa) * (1.0 + (32.0 + (32.0 + 2.0 * abs(math.log(k0))) / kappa) * _U)
-        return _ScalarTest(k0, r2, math.sqrt(r2), radio.theta, 0.5 * kappa,
-                           2.0 * (9.0 * kappa + 32.0) * _U)
-    return _ScalarTest(k0, max(reach * reach, _TINY), reach, radio.theta if analytic else math.pi,
-                       0.5 * kappa, math.inf)
-
-
-def _covers(alpha: float, d2: float, st: _ScalarTest) -> bool | None:
-    """Whether a transmitter delivers the threshold to a receiver at squared
-    distance d2 and wrapped deviation angle alpha: the kernel's decision, or
-    None where the test defers to received_power_mw, the one definition of
-    power.  Callers skip pairs with d^2 > r2 before atan2, and those with
-    alpha - theta >= 2*eta unless d^2 < 1e-300.
-
-    With k0 = p_tx*D0/(C*N_thr), power >= N_thr is q = (1 - alpha/theta)*k0
-    / d^kappa >= 1.  Outside a band |q - 1| < eps the sign of q - 1 is the
-    kernel's decision; inside it, where alpha is within 2*eta of theta, at
-    d -> 0 and wherever rel = inf, the test defers.
-
-    The band.  Let u = 2^-53, take the float inputs (dx and dy, which both
-    paths compute alike, the boresights, p_tx, D0, theta, kappa, C, N_thr) as
-    exact and q* as the exact ratio.  Count each + - * / as one rounding
-    (relative <= u) and each hypot, pow and atan2, libm or numpy, as at most
-    4 ulp (relative <= 8u; absolute <= 16u for an angle of size <= pi).
-
-    - Angle, per path: atan2 16u, the subtraction of bore 4u, the wrap
-      ((x + pi) % 2pi - pi: 8u + 4u + 2u, plus 3.3u for the float pi and
-      2pi) give |alpha - alpha*| <= eta = 40u.  With alpha/theta rounded
-      (abs. error <= pi*u/theta) and 1 - x rounded (u), the gain factor g
-      has |g/g* - 1| <= u + (eta + pi*u)/(theta - alpha*), which grows at
-      the beam edge; gap = theta - alpha - 2*eta <= theta - alpha* on either
-      path.  Near alpha = pi, where the wrap may land on either side of
-      +-pi, every computed alpha is within eta of pi >= theta: gap < 0.
-    - Distance, power and products.  Kernel: hypot 8u, raised to kappa
-      8*kappa*u, pow 8u, four products and quotients 4u: (8*kappa + 12)u.
-      Scalar: d^2 2u, raised to kappa/2 kappa*u, pow 8u, k0 3u, lhs u, the
-      compared product rhs*(1 +- eps) and its constant 2u: (kappa + 15)u.
-    - So q_s = q*(1 + a) and q_k = q*(1 + b), the kernel's p/N_thr, with
-      |a| + |b| <= e = (9*kappa + 29)u + 2*(eta + pi*u)/gap; rounding the
-      coefficients up to (9*kappa + 32)u and 88u covers the second-order
-      terms.  For e <= 1/2, q_k/q_s lies in [1 - e, 1 + 2e], so q_s >= 1 + 2e
-      gives q_k >= (1 + 2e)(1 - e) >= 1 and q_s < 1 - 2e gives q_k < 1.  The
-      band is eps = 2e = rel + 2*88u/gap, rel = 2*(9*kappa + 32)u, if < 1.
-    - Zero gain.  alpha - theta >= 2*eta puts both paths' angles at or past
-      theta, where the kernel's gain is exactly 0: power 0, or NaN, at d > 0.
-    - Screen.  The kernel's gain factor is at most 1, so it cannot reach
-      N_thr unless kappa*ln d* - ln k0* < (8*kappa + 12)u.  d2 carries 2u,
-      k0 3u, 2/kappa u (an error of u*|ln k0| in the power), pow 8u and the
-      widened product 2u; so d2 > r2 = k0^(2/kappa)*(1 + delta), delta =
-      (32 + (32 + 2|ln k0|)/kappa)u, rules the pair out.  Where the test
-      defers, r2 = reach^2 (normal) rules it out by reach's 1e-9 margin.
-    - Range.  The bounds hold for normal floats: _scalar_test keeps k0, C*k0
-      and reach^2 within (1e-250, 1e250) or defers, and d^2 or d^kappa below
-      1e-300 (d -> 0, coincident devices included) goes to the kernel.
-    """
-    gap = st.theta - alpha - 2.0 * _ANGLE_ERR
-    if d2 >= _TINY and gap > 0.0:
-        band = st.rel + 2.0 * _ANGLE_BAND / gap
-        if band < 1.0:
-            rhs = d2 ** st.half_kappa
-            if rhs >= _TINY:
-                lhs = (1.0 - alpha / st.theta) * st.k0
-                if lhs >= rhs * (1.0 + band):
-                    return True
-                if lhs < rhs * (1.0 - band):
-                    return False
-    return None
 
 
 class _SectorGrid:
@@ -319,31 +222,42 @@ class _SectorGrid:
     as a transmitter in every cell that meets the box of its beam sector.  A
     candidate device meets the transmitters listed in its cell and, in a
     two-way test, the receivers in the cells of its own beam's box.  The
-    scalar test (_covers) decides each pair found, and one kernel call per
-    direction the pairs it defers; admission is "no pair covers", so the
-    order of the pairs does not matter.
+    kernel, radio.power_kernel, decides each pair found, on the deviation
+    angle alpha the scan computes as radio.deviation_angle does; admission is
+    "no pair covers", so the order of the pairs does not matter.
 
-    The cells hold every pair that could reach the threshold.  The screens
-    rule a pair out, as the kernel would, when d^2 > r2, or when alpha - theta
-    >= 2*eta and d^2 >= 1e-300, and a pair at d > 0 past that angle has zero
-    gain.  So a covered receiver sits on the transmitter, or within radius*(1
-    + 3u) of it (where the test defers, reach bounds the kernel's range) at an
-    exact bearing within theta + 4*eta of the boresight (eta for alpha, 2u for
-    dx and dy): within 1e-9*radius of the sector of that radius and half-angle
-    theta, the disk at theta = pi.  The box is widened by that much, plus
-    1e-12*(|x| + |y|) for its corners' rounding; rounded x/side does not
-    decrease as x grows, so the receiver's cell is among the box's.  The side
-    only chooses which pairs are examined; its floor min_side, 1e-9 of the
-    region radius, keeps that rounding term within a cell or two of a box.
+    Two screens skip a pair the kernel would not cover: d^2 > r2, and alpha >
+    theta at d^2 > 0.  No gain exceeds the peak, so no pair covers past reach
+    = (p_tx*peak/(C*N_thr))^(1/kappa); radius is reach widened by 1e-9, which
+    outweighs the rounding of reach and of the kernel's d^kappa while kappa is
+    above about 1e-6, and r2 = max(radius^2, 1e-300) keeps a subnormal square
+    from falling below a d^2 the kernel covers.  Past theta the analytic gain
+    is exactly 0 (alpha/theta rounds to at least 1): power 0 at d > 0, or NaN
+    where d^kappa underflows.  A table may cover at any angle, so its theta is
+    pi and its sector the disk of that radius.
+
+    The cells hold every pair the screens leave.  Such a receiver sits within
+    radius*(1 + 3u), u = 2^-53, of the transmitter (d^2 carries 2u) at an exact
+    bearing within theta + 4*eta of the boresight, eta = 40u bounding the
+    error of alpha (atan2, the subtraction of bore and the wrap) and 2u that of
+    dx and dy: within 1e-9*radius of the sector of that radius and half-angle
+    theta.  The box is widened by that much, plus 1e-12*(|x| + |y|) for its
+    corners' rounding; rounded x/side does not decrease as x grows, so the
+    receiver's cell is among the box's.  The side only chooses which pairs are
+    examined; its floor min_side, 1e-9 of the region radius, keeps that
+    rounding term within a cell or two of a box.
     """
 
     def __init__(self, radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
                  min_side: float):
-        self._st = st = _scalar_test(radio, antenna)
-        self._radio, self._antenna = radio, antenna
+        reach = link_budget(radio, antenna.peak_gain_linear(radio)) ** (1.0 / radio.kappa)
+        self._radius = radius = reach * (1.0 + 1e-9)
+        self._r2 = max(radius * radius, 1e-300)
+        self._theta = theta = radio.theta if antenna.angles is None else math.pi
+        self._power, self._thr = power_kernel(radio, antenna), radio.n_thr_mw
         self._two_way = mode is CheckMode.TWO_WAY
-        self._side, self._radius = max(st.radius, min_side), st.radius
-        self._cos, self._sin = math.cos(st.theta), math.sin(st.theta)
+        self._side = max(radius, min_side)
+        self._cos, self._sin = math.cos(theta), math.sin(theta)
         self._tx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
         self._rx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
         self._listed: dict[int, tuple] = {}     # device -> (its cell, its sector's cells)
@@ -386,11 +300,10 @@ class _SectorGrid:
 
     def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
         """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
-        st = self._st
-        r2, theta, edge, tiny, pi = st.r2, st.theta, 2.0 * _ANGLE_ERR, _TINY, math.pi
-        side, floor, atan2, fabs, two_pi = self._side, math.floor, math.atan2, math.fabs, _TWO_PI
+        r2, theta, power, thr = self._r2, self._theta, self._power, self._thr
+        side, floor, atan2, fabs, pi, two_pi = self._side, math.floor, math.atan2, math.fabs, \
+            math.pi, _TWO_PI
         pos_a, pos_b, bore_ab, bore_ba = candidate
-        deferred = []                           # (dx, dy, boresight) for the kernel
         for cx, cy in (pos_a, pos_b):
             listed = self._tx.get((floor(cx / side), floor(cy / side)))
             for px, py, pbore in listed.values() if listed else ():
@@ -398,19 +311,11 @@ class _SectorGrid:
                 d2 = dx * dx + dy * dy
                 if d2 > r2:
                     continue
-                # alpha - theta >= 2*eta: zero gain on both paths, unless d -> 0
                 alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
-                if alpha - theta < edge or d2 < tiny:
-                    covers = _covers(alpha, d2, st)
-                    if covers:
-                        return False
-                    if covers is None:
-                        deferred.append((dx, dy, pbore))
-        if deferred and self._kernel_covers(deferred):
-            return False
+                if (alpha <= theta or d2 == 0.0) and power(dx, dy, alpha) >= thr:
+                    return False
         devices = ((pos_a, bore_ab), (pos_b, bore_ba))
         boxes = [self._box_cells(x, y, bore) for (x, y), bore in devices]
-        deferred = []
         for ((cx, cy), cbore), box in zip(devices, boxes if self._two_way else ()):
             for cell in box:
                 listed = self._rx.get(cell)
@@ -420,22 +325,10 @@ class _SectorGrid:
                     if d2 > r2:
                         continue
                     alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
-                    if alpha - theta < edge or d2 < tiny:
-                        covers = _covers(alpha, d2, st)
-                        if covers:
-                            return False
-                        if covers is None:
-                            deferred.append((rx, ry, cbore))
-        if deferred and self._kernel_covers(deferred):
-            return False
+                    if (alpha <= theta or d2 == 0.0) and power(rx, ry, alpha) >= thr:
+                        return False
         self.add(pair_id, candidate, boxes)
         return True
-
-    def _kernel_covers(self, pairs: list[tuple[float, float, float]]) -> bool:
-        """Whether the kernel delivers the threshold over any (dx, dy, boresight)."""
-        dx, dy, bore = np.array(pairs).T.copy()
-        return bool((received_power_mw(dx, dy, bore, self._radio, self._antenna)
-                     >= self._radio.n_thr_mw).any())
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
@@ -606,15 +499,16 @@ def max_cross_pair_power(placements: Sequence[PairPlacement], radio: RadioParams
     pairs, so ONE_WAY counts only earlier pairs' power at later ones
     (placements in admission order, as snapshots list them).
     """
-    if len(placements) < 2:
-        return 0.0
-    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
-    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)])
-    # power from each device i (row) at each device j
-    p = received_power_mw(pos[None, :, 0] - pos[:, None, 0], pos[None, :, 1] - pos[:, None, 1],
-                          bore[:, None], radio, antenna)
-    blk = np.arange(pos.shape[0]) // 2
-    row, col = blk[:, None], blk[None, :]
-    p[row >= col if mode is CheckMode.ONE_WAY else row == col] = 0.0   # own pair: the desired link
-    p[~np.isfinite(p)] = np.inf
-    return float(p.max())
+    power, one_way = power_kernel(radio, antenna), mode is CheckMode.ONE_WAY
+    devices = [(k, xy, bore) for k, p in enumerate(placements)
+               for xy, bore in ((p.pos_a, p.boresight_ab), (p.pos_b, p.boresight_ba))]
+    worst = 0.0
+    for tx_pair, (tx, ty), bore in devices:
+        for rx_pair, (rx, ry), _ in devices:
+            if rx_pair == tx_pair or (one_way and rx_pair < tx_pair):
+                continue    # own pair: the desired link
+            dx, dy = rx - tx, ry - ty
+            p = power(dx, dy, deviation_angle(dx, dy, bore))
+            if not p <= worst:      # a NaN (0/0 under zero gain) counts as inf
+                worst = p if p == p else math.inf
+    return worst

@@ -77,7 +77,7 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
         e_n = queueing.mean_pairs(queueing.steady_state(chain))
     radio = replace(scn.radio, p_tx_dbm=p_tx_dbm)
     e_d = simulator.mean_projected_distance(scn.deployment.pair_model)
-    p_rx = float(received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna))
+    p_rx = received_power_mw(e_d, 0.0, 0.0, radio, scn.antenna)
     c = link_rate(radio, p_rx, noise_power(radio.n_thr_dbm, scn.k_neighbors))
     area = scn.deployment.area   # c * e_n may pass the floats where the area rate does not
     rate = c * e_n / area

@@ -1,10 +1,10 @@
-"""Admission and the received-power kernel against the formulas they replaced.
+"""Admission and the audit against the received-power kernel, pair by pair.
 
-The references below are the simulator's earlier code, kept verbatim: the
-four-pass admission test with its two per-direction power functions, and
-the N x N power matrix of the audit path.  Admission, scalar path
-included, must decide every case as they do, and the kernel must
-reproduce their powers bit for bit.
+The references below call radio.received_power_mw on every (transmitter,
+receiver) pair, with no index and no screen.  Admission must decide every
+case as they do, adversarial inputs included: ulps at the coverage border
+and the beam edge, the +-pi wrap, coincident devices, tables and link
+budgets near the ends of the floats.
 """
 
 import itertools
@@ -17,75 +17,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
-                     coverage_radius, simulator)
-from beamcap.radio import _wrap_angle, max_directivity, received_power_mw
-from beamcap.simulator import _ANGLE_ERR, _scalar_test, _SectorGrid, max_cross_pair_power
+                     coverage_radius)
+from beamcap.radio import link_budget, max_directivity, received_power_mw
+from beamcap.simulator import _SectorGrid, max_cross_pair_power
 
-
-def _powers_from_devices(pos, bore, target, radio, antenna):
-    vec = target - pos
-    dist = np.hypot(vec[:, 0], vec[:, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - bore))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
-
-
-def _powers_at_devices(tx_pos, tx_bore, pos, radio, antenna):
-    vec = pos - tx_pos
-    dist = np.hypot(vec[:, 0], vec[:, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(vec[:, 1], vec[:, 0]) - tx_bore))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(dist > 0.0, radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa), np.inf)
+ETA = 40.0 * 2.0 ** -53     # a bound on the rounding of a computed deviation angle [rad]
 
 
 def reach_of(radio, antenna):
     """The grid's cell side, reach widened by its rounding: beyond it no gain covers."""
-    return _scalar_test(radio, antenna).radius
+    return _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)._radius
 
 
-def placements_to_arrays(placements):
-    """Positions (2n, 2) and boresights (2n,) of the pairs' devices, in pair order."""
-    pos = np.array([xy for p in placements for xy in (p.pos_a, p.pos_b)], dtype=float)
-    bore = np.array([b for p in placements for b in (p.boresight_ab, p.boresight_ba)], dtype=float)
-    return pos.reshape(-1, 2), bore
+def devices_of(placements):
+    """((x, y), boresight) of the pairs' devices, in pair order."""
+    return [(xy, bore) for p in placements
+            for xy, bore in ((p.pos_a, p.boresight_ab), (p.pos_b, p.boresight_ba))]
+
+
+def kernel_covers(tx, bore, rx, radio, antenna):
+    return received_power_mw(rx[0] - tx[0], rx[1] - tx[1], bore, radio, antenna) >= radio.n_thr_mw
 
 
 def reference_admit(candidate, active, radio, antenna, mode):
-    """Four passes over every active device, no prefilter."""
-    pos, bore = placements_to_arrays(active)
-    if pos.shape[0] == 0:
-        return True
-    thr = radio.n_thr_mw
-    for victim in (candidate.pos_a, candidate.pos_b):
-        if np.any(_powers_from_devices(pos, bore, np.asarray(victim), radio, antenna) >= thr):
-            return False
-    if mode is CheckMode.TWO_WAY:
-        for tx, tx_bore in ((candidate.pos_a, candidate.boresight_ab),
-                            (candidate.pos_b, candidate.boresight_ba)):
-            if np.any(_powers_at_devices(np.asarray(tx), tx_bore, pos, radio, antenna) >= thr):
-                return False
-    return True
+    """The kernel on every pair: active transmitters at the candidate's devices, then
+    in a two-way test the candidate's transmitters at every active device."""
+    active, cand = devices_of(active), devices_of([candidate])
+    if any(kernel_covers(tx, bore, rx, radio, antenna) for tx, bore in active for rx, _ in cand):
+        return False
+    return not (mode is CheckMode.TWO_WAY and any(
+        kernel_covers(tx, bore, rx, radio, antenna) for tx, bore in cand for rx, _ in active))
 
 
-def reference_power_matrix(pos, bore, radio, antenna):
-    """Power from device i (row) at device j, own pair zeroed, non-finite left in place."""
-    diff = pos[None, :, :] - pos[:, None, :]
-    dist = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    alpha = np.abs(_wrap_angle(np.arctan2(diff[:, :, 1], diff[:, :, 0]) - bore[:, None]))
-    gain = antenna.gain_linear(alpha, radio)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p = radio.p_tx_mw * gain / (radio.c_const * dist ** radio.kappa)
-    blk = np.arange(pos.shape[0]) // 2
-    p[blk[:, None] == blk[None, :]] = 0.0
-    return p
+def reference_power_matrix(placements, radio, antenna):
+    """Power from device i (row) at device j by the kernel, own pair zeroed, non-finite kept."""
+    devices = devices_of(placements)
+    return np.array([[0.0 if i // 2 == j // 2 else
+                      received_power_mw(rx - tx, ry - ty, bore, radio, antenna)
+                      for j, ((rx, ry), _) in enumerate(devices)]
+                     for i, ((tx, ty), bore) in enumerate(devices)])
 
 
 def reference_max_cross(placements, radio, antenna):
     if len(placements) < 2:
         return 0.0
-    p = reference_power_matrix(*placements_to_arrays(placements), radio, antenna)
+    p = reference_power_matrix(placements, radio, antenna)
     p[~np.isfinite(p)] = np.inf
     return float(p.max())
 
@@ -127,8 +103,8 @@ def radio_strategy(c_consts):
 
 
 radios = radio_strategy([6.3e5, 6.3e6, 6.3e7])
-# link budgets about the scalar test's range limits, k0 from 6e-261 to 1e-247 and from 6e245
-# to 1e259: beyond 1e-250 and 1e250 the kernel decides every pair
+# link budgets k0 from 6e-261 to 1e-247 and from 6e245 to 1e259: near the reach, d^kappa and
+# C*d^kappa come close to the ends of the floats
 far_radios = radio_strategy([1e-245, 1e261])
 
 
@@ -250,7 +226,7 @@ def border_case(radio, bore, bearing, d):
     direction points the candidate's beam away from the origin)."""
     far = 3.0 * reach_of(radio, AntennaModel.analytic())
     active = [PairPlacement((0.0, 0.0), (far * math.cos(bore), far * math.sin(bore)),
-                            bore, _wrap_angle(bore + math.pi))]
+                            bore, (bore + math.pi + math.pi) % (2.0 * math.pi) - math.pi)]
     vx, vy = d * math.cos(bearing), d * math.sin(bearing)
     return active, pair_at(vx, vy, vx + far * math.cos(bearing), vy + far * math.sin(bearing))
 
@@ -267,7 +243,7 @@ signs = st.sampled_from([-1.0, 1.0])
 
 
 class TestScalarAdmission:
-    """Cases built to sit where the scalar test's rounding could decide."""
+    """Cases whose decision hangs on the last bits: admission equals the kernel."""
 
     @settings(max_examples=examples(300), deadline=None)
     @given(radio=radios, frac=st.floats(0.0, 1.0, exclude_max=True), bore=angles, side=signs,
@@ -334,55 +310,47 @@ class TestScalarAdmission:
                 for alpha, d in cases:
                     assert_matches_reference(*border_case(radio, bore, bore + alpha, d), radio)
 
-    def test_beam_edge_where_atan2_implementations_disagree(self):
-        # math.atan2 (scalar path) one ulp above np.arctan2 (kernel), and
-        # theta set to the larger: the scalar angle sits on the edge, the
-        # kernel's just inside the beam; close in, the kernel rejects
+    def test_beam_edge_at_the_computed_bearing(self):
+        # theta within 2 ulps of the deviation angle computed for a device close
+        # in: a gain of a few ulps covers it there, a zero gain does not
         rng = np.random.default_rng(0)
-        for _ in range(20_000):
+        scale = 2.0 ** -40                   # exact: the bearing is unchanged
+        for _ in range(20):
             t = rng.uniform(0.1, 1.5)
             x, y = math.cos(t), math.sin(t)
-            if math.atan2(y, x) > np.arctan2(np.array([y]), np.array([x]))[0]:
-                break
-        else:
-            pytest.skip("math.atan2 and np.arctan2 agree on every sampled input")
-        radio = RadioParams(10.0, -78.0, math.atan2(y, x), 2.0, 6.3e6)
-        scale = 2.0 ** -40                   # exact: both angles unchanged
-        active, _ = border_case(radio, 0.0, 0.0, 1.0)
-        cand = pair_at(x * scale, y * scale, 3.0 * x, 3.0 * y)
-        assert not reference_admit(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
-        assert_matches_reference(active, cand, radio)
+            alpha = abs((math.atan2(y * scale, x * scale) - 0.0 + math.pi) % (2.0 * math.pi)
+                        - math.pi)
+            decisions = set()
+            for ulps in range(-2, 3):
+                radio = RadioParams(10.0, -78.0, nudge(alpha, ulps), 2.0, 6.3e6)
+                active, _ = border_case(radio, 0.0, 0.0, 1.0)
+                cand = pair_at(x * scale, y * scale, 3.0 * x, 3.0 * y)
+                assert_matches_reference(active, cand, radio)
+                decisions.add(admission_check(cand, active, radio, AntennaModel.analytic(),
+                                              CheckMode.ONE_WAY))
+            assert decisions == {True, False}
 
     @pytest.mark.parametrize("where", ["border", "coincident"])
-    def test_fallback_runs_and_agrees(self, monkeypatch, where):
+    def test_border_and_coincident_agree_with_the_kernel(self, where):
+        # on boresight at d = sqrt(k0) the power is N_thr to an ulp
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
-        # on boresight at d = sqrt(k0), d^2 and k0 agree to an ulp: inside the band
-        d = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).k0) if where == "border" else 0.0
-        active, cand = border_case(radio, 0.0, 0.0, d)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return received_power_mw(*args)
-
-        monkeypatch.setattr(simulator, "received_power_mw", counted)
-        got = admission_check(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
-        assert calls
-        assert got == reference_admit(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
+        k0 = link_budget(radio, max_directivity(radio.theta))
+        for ulps in range(-4, 5):
+            d = nudge(math.sqrt(k0), ulps) if where == "border" else 0.0
+            assert_matches_reference(*border_case(radio, 0.0, 0.0, d), radio)
 
     @pytest.mark.parametrize("case", ["table", "k0-above-range", "k0-below-range"])
-    def test_kernel_decides_where_the_scalar_test_cannot(self, case):
-        # an infinite band: every pair the screens leave goes to the kernel,
-        # a table's over the whole disk of radius reach
+    def test_tables_and_far_link_budgets_agree_with_the_kernel(self, case):
+        # a table's screen keeps every angle (theta = pi) within reach; link
+        # budgets near the ends of the floats push d^kappa there too
         c = {"k0-above-range": 1e-245, "k0-below-range": 1e261}.get(case, 6.3e6)
         rng = np.random.default_rng(5)
         for theta_deg, offset in ((30.0, 3.5), (52.0, -4.0), (120.0, 0.0)):
             radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, c)
             antenna = (table_antenna(radio.theta, offset) if case == "table"
                        else AntennaModel.analytic())
-            test = _scalar_test(radio, antenna)
-            assert test.rel == math.inf
-            assert test.theta == (math.pi if case == "table" else radio.theta)
+            index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
+            assert index._theta == (math.pi if case == "table" else radio.theta)
             reach = reach_of(radio, antenna)
             active = random_pairs(rng, 10, 3.0 * reach, 0.3 * reach)
             decisions = set()
@@ -426,7 +394,7 @@ def beam_edge_pair(rng, active, radio):
     placement = active[int(rng.integers(len(active)))]
     (x, y), bore = ((placement.pos_a, placement.boresight_ab),
                     (placement.pos_b, placement.boresight_ba))[int(rng.integers(2))]
-    alpha = min(radio.theta + int(rng.integers(-2, 3)) * _ANGLE_ERR, math.pi)
+    alpha = min(radio.theta + int(rng.integers(-2, 3)) * ETA, math.pi)
     g = max(1.0 - alpha / radio.theta, 2.0 ** -52)
     r = coverage_radius(radio)
     d = (r * g ** (1.0 / radio.kappa) * rng.uniform(0.25, 4.0) if rng.random() < 0.5
@@ -467,15 +435,14 @@ class TestSectorGrid:
     @given(radio=radios, kind=st.sampled_from(ANTENNAS), bore=angles, x=st.floats(-1e4, 1e4),
            y=st.floats(-1e4, 1e4), seed=st.integers(0, 2 ** 32 - 1))
     def test_sector_cells_hold_the_sector(self, radio, kind, bore, x, y, seed):
-        # points of the sector, its border widened by the scalar test's
-        # rounding, and the axis extremes, all in cells the sector lists; a
-        # table's sector is the disk
+        # points of the sector, its border widened by the screens' rounding,
+        # and the axis extremes, all in cells the sector lists; a table's
+        # sector is the disk
         antenna = make_antenna(kind, radio.theta)
         index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
         cells = set(index._box_cells(x, y, bore))
-        test = _scalar_test(radio, antenna)
-        radius = test.radius * (1.0 + 2.0 ** -50)
-        half = min(test.theta + 4.0 * _ANGLE_ERR, math.pi)
+        radius = index._radius * (1.0 + 2.0 ** -50)
+        half = min(index._theta + 4.0 * ETA, math.pi)
         rng = np.random.default_rng(seed)
         offsets = [-half, half, *rng.uniform(-half, half, 20)]
         axes = [a - bore + k * 2.0 * math.pi for a in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
@@ -489,11 +456,11 @@ class TestSectorGrid:
     @pytest.mark.parametrize("theta_deg", [4.0, 30.0, 180.0])
     def test_sector_cells_hold_a_receiver_past_a_cell_edge(self, theta_deg):
         # a beam along +x whose radius ends within ulps of a cell edge: a
-        # receiver just past the radius, still within the scalar screen's
+        # receiver just past the radius, still within the distance screen's
         # rounding, must fall in a listed cell
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
         index = _SectorGrid(radio, AntennaModel.analytic(), CheckMode.TWO_WAY, 0.0)
-        radius = math.sqrt(_scalar_test(radio, AntennaModel.analytic()).r2)
+        radius = index._radius
         side = index._side
         for j in range(-40, 41):
             for ulps in range(-4, 5):
@@ -556,29 +523,29 @@ class TestPowerMatrixAgainstReference:
 
 
 class TestPeakGain:
-    ALPHA = np.linspace(0.0, math.pi, 200_001)
+    ALPHA = np.linspace(0.0, math.pi, 200_001).tolist()
 
     @pytest.mark.parametrize("theta_deg", [2.0, 8.0, 30.0, 52.0, 120.0, 180.0])
     def test_analytic_peak_is_max_directivity(self, theta_deg):
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
         antenna = AntennaModel.analytic()
-        peak = antenna.peak_gain_linear(radio)
+        peak, gain = antenna.peak_gain_linear(radio), antenna.gain_law(radio)
         assert peak == max_directivity(radio.theta)
-        assert np.all(antenna.gain_linear(self.ALPHA, radio) <= peak)
-        assert antenna.gain_linear(0.0, radio) == peak
+        assert max(map(gain, self.ALPHA)) <= peak
+        assert gain(0.0) == peak
 
     @pytest.mark.parametrize("offset_db", [-4.0, 3.5])
     @pytest.mark.parametrize("theta_deg", [8.0, 30.0, 52.0])
     def test_table_peak_bounds_every_angle(self, theta_deg, offset_db):
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
         antenna = table_antenna(radio.theta, offset_db)
-        peak = antenna.peak_gain_linear(radio)
-        assert np.all(antenna.gain_linear(self.ALPHA, radio) <= peak)
-        assert antenna.gain_linear(0.0, radio) == peak
+        peak, gain = antenna.peak_gain_linear(radio), antenna.gain_law(radio)
+        assert max(map(gain, self.ALPHA)) <= peak
+        assert gain(0.0) == peak
         assert (peak > max_directivity(radio.theta)) == (offset_db > 0)
 
     def test_table_peak_off_boresight(self):
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
         antenna = AntennaModel.from_table([(0.0, 5.0), (0.2, 21.0), (math.pi, -30.0)])
         assert antenna.peak_gain_linear(radio) == 10.0 ** 2.1
-        assert np.all(antenna.gain_linear(self.ALPHA, radio) <= antenna.peak_gain_linear(radio))
+        assert max(map(antenna.gain_law(radio), self.ALPHA)) <= antenna.peak_gain_linear(radio)

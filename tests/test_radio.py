@@ -28,12 +28,12 @@ class TestRadioParams:
 
 
 class TestDirectivityReduction:
-    """The analytic gain roll-off: gain_linear relative to the peak directivity."""
+    """The analytic gain roll-off: the gain law relative to the peak directivity."""
 
     @staticmethod
     def reduction(alpha):
         r = radio(theta_deg=52.0)
-        return float(AntennaModel.analytic().gain_linear(alpha, r)) / max_directivity(r.theta)
+        return AntennaModel.analytic().gain_law(r)(alpha) / max_directivity(r.theta)
 
     def test_boresight(self):
         assert self.reduction(0.0) == 1.0
@@ -96,6 +96,29 @@ class TestReceivePower:
         # d^kappa is subnormal at 1e-160 (kappa = 2): the quotient overflows
         # to inf, which pytest's RuntimeWarning filter would turn into an error
         assert receive_power(baseline_radio, analytic_antenna, 1e-160, 0.0) == math.inf
+
+    @pytest.mark.parametrize("d, alpha, kappa, c, want", [
+        (0.0, 0.0, 2.0, 6.3e6, math.inf),             # coincident
+        (0.0, 1.0, 2.0, 6.3e6, math.inf),             # coincident, past the beam edge
+        (1e-100, 0.0, 4.5, 6.3e6, math.inf),          # d^kappa underflows under positive gain
+        (1e-100, 1.0, 4.5, 6.3e6, math.nan),          # ... and under zero gain: 0/0
+        (1e-100, 0.0, 2.0, 1e-250, math.inf),         # C * d^kappa underflows
+        (5.0, 1.0, 2.0, 6.3e6, 0.0),                  # zero gain
+        (1e80, 0.0, 4.5, 6.3e6, 0.0),                 # d^kappa overflows
+        (1e67, 0.0, 4.5, 6.3e6, 0.0),                 # C * d^kappa overflows
+    ], ids=["coincident", "coincident-zero-gain", "underflow", "underflow-zero-gain",
+            "product-underflow", "zero-gain", "overflow", "product-overflow"])
+    def test_edge_values_are_numpys(self, d, alpha, kappa, c, want):
+        # the scalar kernel returns what p_tx*gain/(C*d^kappa) gives on numpy
+        # arrays, where d > 0, and inf at d = 0, without raising
+        r = RadioParams(10.0, -78.0, 52 * DEG, kappa, c)
+        got = receive_power(r, AntennaModel.analytic(), d, alpha)
+        gain = np.array([max_directivity(r.theta) * max(1.0 - alpha / r.theta, 0.0)])
+        with np.errstate(all="ignore"):
+            dist = np.array([d])
+            arr = np.where(dist > 0.0, r.p_tx_mw * gain / (r.c_const * dist ** r.kappa), np.inf)
+        assert got == arr[0] or (math.isnan(got) and math.isnan(arr[0]))
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     @given(d1=st.floats(0.1, 1e4), scale=st.floats(1.01, 100.0))
     def test_decreasing_in_distance(self, d1, scale):
@@ -192,16 +215,31 @@ class TestAntennaTable:
             pt = receive_power(baseline_radio, table, 20.0, alpha)
             assert pt == pytest.approx(pa, rel=1e-3)
 
+    @settings(max_examples=examples(100))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
+    def test_interpolates_as_np_interp(self, seed, n):
+        # sample angles, midpoints and points past the end, each against
+        # np.interp's value in dB
+        rng = np.random.default_rng(seed)
+        angles = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n - 1))])
+        table = AntennaModel.from_table(zip(angles, rng.uniform(-60.0, 30.0, n)))
+        gain = table.gain_law(radio())
+        alphas = [*table.angles.tolist(), *rng.uniform(0.0, math.pi, 50).tolist(),
+                  *rng.uniform(table.angles[-1], math.pi, 5).tolist()]
+        for alpha in alphas:
+            g_db = float(np.interp(alpha, table.angles, table.gains_dbi))
+            assert gain(alpha) == 10.0 ** (g_db / 10.0)
+
     def test_clamps_beyond_last_angle(self, baseline_radio):
         table = AntennaModel.from_table([(0.0, 10.0), (0.5, 0.0)])
-        assert table.gain_linear(2.0, baseline_radio) == pytest.approx(1.0)
+        assert table.gain_law(baseline_radio)(2.0) == pytest.approx(1.0)
 
     def test_pattern_file_roundtrip(self, tmp_path, baseline_radio):
         path = tmp_path / "pattern.csv"
         path.write_text("angle_deg,gain_dbi\n0,12.96\n26,9.95\n52,-120\n")
         ant = AntennaModel.from_pattern_file(path)
-        assert ant.gain_linear(0.0, baseline_radio) == pytest.approx(10 ** 1.296)
-        mid = ant.gain_linear(13 * DEG, baseline_radio)
+        assert ant.gain_law(baseline_radio)(0.0) == pytest.approx(10 ** 1.296)
+        mid = ant.gain_law(baseline_radio)(13 * DEG)
         assert 10 ** 0.995 < mid < 10 ** 1.296
 
     def test_pattern_file_errors(self, tmp_path):

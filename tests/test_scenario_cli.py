@@ -105,7 +105,7 @@ ENGINE_CHECKS = [
     (DeploymentParams, lambda: _deployment(region_radius=1e-170), "r_d_m"),
     (DeploymentParams, lambda: _deployment(region_radius=1e150, lambda_density=1e300),
      "r_d_m, lambda_per_m2"),
-    (DeploymentParams, lambda: _deployment(mu=5e-324), "mu_per_s"),
+    (DeploymentParams, lambda: _deployment(mu=5e-324), "lambda_per_m2, r_d_m, mu_per_s"),
     (ChainParams, lambda: ChainParams(-1.0, 1.0, 0.1), "lambda_per_m2, r_d_m"),
     (ChainParams, lambda: ChainParams(1.0, 0.0, 0.1), "mu_per_s"),
     (ChainParams, lambda: ChainParams(1e308, 1e-10, 0.1), "lambda_per_m2, r_d_m, mu_per_s"),
@@ -628,8 +628,8 @@ class TestCliEntry:
         ("sweep-power", "r_d_m = 1e-170\n", "r_d_m"),
         ("analyze", "r_d_m = 1e300\n", "r_d_m"),             # its square overflows
         ("sweep-power", "r_d_m = 1e300\n", "r_d_m"),
-        ("analyze", "mu_per_s = 5e-324\n", "mu_per_s"),      # the load lambda/mu is inf
-        ("sweep-power", "mu_per_s = 5e-324\n", "mu_per_s"),
+        ("analyze", "mu_per_s = 5e-324\n", "lambda_per_m2, r_d_m, mu_per_s"),  # lambda/mu is inf
+        ("sweep-power", "mu_per_s = 5e-324\n", "lambda_per_m2, r_d_m, mu_per_s"),
         ("sweep-power", "snr_max_db = 1e6\n", "snr_max_db"),  # the linear cap overflows
         # a 3e-300 m^2 disk: c * E[N] / area is inf at every power
         ("sweep-power", "r_d_m = 1e-150\nlambda_per_m2 = 89.9\ncheck_mode = one-way\n"
@@ -703,8 +703,9 @@ class TestCliEntry:
         assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err == (
-            "beamcap: error: mean_engine: the series engine would walk about 1.55e+09 chain "
-            "states, past the limit of 1e+08\n")
+            "beamcap: error: mean_engine, lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, "
+            "p_tx_max_dbm, p_tx_step_db, opt_tol_db, n_thr_dbm, theta_deg, kappa, c_const: the "
+            "series engine would walk about 1.55e+09 chain states, past the limit of 1e+08\n")
 
     @pytest.mark.parametrize("line, key, count", [
         ("p_tx_step_db = 1e-7", "p_tx_step_db", "4e+08"),
