@@ -165,6 +165,12 @@ class AntennaModel:
             return max_directivity(radio.theta)
         return 10.0 ** (float(self.gains_dbi.max()) / 10.0)   # OverflowError, not inf
 
+    def reach(self, radio: RadioParams) -> float:
+        """(p_tx*G/(N_thr*C))^(1/kappa), the boresight range at the peak gain G: no
+        transmitter of this antenna delivers the threshold farther."""
+        return (radio.p_tx_mw * self.peak_gain_linear(radio)
+                / (radio.n_thr_mw * radio.c_const)) ** (1.0 / radio.kappa)
+
 
 def max_directivity(theta: float) -> float:
     """Peak directivity of a beam with half-power beamwidth theta."""
@@ -213,15 +219,10 @@ def received_power_mw(dx: float, dy: float, bore: float, radio: RadioParams,
     return power_kernel(radio, antenna)(dx, dy, deviation_angle(dx, dy, bore))
 
 
-def link_budget(radio: RadioParams, gain: float) -> float:
-    """p_tx*G/(N_thr*C): a transmitter of gain G delivers the threshold out to
-    distance link_budget**(1/kappa)."""
-    return radio.p_tx_mw * gain / (radio.n_thr_mw * radio.c_const)
-
-
 def coverage_radius(params: RadioParams) -> float:
-    """Boresight distance at which the received power equals the sensitivity."""
-    return link_budget(params, max_directivity(params.theta)) ** (1.0 / params.kappa)
+    """Boresight distance at which the received power equals the sensitivity: the
+    analytic cone's reach."""
+    return AntennaModel.analytic().reach(params)
 
 
 def beam_area(r: float, theta: float, kappa: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .queueing import ChainParams, Variant
-from .radio import AntennaModel, RadioParams, beam_area, coverage_radius, link_budget
+from .radio import AntennaModel, RadioParams, beam_area, coverage_radius
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairModel, UniformDistance)
 from .throughput import MeanEngine
@@ -204,8 +204,7 @@ class Scenario:
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         try:   # a table's peak may lie far from D0, which RadioParams checks
-            reach = link_budget(self.radio, self.antenna.peak_gain_linear(self.radio)) ** (
-                1.0 / self.radio.kappa)
+            reach = self.antenna.reach(self.radio)
         except OverflowError:
             reach = math.inf
         if not 0.0 < reach < math.inf:

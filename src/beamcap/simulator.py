@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .radio import AntennaModel, RadioParams, deviation_angle, link_budget, power_kernel
+from .radio import AntennaModel, RadioParams, deviation_angle, power_kernel
 
 if TYPE_CHECKING:  # scenario imports the parameter classes from here
     from .scenario import Scenario
@@ -219,22 +219,21 @@ _TWO_PI = 2.0 * math.pi
 class _SectorGrid:
     """Admission index: a uniform grid of square cells of side radius, at least
     min_side.  Each active device is listed as a receiver in its own cell, and
-    as a transmitter in every cell that meets the box of its beam sector.  A
-    candidate device meets the transmitters listed in its cell and, in a
-    two-way test, the receivers in the cells of its own beam's box.  The
-    kernel, radio.power_kernel, decides each pair found, on the deviation
-    angle alpha the scan computes as radio.deviation_angle does; admission is
-    "no pair covers", so the order of the pairs does not matter.
+    as a transmitter in every cell that meets the box of its beam sector.  Each
+    candidate device in turn, a then b, meets the transmitters listed in its
+    cell, then, in a two-way test, the receivers in the cells of its own beam's
+    box.  The kernel, radio.power_kernel, decides each pair found, on the
+    deviation angle alpha the scan computes as radio.deviation_angle does;
+    admission is "no pair covers", so the order of the pairs does not matter.
 
     Two screens skip a pair the kernel would not cover: d^2 > r2, and alpha >
-    theta at d^2 > 0.  No gain exceeds the peak, so no pair covers past reach
-    = (p_tx*peak/(C*N_thr))^(1/kappa); radius is reach widened by 1e-9, which
-    outweighs the rounding of reach and of the kernel's d^kappa while kappa is
-    above about 1e-6, and r2 = max(radius^2, 1e-300) keeps a subnormal square
-    from falling below a d^2 the kernel covers.  Past theta the analytic gain
-    is exactly 0 (alpha/theta rounds to at least 1): power 0 at d > 0, or NaN
-    where d^kappa underflows.  A table may cover at any angle, so its theta is
-    pi and its sector the disk of that radius.
+    theta at d^2 > 0.  No pair covers past the antenna's reach; radius is reach
+    widened by 1e-9, which outweighs the rounding of reach and of the kernel's
+    d^kappa while kappa is above about 1e-6, and r2 = max(radius^2, 1e-300)
+    keeps a subnormal square from falling below a d^2 the kernel covers.  Past
+    theta the analytic gain is exactly 0 (alpha/theta rounds to at least 1):
+    power 0 at d > 0, or NaN where d^kappa underflows.  A table may cover at
+    any angle, so its theta is pi and its sector the disk of that radius.
 
     The cells hold every pair the screens leave.  Such a receiver sits within
     radius*(1 + 3u), u = 2^-53, of the transmitter (d^2 carries 2u) at an exact
@@ -250,8 +249,7 @@ class _SectorGrid:
 
     def __init__(self, radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
                  min_side: float):
-        reach = link_budget(radio, antenna.peak_gain_linear(radio)) ** (1.0 / radio.kappa)
-        self._radius = radius = reach * (1.0 + 1e-9)
+        self._radius = radius = antenna.reach(radio) * (1.0 + 1e-9)
         self._r2 = max(radius * radius, 1e-300)
         self._theta = theta = radio.theta if antenna.angles is None else math.pi
         self._power, self._thr = power_kernel(radio, antenna), radio.n_thr_mw
@@ -304,7 +302,8 @@ class _SectorGrid:
         side, floor, atan2, fabs, pi, two_pi = self._side, math.floor, math.atan2, math.fabs, \
             math.pi, _TWO_PI
         pos_a, pos_b, bore_ab, bore_ba = candidate
-        for cx, cy in (pos_a, pos_b):
+        boxes = []
+        for (cx, cy), cbore in ((pos_a, bore_ab), (pos_b, bore_ba)):
             listed = self._tx.get((floor(cx / side), floor(cy / side)))
             for px, py, pbore in listed.values() if listed else ():
                 dx, dy = cx - px, cy - py
@@ -314,10 +313,8 @@ class _SectorGrid:
                 alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
                 if (alpha <= theta or d2 == 0.0) and power(dx, dy, alpha) >= thr:
                     return False
-        devices = ((pos_a, bore_ab), (pos_b, bore_ba))
-        boxes = [self._box_cells(x, y, bore) for (x, y), bore in devices]
-        for ((cx, cy), cbore), box in zip(devices, boxes if self._two_way else ()):
-            for cell in box:
+            box = self._box_cells(cx, cy, cbore)
+            for cell in box if self._two_way else ():
                 listed = self._rx.get(cell)
                 for px, py, _ in listed.values() if listed else ():
                     rx, ry = px - cx, py - cy
@@ -327,6 +324,7 @@ class _SectorGrid:
                     alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
                     if (alpha <= theta or d2 == 0.0) and power(rx, ry, alpha) >= thr:
                         return False
+            boxes.append(box)
         self.add(pair_id, candidate, boxes)
         return True
 

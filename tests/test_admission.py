@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
                      coverage_radius)
-from beamcap.radio import link_budget, max_directivity, received_power_mw
+from beamcap.radio import max_directivity, received_power_mw
 from beamcap.simulator import _SectorGrid, max_cross_pair_power
 
 ETA = 40.0 * 2.0 ** -53     # a bound on the rounding of a computed deviation angle [rad]
@@ -212,6 +212,59 @@ class TestAdmissionAgainstReference:
         assert admission_check(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
 
 
+def rejecting_tests(candidate, active, radio, antenna):
+    """The directed tests the kernel rejects on: (device, "forward") where an active
+    transmitter covers that candidate device, (device, "reverse") where its own
+    transmitter covers an active device."""
+    found = set()
+    for name, (xy, bore) in zip("ab", devices_of([candidate])):
+        for tx, tx_bore in devices_of(active):
+            if kernel_covers(tx, tx_bore, xy, radio, antenna):
+                found.add((name, "forward"))
+            if kernel_covers(xy, bore, tx, radio, antenna):
+                found.add((name, "reverse"))
+    return found
+
+
+# (active pair, candidate pair) as (ax, ay, bx, by) in coverage radii: each beam reaches
+# one device half a radius down its boresight, every other device lies beyond reach or
+# more than 30 degrees off the beam
+DIRECTED_LAYOUTS = {
+    "a-forward": (((0.0, 0.0, 3.0, 0.0), (0.5, 0.0, 0.5, 3.0)), {("a", "forward")}),
+    "a-reverse": (((0.5, 0.0, 0.5, 3.0), (0.0, 0.0, 3.0, 0.0)), {("a", "reverse")}),
+    "b-forward": (((0.0, 0.0, 3.0, 0.0), (0.5, 3.0, 0.5, 0.0)), {("b", "forward")}),
+    "b-reverse": (((0.5, 0.0, 0.5, 3.0), (3.0, 0.0, 0.0, 0.0)), {("b", "reverse")}),
+    # a's own beam rejects before the active beam that covers b is walked
+    "a-reverse-and-b-forward": (((0.0, 0.5, 0.0, 3.5), (0.0, 0.0, 0.0, 3.0)),
+                                {("a", "reverse"), ("b", "forward")}),
+}
+
+
+class TestEachDirectedTest:
+    """Hand-built layouts where exactly the named directed tests reject."""
+
+    @pytest.mark.parametrize("layout", DIRECTED_LAYOUTS)
+    @pytest.mark.parametrize("rotation, offset", [(0.0, (0.0, 0.0)), (1.0, (-40.0, 25.0)),
+                                                  (-2.5, (7.0, -300.0))])
+    def test_decision_is_the_reference(self, layout, rotation, offset):
+        radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
+        antenna, r = AntennaModel.analytic(), coverage_radius(radio)
+        c, s = math.cos(rotation), math.sin(rotation)
+
+        def placed(ax, ay, bx, by):
+            return pair_at(offset[0] + r * (ax * c - ay * s), offset[1] + r * (ax * s + ay * c),
+                           offset[0] + r * (bx * c - by * s), offset[1] + r * (bx * s + by * c))
+
+        (active, cand), rejecting = DIRECTED_LAYOUTS[layout]
+        active, cand = [placed(*active)], placed(*cand)
+        assert rejecting_tests(cand, active, radio, antenna) == rejecting
+        for mode in CheckMode:
+            expected = not any(kind == "forward" or mode is CheckMode.TWO_WAY
+                               for _, kind in rejecting)
+            assert admission_check(cand, active, radio, antenna, mode) == expected
+            assert reference_admit(cand, active, radio, antenna, mode) == expected
+
+
 def nudge(x, ulps):
     """x moved by the given number of ulps."""
     for _ in range(abs(ulps)):
@@ -334,7 +387,7 @@ class TestScalarAdmission:
     def test_border_and_coincident_agree_with_the_kernel(self, where):
         # on boresight at d = sqrt(k0) the power is N_thr to an ulp
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
-        k0 = link_budget(radio, max_directivity(radio.theta))
+        k0 = radio.p_tx_mw * max_directivity(radio.theta) / (radio.n_thr_mw * radio.c_const)
         for ulps in range(-4, 5):
             d = nudge(math.sqrt(k0), ulps) if where == "border" else 0.0
             assert_matches_reference(*border_case(radio, 0.0, 0.0, d), radio)
