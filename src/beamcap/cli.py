@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 
 from . import cli_rows, validation
@@ -21,6 +22,7 @@ from .scenario import ScenarioError, load_scenario, refusal
 from .simulator import PlacementError
 
 
+@functools.cache    # built on first use, from constants only; parse_args returns a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     commands = {"analyze": "steady-state chain metrics per sweep value",
                 "simulate": "spatial Monte Carlo statistics per sweep value",

@@ -313,8 +313,8 @@ class _SectorGrid:
                 alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
                 if (alpha <= theta or d2 == 0.0) and power(dx, dy, alpha) >= thr:
                     return False
-            box = self._box_cells(cx, cy, cbore)
-            for cell in box if self._two_way else ():
+            box = self._box_cells(cx, cy, cbore) if self._two_way else ()
+            for cell in box:
                 listed = self._rx.get(cell)
                 for px, py, _ in listed.values() if listed else ():
                     rx, ry = px - cx, py - cy
@@ -325,7 +325,7 @@ class _SectorGrid:
                     if (alpha <= theta or d2 == 0.0) and power(rx, ry, alpha) >= thr:
                         return False
             boxes.append(box)
-        self.add(pair_id, candidate, boxes)
+        self.add(pair_id, candidate, boxes if self._two_way else None)   # one-way: add builds them
         return True
 
 

@@ -264,6 +264,21 @@ class TestEachDirectedTest:
             assert admission_check(cand, active, radio, antenna, mode) == expected
             assert reference_admit(cand, active, radio, antenna, mode) == expected
 
+    @pytest.mark.parametrize("layout", DIRECTED_LAYOUTS)
+    def test_one_way_builds_sector_boxes_only_for_an_admitted_pair(self, layout):
+        # b-forward and a-reverse-and-b-forward are rejected by b's forward walk
+        radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
+        antenna, r = AntennaModel.analytic(), coverage_radius(radio)
+        (active, cand), _ = DIRECTED_LAYOUTS[layout]
+        active, cand = pair_at(*(r * v for v in active)), pair_at(*(r * v for v in cand))
+        index = _SectorGrid(radio, antenna, CheckMode.ONE_WAY, 0.0)
+        index.add(0, active)
+        calls, box_cells = [], index._box_cells
+        index._box_cells = lambda *args: calls.append(args) or box_cells(*args)
+        admitted = index.admit(1, cand)
+        assert admitted == reference_admit(cand, [active], radio, antenna, CheckMode.ONE_WAY)
+        assert len(calls) == (2 if admitted else 0)
+
 
 def nudge(x, ulps):
     """x moved by the given number of ulps."""

@@ -928,6 +928,41 @@ class TestParser:
         for command, purpose in self.PURPOSES.items():
             assert any(line.split() == [command, *purpose.split()] for line in lines), command
 
+    def test_parser_is_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_json_call_leaves_the_next_default_call_unchanged(self, capsys):
+        argv = ["analyze", "--preset", "desk-fig4"]
+        assert main(argv) == 0
+        before = capsys.readouterr()
+        assert before.out == render_csv(analyze_rows(load_scenario(preset="desk-fig4")))
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out.startswith("[")
+        assert main(argv) == 0
+        assert capsys.readouterr() == before
+
+    def test_refusals_leave_the_next_call_unchanged(self, capsys):
+        argv = ["analyze", "--preset", "desk-fig4"]
+        assert main(argv) == 0
+        before = capsys.readouterr()
+        assert before.out == render_csv(analyze_rows(load_scenario(preset="desk-fig4")))
+        for bad in (["--jobs", "0", *argv], ["frob"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == before
+
+    def test_help_prints_the_same_text_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+
 
 class TestSimulationBudget:
     @pytest.mark.parametrize("command", ["simulate", "validate"])
