@@ -214,17 +214,21 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
 
 
 _TWO_PI = 2.0 * math.pi
+_HALF_SIDE_LOAD = 25.0      # lambda/mu * radius^2 from which cells of side radius/2 pay
 
 
 class _SectorGrid:
-    """Admission index: a uniform grid of square cells of side radius, at least
-    min_side.  Each active device is listed as a receiver in its own cell, and
-    as a transmitter in every cell that meets the box of its beam sector.  Each
-    candidate device in turn, a then b, meets the transmitters listed in its
-    cell, then, in a two-way test, the receivers in the cells of its own beam's
-    box.  The kernel, radio.power_kernel, decides each pair found, on the
-    deviation angle alpha the scan computes as radio.deviation_angle does;
-    admission is "no pair covers", so the order of the pairs does not matter.
+    """Admission index: a uniform grid of square cells of side radius, or radius/2
+    where the offered load per radius^2, load*radius^2 with load = lambda/mu,
+    reaches _HALF_SIDE_LOAD (shorter walks then outweigh listing each sector box
+    in more cells), at least min_side.  Each active device is listed as a
+    receiver in its own cell, and as a transmitter in every cell that meets the
+    box of its beam sector.  Each candidate device in turn, a then b, meets the
+    transmitters listed in its cell, then, in a two-way test, the receivers in
+    the cells of its own beam's box.  The kernel, radio.power_kernel, decides
+    each pair found, on the deviation angle alpha the scan computes as
+    radio.deviation_angle does; admission is "no pair covers", so the order of
+    the pairs does not matter.
 
     Two screens skip a pair the kernel would not cover: d^2 > r2, and alpha >
     theta at d^2 > 0.  No pair covers past the antenna's reach; radius is reach
@@ -248,13 +252,14 @@ class _SectorGrid:
     """
 
     def __init__(self, radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
-                 min_side: float):
+                 min_side: float, load: float = 0.0):
         self._radius = radius = antenna.reach(radio) * (1.0 + 1e-9)
         self._r2 = max(radius * radius, 1e-300)
         self._theta = theta = radio.theta if antenna.angles is None else math.pi
         self._power, self._thr = power_kernel(radio, antenna), radio.n_thr_mw
         self._two_way = mode is CheckMode.TWO_WAY
-        self._side = max(radius, min_side)
+        dense = load * radius * radius >= _HALF_SIDE_LOAD
+        self._side = max(0.5 * radius if dense else radius, min_side)
         self._cos, self._sin = math.cos(theta), math.sin(theta)
         self._tx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
         self._rx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
@@ -361,7 +366,8 @@ def run_replication(scn: Scenario, rep_index: int, *,
     dep = scn.deployment
     lam = dep.lambda_total
     warmup, horizon = scn.warmup, scn.horizon
-    index = _SectorGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius)
+    index = _SectorGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius,
+                        dep.lambda_density / dep.mu)
     admit, remove = index.admit, index.remove
     exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
     mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
-                     coverage_radius)
+                     coverage_radius, load_scenario, simulator)
 from beamcap.radio import max_directivity, received_power_mw
-from beamcap.simulator import _SectorGrid, max_cross_pair_power
+from beamcap.simulator import _SectorGrid, max_cross_pair_power, run_replication
 
 ETA = 40.0 * 2.0 ** -53     # a bound on the rounding of a computed deviation angle [rad]
 
@@ -226,6 +226,22 @@ def rejecting_tests(candidate, active, radio, antenna):
     return found
 
 
+def grid_decisions(active, cand, radio, antenna, mode):
+    """The decisions of a grid of cells of side radius and of one of side radius/2,
+    the side a replication takes at a dense offered load (an infinite load is dense
+    at any radius > 0), each built from active; cells at least 1e-9 of the largest
+    coordinate wide, as admission_check's."""
+    extent = max(abs(v) for p in (cand, *active) for v in (*p.pos_a, *p.pos_b))
+    decisions = []
+    for load in (0.0, math.inf):
+        index = _SectorGrid(radio, antenna, mode, 1e-9 * extent, load)
+        assert index._side == max((0.5 if load else 1.0) * index._radius, 1e-9 * extent)
+        for pair_id, placement in enumerate(active):
+            index.add(pair_id, placement)
+        decisions.append(index.admit(len(active), cand))
+    return decisions
+
+
 # (active pair, candidate pair) as (ax, ay, bx, by) in coverage radii: each beam reaches
 # one device half a radius down its boresight, every other device lies beyond reach or
 # more than 30 degrees off the beam
@@ -263,6 +279,7 @@ class TestEachDirectedTest:
                                for _, kind in rejecting)
             assert admission_check(cand, active, radio, antenna, mode) == expected
             assert reference_admit(cand, active, radio, antenna, mode) == expected
+            assert grid_decisions(active, cand, radio, antenna, mode) == [expected, expected]
 
     @pytest.mark.parametrize("layout", DIRECTED_LAYOUTS)
     def test_one_way_builds_sector_boxes_only_for_an_admitted_pair(self, layout):
@@ -499,15 +516,35 @@ class TestSectorGrid:
         for cand in candidates:
             assert_matches_reference(active, cand, radio, antenna)
 
+    @settings(max_examples=examples(150), deadline=None)
+    @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), span=st.integers(1, 6),
+           spread=st.floats(0.2, 3.0))
+    def test_half_reach_cells_decide_as_reach_cells(self, radio, kind, seed, n, span, spread):
+        # devices on and an ulp off the half-reach grid's cell edges, random
+        # layouts and beam-edge candidates: both sides decide as the reference
+        antenna = make_antenna(kind, radio.theta)
+        reach = reach_of(radio, antenna)
+        rng = np.random.default_rng(seed)
+        for active in (lattice_pairs(rng, n, 0.5 * reach, span),
+                       random_pairs(rng, n, spread * reach, 0.5 * reach)):
+            candidates = (lattice_pairs(rng, 3, 0.5 * reach, span)
+                          + random_pairs(rng, 3, spread * reach, 0.5 * reach)
+                          + [beam_edge_pair(rng, active, radio) for _ in range(3)])
+            for cand, mode in itertools.product(candidates, CheckMode):
+                want = reference_admit(cand, active, radio, antenna, mode)
+                assert grid_decisions(active, cand, radio, antenna, mode) == [want, want]
+
     @settings(max_examples=examples(200), deadline=None)
     @given(radio=radios, kind=st.sampled_from(ANTENNAS), bore=angles, x=st.floats(-1e4, 1e4),
-           y=st.floats(-1e4, 1e4), seed=st.integers(0, 2 ** 32 - 1))
-    def test_sector_cells_hold_the_sector(self, radio, kind, bore, x, y, seed):
+           y=st.floats(-1e4, 1e4), seed=st.integers(0, 2 ** 32 - 1),
+           load=st.sampled_from([0.0, math.inf]))
+    def test_sector_cells_hold_the_sector(self, radio, kind, bore, x, y, seed, load):
         # points of the sector, its border widened by the screens' rounding,
         # and the axis extremes, all in cells the sector lists; a table's
-        # sector is the disk
+        # sector is the disk; in cells of side radius and radius/2
         antenna = make_antenna(kind, radio.theta)
-        index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
+        index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0, load)
         cells = set(index._box_cells(x, y, bore))
         radius = index._radius * (1.0 + 2.0 ** -50)
         half = min(index._theta + 4.0 * ETA, math.pi)
@@ -521,13 +558,14 @@ class TestSectorGrid:
                 px, py = x + d * math.cos(bore + offset), y + d * math.sin(bore + offset)
                 assert (math.floor(px / index._side), math.floor(py / index._side)) in cells
 
+    @pytest.mark.parametrize("load", [0.0, math.inf])
     @pytest.mark.parametrize("theta_deg", [4.0, 30.0, 180.0])
-    def test_sector_cells_hold_a_receiver_past_a_cell_edge(self, theta_deg):
+    def test_sector_cells_hold_a_receiver_past_a_cell_edge(self, theta_deg, load):
         # a beam along +x whose radius ends within ulps of a cell edge: a
         # receiver just past the radius, still within the distance screen's
         # rounding, must fall in a listed cell
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-        index = _SectorGrid(radio, AntennaModel.analytic(), CheckMode.TWO_WAY, 0.0)
+        index = _SectorGrid(radio, AntennaModel.analytic(), CheckMode.TWO_WAY, 0.0, load)
         radius = index._radius
         side = index._side
         for j in range(-40, 41):
@@ -539,14 +577,16 @@ class TestSectorGrid:
     @settings(max_examples=examples(100), deadline=None)
     @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
            seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(CheckMode),
-           steps=st.integers(1, 80), spread=st.floats(0.5, 4.0))
-    def test_upkeep_lists_exactly_the_live_devices(self, radio, kind, seed, mode, steps, spread):
+           steps=st.integers(1, 80), spread=st.floats(0.5, 4.0),
+           load=st.sampled_from([0.0, math.inf]))
+    def test_upkeep_lists_exactly_the_live_devices(self, radio, kind, seed, mode, steps, spread,
+                                                   load):
         antenna = make_antenna(kind, radio.theta)
         reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         # cells at least 1e-9 of the largest coordinate wide, as admission_check's
         min_side = 1e-9 * ((spread + 0.5) * reach + 1e-3)
-        index = _SectorGrid(radio, antenna, mode, min_side)
+        index = _SectorGrid(radio, antenna, mode, min_side, load)
         live = {}
         for pair_id in range(steps):
             if live and rng.random() < 0.4:
@@ -560,7 +600,7 @@ class TestSectorGrid:
                 live[pair_id] = cand
             elif index.admit(pair_id, cand):
                 live[pair_id] = cand
-        fresh = _SectorGrid(radio, antenna, mode, min_side)
+        fresh = _SectorGrid(radio, antenna, mode, min_side, load)
         for pair_id, placement in live.items():
             fresh.add(pair_id, placement)
         assert grid_listing(index) == grid_listing(fresh)
@@ -573,6 +613,29 @@ class TestSectorGrid:
             if admitted:
                 index.remove(steps)
         assert grid_listing(index) == grid_listing(fresh)
+
+
+@pytest.mark.parametrize("preset, overrides, half", [
+    ("desk-fig5", {"lambda_per_m2": "0.02"}, True),       # load * radius^2 = 118
+    ("desk-fig5", {"lambda_per_m2": "0.005"}, True),      # 29.4
+    ("desk-fig5", {"lambda_per_m2": "0.004"}, False),     # 23.5
+    ("desk-fig4", {}, False),                             # 0.66
+    ("desk-fig4", {"check_mode": "one-way"}, False),
+])
+def test_replication_cell_side_follows_the_offered_load(monkeypatch, preset, overrides, half):
+    grids = []
+
+    class Recorded(_SectorGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+    scn = load_scenario(preset=preset, overrides={**overrides, "sweep_param": "",
+                                                  "warmup_s": "0.05", "horizon_s": "0.1"})
+    run_replication(scn, 0)
+    (grid,) = grids
+    assert grid._side == (0.5 if half else 1.0) * grid._radius
 
 
 class TestPowerMatrixAgainstReference:

@@ -15,6 +15,7 @@ Regenerate only for an intended change of output, and say which file moved:
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from beamcap import cli_rows
 from beamcap.scenario import PRESETS, load_scenario
@@ -58,9 +59,18 @@ def render(name: str) -> str:
     return cli_rows.render_csv(ROWS[command](load_scenario(preset=preset, overrides=overrides)))
 
 
+def simd_level() -> str:
+    """numpy's SIMD extensions found and not found here, as numpy.show_runtime()
+    lists them: analyze and sweep-power bytes may move in the last digit with them
+    (README, Known limits)."""
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    missing = [f for f in __cpu_dispatch__ if not __cpu_features__[f]]
+    return f"numpy SIMD found: {' '.join(found)}; not found: {' '.join(missing)}"
+
+
 @pytest.mark.parametrize("name", sorted(set(CASES) - set(SIM_CASES) - set(RATE_CASES)))
 def test_analyze_matches_golden(name):
-    assert render(name).encode() == (GOLDEN / name).read_bytes()
+    assert render(name).encode() == (GOLDEN / name).read_bytes(), simd_level()
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))
@@ -70,7 +80,7 @@ def test_simulate_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(RATE_CASES))
 def test_sweep_power_matches_golden(name):
-    assert render(name).encode() == (GOLDEN / name).read_bytes()
+    assert render(name).encode() == (GOLDEN / name).read_bytes(), simd_level()
 
 
 if __name__ == "__main__":
