@@ -214,7 +214,7 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
 
 
 _TWO_PI = 2.0 * math.pi
-_HALF_SIDE_LOAD = 25.0      # lambda/mu * radius^2 from which cells of side radius/2 pay
+_HALF_SIDE_LOAD = 100.0     # lambda/mu * radius^2 from which cells of side radius/2 pay
 
 
 class _SectorGrid:

@@ -617,10 +617,13 @@ class TestSectorGrid:
 
 @pytest.mark.parametrize("preset, overrides, half", [
     ("desk-fig5", {"lambda_per_m2": "0.02"}, True),       # load * radius^2 = 118
-    ("desk-fig5", {"lambda_per_m2": "0.005"}, True),      # 29.4
-    ("desk-fig5", {"lambda_per_m2": "0.004"}, False),     # 23.5
+    ("desk-fig5", {"lambda_per_m2": "0.018"}, True),      # 106
+    ("desk-fig5", {"lambda_per_m2": "0.016"}, False),     # 94
+    ("desk-fig5", {"lambda_per_m2": "0.005"}, False),     # 29.4
     ("desk-fig4", {}, False),                             # 0.66
     ("desk-fig4", {"check_mode": "one-way"}, False),
+    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100"}, True),     # 396
+    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100", "check_mode": "one-way"}, True),
 ])
 def test_replication_cell_side_follows_the_offered_load(monkeypatch, preset, overrides, half):
     grids = []

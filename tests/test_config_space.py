@@ -6,10 +6,10 @@ A config sets one to four float keys to extreme values, plus a random
 rejection shape, check mode and mean engine.  `analyze`, `sweep-power` and
 `simulate` run in process with `--jobs 1`; `validate` runs only up to its
 first check, so only its refusal paths are covered.  No worker process is
-started.  `simulate` starts from a 3 m disk with a 2-s horizon at one of two
-loads (SIM_LAMBDAS), and its
-arrival budget is lowered to SIM_ARRIVALS for the run: a config that expects
-more arrivals is refused by the budget check, so no example simulates long.
+started.  `simulate` starts from a 2-s horizon on a 3 m disk, or on a 30 m
+disk at a hundredth of the density (SIM_LOADS), and its arrival budget is
+lowered to SIM_ARRIVALS for the run: a config that expects more arrivals is
+refused by the budget check, so no example simulates long.
 """
 
 import contextlib
@@ -40,12 +40,13 @@ ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): (?!\w+(?:, \w+)*: ).+
 # a hang fails the example here; the Hypothesis deadline reports a slow one
 HANG_S = 15
 SIM_ARRIVALS = 2000
-# 113 arrivals at 1 /s/m2
+# 113 arrivals at the default 1 /s/m2
 SIM_BASE = {"r_d_m": "3", "replications": "2", "warmup_s": "1", "horizon_s": "2"}
-# a simulate config draws one of these loads before its extremes: under the default
-# link budget (reach 44.5 m) they put lambda/mu * reach^2 at 20 and 1,980, on both
-# sides of the load from which a replication's admission cells take half the reach
-SIM_LAMBDAS = ("0.01", "1.0")
+# a simulate config starts from SIM_BASE with one of these before its extremes:
+# the same 113 arrivals and an offered load of 28 pairs, at lambda/mu * reach^2
+# of 1,980 and 20 under the default link budget (reach 44.5 m), on both sides of
+# the load from which a replication's admission cells take half the reach
+SIM_LOADS = ({}, {"lambda_per_m2": "0.01", "r_d_m": "30"})
 # non-finite by design: a CI from one replication is infinite, and p_accept is
 # NaN, flagged undefined, where no replication saw an arrival
 OPEN_COLUMNS = {"ci_mean_pairs", "ci_p_accept"}
@@ -78,8 +79,8 @@ def configs(draw):
 
 @st.composite
 def sim_configs(draw):
-    kv = dict(SIM_BASE, replications=draw(st.sampled_from(["1", "2"])),
-              lambda_per_m2=draw(st.sampled_from(SIM_LAMBDAS)))
+    kv = dict(SIM_BASE, **draw(st.sampled_from(SIM_LOADS)),
+              replications=draw(st.sampled_from(["1", "2"])))
     kv.update(extreme_values(draw, FLOAT_KEYS))
     kv["check_mode"] = draw(st.sampled_from([m.value for m in CheckMode]))
     return kv
@@ -149,9 +150,9 @@ def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
 
 
 def extreme_keys(kv):
-    """The float keys kv sets away from the base its strategy starts from."""
-    return {k for k, v in kv.items() if k in FLOAT_KEYS and v != SIM_BASE.get(k)
-            and not (k == "lambda_per_m2" and v in SIM_LAMBDAS)}
+    """The float keys kv sets away from every base its strategy starts from."""
+    bases = [dict(SIM_BASE, **load) for load in SIM_LOADS]
+    return {k for k, v in kv.items() if k in FLOAT_KEYS and all(v != b.get(k) for b in bases)}
 
 
 def check_outcome(command, code, out, err, extremes):

@@ -15,7 +15,6 @@ Regenerate only for an intended change of output, and say which file moved:
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from beamcap import cli_rows
 from beamcap.scenario import PRESETS, load_scenario
@@ -62,9 +61,14 @@ def render(name: str) -> str:
 def simd_level() -> str:
     """numpy's SIMD extensions found and not found here, as numpy.show_runtime()
     lists them: analyze and sweep-power bytes may move in the last digit with them
-    (README, Known limits)."""
-    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
-    missing = [f for f in __cpu_dispatch__ if not __cpu_features__[f]]
+    (README, Known limits).  The lists come from a numpy module that is not
+    public, so a numpy that moves it gets a plain message, not a failed import."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+        missing = [f for f in __cpu_dispatch__ if not __cpu_features__[f]]
+    except (ImportError, KeyError):
+        return "numpy SIMD level unknown here; numpy.show_runtime() prints it"
     return f"numpy SIMD found: {' '.join(found)}; not found: {' '.join(missing)}"
 
 
