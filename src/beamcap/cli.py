@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", help="bundled scenario preset name")
     parser.add_argument("--seed", type=int, help="override the scenario's seed key (>= 0)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for replications (>= 1; at most one per replication)")
+                        help="worker processes for replications (>= 1; at most one per replication and CPU)")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -82,9 +82,7 @@ def main(argv=None) -> int:
             out.write(render(rows))
             return 0
     except (NonConvergenceError, PlacementError, ValueError) as exc:   # ScenarioError included
-        # a sweep-power chain past the state limit is the one at p_tx_min_dbm
-        power = "p_tx_min_dbm" if args.command == "sweep-power" else "p_tx_dbm"
-        print(f"beamcap: error: {refusal(exc, power)}", file=sys.stderr)
+        print(f"beamcap: error: {refusal(exc)}", file=sys.stderr)
         return 2
 
 

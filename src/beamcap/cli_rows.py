@@ -111,7 +111,10 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                 keys = dict.fromkeys([key, *field_keys(exc, key)])
                 raise ScenarioError(f"{', '.join(keys)}: {exc}") from None
         if scn.mean_engine is throughput.MeanEngine.SERIES:
-            queueing.check_state_limit(chain)
+            try:
+                queueing.check_state_limit(chain)
+            except queueing.NonConvergenceError as exc:   # the chain at p_tx_min_dbm
+                raise ScenarioError(f"{', '.join(field_keys(exc, 'p_tx_min_dbm'))}: {exc}") from None
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
     # a step that does not divide the range ends on the maximum itself

@@ -324,11 +324,11 @@ def field_keys(exc: Exception, power: str = "p_tx_dbm") -> list[str]:
     return list(dict.fromkeys(power if k == "p_tx_dbm" else k for k in keys))
 
 
-def refusal(exc: Exception, power: str = "p_tx_dbm") -> str:
+def refusal(exc: Exception) -> str:
     """A refusal's text led by its keys: a ScenarioError's own, or field_keys' for an engine check."""
     if isinstance(exc, ScenarioError):
         return str(exc)
-    return f"{', '.join(field_keys(exc, power))}: {exc}"
+    return f"{', '.join(field_keys(exc))}: {exc}"
 
 
 def load_scenario(path=None, preset: str | None = None,

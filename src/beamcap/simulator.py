@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -423,10 +424,10 @@ def run(scn: Scenario, jobs: int = 1) -> SimStats:
 
     Identical scenarios (seed included) produce identical SimStats; the
     replication results are reduced in index order regardless of how many
-    workers execute them.  At most one worker per replication is started.
+    workers execute them.  At most one worker per replication and per CPU is started.
     """
     indices = range(scn.replications)
-    workers = min(jobs, scn.replications)
+    workers = min(jobs, scn.replications, os.cpu_count() or 1)   # a pool forks all at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: 10-20 ms of start-up
 

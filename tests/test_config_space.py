@@ -133,6 +133,18 @@ def run_cli(command, kv):
 # "math domain error"
 @example(command="sweep-power", kv={"lambda_per_m2": "5e-324", "mu_per_s": "180",
                                     "p_tx_max_dbm": "180", "check_mode": "one-way"})
+# an SNR cap past the floats, a load the footprint caps, an infinite link rate,
+# a 3e-300 m^2 disk, and an infinite link rate times no pairs
+@example(command="analyze", kv={"snr_max_db": "1e6"})
+@example(command="analyze", kv={"mu_per_s": "1e-300"})
+@example(command="analyze", kv={"bandwidth_hz": "1e308"})
+@example(command="analyze", kv={"r_d_m": "1e-150", "lambda_per_m2": "89.9", "check_mode": "one-way",
+                                "p_tx_max_dbm": "10", "p_tx_step_db": "10"})
+@example(command="analyze", kv={"bandwidth_hz": "1e308", "lambda_per_m2": "0"})
+@example(command="sweep-power", kv={"bandwidth_hz": "1e308", "lambda_per_m2": "0"})
+# opt_tol_db / 1000 is below the float spacing of the powers: the refinement must end
+@example(command="sweep-power",
+         kv={"p_tx_min_dbm": "10", "p_tx_max_dbm": "10.000000001", "opt_tol_db": "1e-13"})
 def test_exits_with_finite_rows_or_names_its_keys(command, kv):
     check_outcome(command, *run_cli(command, kv), extreme_keys(kv))
 
@@ -144,6 +156,17 @@ def test_exits_with_finite_rows_or_names_its_keys(command, kv):
 # past the arrival budget, which used to leave out r_d_m, and a horizon of 1e-30 s
 @example(kv={**SIM_BASE, "r_d_m": "180", "check_mode": "two-way"})
 @example(kv={**SIM_BASE, "horizon_s": "1e-30", "warmup_s": "1e-300", "check_mode": "one-way"})
+# link budgets from a reach of 1.1e-145 m to one past the floats (kappa 1e-3),
+# d^kappa underflowing close in
+@example(kv={**SIM_BASE, "kappa": "1e-3"})
+@example(kv={**SIM_BASE, "kappa": "0.5"})
+@example(kv={**SIM_BASE, "kappa": "300"})
+@example(kv={**SIM_BASE, "c_const": "1e-200"})
+@example(kv={**SIM_BASE, "c_const": "1e300"})
+@example(kv={**SIM_BASE, "p_tx_dbm": "3000"})
+@example(kv={**SIM_BASE, "p_tx_dbm": "-300", "n_thr_dbm": "-310"})
+@example(kv={**SIM_BASE, "n_thr_dbm": "-3000"})
+@example(kv={**SIM_BASE, "n_thr_dbm": "9.999"})
 def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
     with mock.patch.object(scenario, "MAX_SIM_ARRIVALS", SIM_ARRIVALS):
         check_outcome("simulate", *run_cli("simulate", kv), extreme_keys(kv))

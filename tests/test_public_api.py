@@ -17,7 +17,6 @@ from pathlib import Path
 import beamcap
 
 ROOT = Path(__file__).parent.parent
-CHECK_ROUTES: set[str] = set()
 
 
 def program_files() -> list[Path]:
@@ -89,8 +88,7 @@ def passed_parameters() -> tuple[dict[str, int], set[tuple[str, str]]]:
 
 def test_every_public_function_has_a_program_caller():
     public = {name for name in beamcap.__all__ if inspect.isfunction(getattr(beamcap, name))}
-    assert CHECK_ROUTES <= public
-    uncalled = public - CHECK_ROUTES - program_references()
+    uncalled = public - program_references()
     assert not uncalled, f"public functions only tests use: {sorted(uncalled)}"
 
 
@@ -117,8 +115,6 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     positional, keywords = passed_parameters()
     unset = []
     for name, fn in sorted(module_functions().items()):
-        if name in CHECK_ROUTES:
-            continue
         for i, p in enumerate(inspect.signature(fn).parameters.values()):
             by_position = p.kind is not p.KEYWORD_ONLY and positional.get(name, 0) > i
             if p.default is not p.empty and not by_position and (name, p.name) not in keywords:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -729,8 +730,23 @@ class TestCliEntry:
         assert line and key in line.group(1).split(", ") and count in err
 
     def test_cli_import_loads_no_scipy(self):
-        code = "import sys, beamcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        assert run_python(code) == "[]\n"
+        # then each command twice in one process: the second call, on the parser
+        # the first one built, prints the same bytes and still loads no scipy
+        code = textwrap.dedent("""
+            import contextlib, io, sys, beamcap.cli
+            scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+            print(scipy())
+            for argv in (['analyze', '--preset', 'paper-fig4'],
+                         ['sweep-power', '--preset', 'paper-fig5']):
+                codes, outs = [], []
+                for _ in range(2):
+                    with contextlib.redirect_stdout(io.StringIO()) as out:
+                        codes.append(beamcap.cli.main(argv))
+                    outs.append(out.getvalue())
+                print(argv[0], codes, scipy(), outs[0] == outs[1] != '')
+        """)
+        assert run_python(code) == ("[]\nanalyze [0, 0] [] True\n"
+                                    "sweep-power [0, 0] [] True\n")
 
     def test_cli_import_loads_no_process_pool(self):
         # only a --jobs run with two or more replications starts a pool

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -383,7 +384,13 @@ class TestRun:
         assert capsys.readouterr().out == plain
         assert calls["place_pair"] == calls["admit"] >= int(plain.splitlines()[1].split(",")[9]) > 0
 
-    def test_workers_capped_at_replications(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, reps, workers", [
+        (64, 2, [2]),
+        # a fork pool starts every worker at its first submit
+        (2, 3, [2]),
+        (None, 3, []),
+    ], ids=["replications", "cpus", "cpu-count-unknown"])
+    def test_workers_capped_at_replications(self, cpus, reps, workers, monkeypatch):
         import concurrent.futures
         started = []
 
@@ -403,11 +410,12 @@ class TestRun:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        cfg = sim_scenario(seed=3, reps=2, warmup=5.0, horizon=10.0)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = sim_scenario(seed=3, reps=reps, warmup=5.0, horizon=10.0)
         fanned = run(cfg, jobs=10_000)
-        assert started == [2]
+        assert started == workers
         serial = run(cfg, jobs=1)
-        assert started == [2]
+        assert started == workers
         assert (fanned.mean_pairs, fanned.p_accept) == (serial.mean_pairs, serial.p_accept)
 
     def test_partial_arrivals_flag(self):
