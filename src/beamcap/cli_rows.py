@@ -85,8 +85,8 @@ def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
 def sweep_power_rows(scenario: Scenario) -> list[dict]:
     """Power-sweep points plus one optimum summary row per sweep value.
 
-    Refused before any work, in this order: a display or optimizer grid of
-    more than MAX_POWER_POINTS powers, a range end whose coverage radius
+    Refused before any work, in this order: a display grid of more than
+    MAX_POWER_POINTS powers, a range end whose coverage radius
     degenerates (the radius grows with power, so the ends bound the range),
     and with the series engine every sweep value's chain
     at p_tx_min_dbm (the smallest gamma, the largest mean) past the state limit,
@@ -97,11 +97,10 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
     value's point rows before the optimizer runs, its optimum row after.
     """
     lo, hi = scenario.p_tx_min_dbm, scenario.p_tx_max_dbm   # no power key is sweepable
-    for key in ("p_tx_step_db", "opt_tol_db"):
-        count = (hi - lo) / getattr(scenario, key) + 1.0
-        if count > MAX_POWER_POINTS:
-            raise ScenarioError(f"p_tx_min_dbm, p_tx_max_dbm, {key}: {count:.3g} power grid points "
-                                f"per sweep value exceed the limit of {MAX_POWER_POINTS}")
+    count = (hi - lo) / scenario.p_tx_step_db + 1.0
+    if count > MAX_POWER_POINTS:
+        raise ScenarioError(f"p_tx_min_dbm, p_tx_max_dbm, p_tx_step_db: {count:.3g} power grid "
+                            f"points per sweep value exceed the limit of {MAX_POWER_POINTS}")
     points = list(sweep_points(scenario))
     for _, _, scn in points:
         for key in ("p_tx_max_dbm", "p_tx_min_dbm"):   # chain is left at the minimum
@@ -124,8 +123,8 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                  if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
     if states > MAX_SERIES_STATES:
         raise ScenarioError(f"mean_engine, lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, "
-                            f"p_tx_max_dbm, p_tx_step_db, opt_tol_db, n_thr_dbm, theta_deg, kappa, "
-                            f"c_const: the series engine would walk about {states:.3g} chain "
+                            f"p_tx_max_dbm, p_tx_step_db, n_thr_dbm, theta_deg, kappa, c_const: "
+                            f"the series engine would walk about {states:.3g} chain "
                             f"states, past the limit of {MAX_SERIES_STATES:.0e}")
     rows = []
     for param, value, scn in points:

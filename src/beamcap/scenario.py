@@ -34,13 +34,14 @@ def _float(text: str) -> float:
 
 
 def _int(text: str) -> int:
-    """An integer; integral floats pass too, so a float sweep value can set k_neighbors."""
+    """A finite integer, kept exact; integral floats pass too, so a float sweep value
+    can set k_neighbors."""
+    v = _float(text)
+    if not v.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
     try:
         return int(text)
     except ValueError:
-        v = _float(text)
-        if not v.is_integer():
-            raise ValueError(f"not an integer: {text!r}") from None
         return int(v)
 
 
@@ -106,7 +107,6 @@ KEYS: dict[str, tuple[str, Callable[[str], object], bool]] = {
     "p_tx_min_dbm": ("-20", _float, False),
     "p_tx_max_dbm": ("20", _float, False),
     "p_tx_step_db": ("0.5", _float, False),
-    "opt_tol_db": ("0.1", _float, False),
     "sweep_param": ("", str, False),
     "sweep_values": ("", _sweep_values, False),
 }
@@ -183,16 +183,14 @@ class Scenario:
     p_tx_min_dbm: float
     p_tx_max_dbm: float
     p_tx_step_db: float
-    opt_tol_db: float
     sweep: tuple[str, tuple[float, ...]] | None
     raw: dict[str, str]
 
     def __post_init__(self) -> None:
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        for key in ("p_tx_step_db", "opt_tol_db"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.p_tx_step_db <= 0:
+            raise ValueError(f"p_tx_step_db must be positive, got {self.p_tx_step_db}")
         if self.p_tx_max_dbm < self.p_tx_min_dbm:
             raise ValueError(f"p_tx_min_dbm, p_tx_max_dbm must not decrease, got "
                              f"{self.p_tx_min_dbm} > {self.p_tx_max_dbm}")
@@ -272,6 +270,8 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
 
     antenna, if given, is the model already parsed from kv's antenna text.
     """
+    if unknown := kv.keys() - KEYS.keys():
+        raise ScenarioError(f"{', '.join(sorted(unknown))}: unknown key")
     merged = dict(DEFAULTS)
     merged.update(kv)
     v = {} if antenna is None else {"antenna": antenna}
@@ -305,8 +305,8 @@ def build_scenario(kv: dict[str, str], antenna: AntennaModel | None = None) -> S
             variant=v["variant"], check_mode=v["check_mode"], mean_engine=v["mean_engine"],
             seed=v["seed"], replications=v["replications"], warmup=v["warmup_s"],
             horizon=v["horizon_s"], p_tx_min_dbm=v["p_tx_min_dbm"],
-            p_tx_max_dbm=v["p_tx_max_dbm"], p_tx_step_db=v["p_tx_step_db"],
-            opt_tol_db=v["opt_tol_db"], sweep=sweep, raw=merged,
+            p_tx_max_dbm=v["p_tx_max_dbm"], p_tx_step_db=v["p_tx_step_db"], sweep=sweep,
+            raw=merged,
         )
     except ValueError as exc:
         raise ScenarioError(refusal(exc)) from None
@@ -361,13 +361,18 @@ def sweep_points(scenario: Scenario):
 
 
 MAX_SIM_ARRIVALS = 1e9
+MAX_SIM_REPLICATIONS = 10**6   # about 25 us and 430 B each, even with no arrival
 
 
 def check_simulation_budget(scenarios) -> None:
-    """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals."""
+    """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals,
+    or running more than MAX_SIM_REPLICATIONS replications."""
     for scn in scenarios:
         arrivals = scn.deployment.lambda_total * scn.horizon * scn.replications
         if arrivals > MAX_SIM_ARRIVALS:
             raise ScenarioError(f"lambda_per_m2, r_d_m, horizon_s, replications: {arrivals:.3g} "
                                 f"expected arrivals (lambda_per_m2 * disk area * horizon_s * "
                                 f"replications) exceed the limit of {MAX_SIM_ARRIVALS:.0e}")
+        if scn.replications > MAX_SIM_REPLICATIONS:
+            raise ScenarioError(f"replications: {scn.replications:.3g} replications exceed the "
+                                f"limit of {MAX_SIM_REPLICATIONS:.0e}")

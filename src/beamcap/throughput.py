@@ -19,6 +19,7 @@ from .radio import RadioParams, dbm_to_mw, received_power_mw
 if TYPE_CHECKING:  # scenario imports MeanEngine from here
     from .scenario import Scenario
 
+OPT_TOL_DB = 0.1   # optimize_power's largest grid step [dB]; it refines to a thousandth of it
 MAX_REFINE_EVALS = 38   # optimize_power's refinement: 2 per step, 2 * ceil(log 2000 / log 1.5)
 
 
@@ -85,9 +86,9 @@ def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
 
 
 def optimizer_grid(scn: Scenario) -> list[float]:
-    """optimize_power's grid: the power range in equal steps of at most opt_tol_db."""
+    """optimize_power's grid: the power range in equal steps of at most OPT_TOL_DB."""
     lo, hi = scn.p_tx_min_dbm, scn.p_tx_max_dbm
-    n = max(math.ceil((hi - lo) / scn.opt_tol_db), 1)
+    n = max(math.ceil((hi - lo) / OPT_TOL_DB), 1)
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
@@ -102,8 +103,7 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
 
     Grid search over optimizer_grid, then ternary refinement between the grid
     neighbours of the best point, each two evaluations cutting a third off the
-    bracket (<= 2*opt_tol_db) down to opt_tol_db/1000, or until a third no longer
-    falls strictly inside it, at the float spacing.  Ties break toward lower power.
+    bracket (<= 2*OPT_TOL_DB) down to OPT_TOL_DB/1000.  Ties break toward lower power.
     A flat, finite objective returns the point at the range minimum,
     p_tx_min_dbm itself, with the flat flag set.
     """
@@ -116,11 +116,9 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
     lo_p = points[max(i - 1, 0)].p_tx_dbm
     hi_p = points[min(i + 1, len(points) - 1)].p_tx_dbm
     best = points[i]
-    while hi_p - lo_p > scn.opt_tol_db * 1e-3:
+    while hi_p - lo_p > OPT_TOL_DB * 1e-3:
         m1 = lo_p + (hi_p - lo_p) / 3.0
         m2 = hi_p - (hi_p - lo_p) / 3.0
-        if m1 <= lo_p or m2 >= hi_p:   # a bracket one or two floats wide
-            break
         pt1, pt2 = rate_components(scn, m1), rate_components(scn, m2)
         v1, v2 = pt1.area_rate_bps_m2, pt2.area_rate_bps_m2
         if v1 > best.area_rate_bps_m2 or (v1 == best.area_rate_bps_m2 and m1 < best.p_tx_dbm):

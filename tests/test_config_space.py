@@ -2,7 +2,7 @@
 refused with one line that names its keys, among them a key it set to an
 extreme value (`validate` excepted: its arrival budget refuses its 3 km base).
 
-A config sets one to four float keys to extreme values, plus a random
+A config sets one to four float or integer keys to extreme values, plus a random
 rejection shape, check mode and mean engine.  `analyze`, `sweep-power` and
 `simulate` run in process with `--jobs 1`; `validate` runs only up to its
 first check, so only its refusal paths are covered.  No worker process is
@@ -30,11 +30,14 @@ from hypothesis import strategies as st
 
 from beamcap import CheckMode, MeanEngine, Variant, scenario, validation
 from beamcap.cli import main
-from beamcap.scenario import KEYS, _float
+from beamcap.scenario import KEYS, _float, _int
 
 FLOAT_KEYS = tuple(key for key, (_, parse, _) in KEYS.items() if parse is _float)
+INT_KEYS = tuple(key for key, (_, parse, _) in KEYS.items() if parse is _int)
 EXTREMES = ("0", "-1", "5e-324", "1e-300", "1e-150", "1e-30", "180", "1e30", "1e300")
 DB_EXTREMES = EXTREMES + ("300", "-300")
+# the last is past the floats, but an int in Python
+INT_EXTREMES = ("0", "-1", "180", "1e30", "9" * 401)
 # the message after the key list does not start with another key list
 ERROR_LINE = re.compile(r"beamcap: error: (\w+(?:, \w+)*): (?!\w+(?:, \w+)*: ).+\n")
 # a hang fails the example here; the Hypothesis deadline reports a slow one
@@ -42,6 +45,7 @@ HANG_S = 15
 SIM_ARRIVALS = 2000
 # 113 arrivals at the default 1 /s/m2
 SIM_BASE = {"r_d_m": "3", "replications": "2", "warmup_s": "1", "horizon_s": "2"}
+SIM_REPLICATIONS = ("1", "2")
 # a simulate config starts from SIM_BASE with one of these before its extremes:
 # the same 113 arrivals and an offered load of 28 pairs, at lambda/mu * reach^2
 # of 1,980 and 20 under the default link budget (reach 44.5 m), on both sides of
@@ -58,7 +62,8 @@ class _Accepted(Exception):
 
 def extreme_values(draw, pool):
     keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    return {k: draw(st.sampled_from(DB_EXTREMES if k.endswith(("_dbm", "_db")) else EXTREMES))
+    return {k: draw(st.sampled_from(INT_EXTREMES if k in INT_KEYS else
+                                    DB_EXTREMES if k.endswith(("_dbm", "_db")) else EXTREMES))
             for k in keys}
 
 
@@ -68,7 +73,8 @@ def configs(draw):
     # a series sweep walks about one state per pair at each of some 500 powers;
     # on a 3 m disk each walk is short, and a load past the state limit is
     # refused before any walk
-    kv = extreme_values(draw, [k for k in FLOAT_KEYS if engine == "closed" or k != "r_d_m"])
+    kv = extreme_values(draw, [k for k in FLOAT_KEYS + INT_KEYS
+                               if engine == "closed" or k != "r_d_m"])
     if engine == "series":
         kv["r_d_m"] = SIM_BASE["r_d_m"]
     kv["variant"] = draw(st.sampled_from([v.value for v in Variant]))
@@ -80,8 +86,8 @@ def configs(draw):
 @st.composite
 def sim_configs(draw):
     kv = dict(SIM_BASE, **draw(st.sampled_from(SIM_LOADS)),
-              replications=draw(st.sampled_from(["1", "2"])))
-    kv.update(extreme_values(draw, FLOAT_KEYS))
+              replications=draw(st.sampled_from(SIM_REPLICATIONS)))
+    kv.update(extreme_values(draw, FLOAT_KEYS + INT_KEYS))
     kv["check_mode"] = draw(st.sampled_from([m.value for m in CheckMode]))
     return kv
 
@@ -142,9 +148,11 @@ def run_cli(command, kv):
                                 "p_tx_max_dbm": "10", "p_tx_step_db": "10"})
 @example(command="analyze", kv={"bandwidth_hz": "1e308", "lambda_per_m2": "0"})
 @example(command="sweep-power", kv={"bandwidth_hz": "1e308", "lambda_per_m2": "0"})
-# opt_tol_db / 1000 is below the float spacing of the powers: the refinement must end
-@example(command="sweep-power",
-         kv={"p_tx_min_dbm": "10", "p_tx_max_dbm": "10.000000001", "opt_tol_db": "1e-13"})
+# a power range of 1e-9 dB, some 560,000 floats wide: the optimizer must end
+@example(command="sweep-power", kv={"p_tx_min_dbm": "10", "p_tx_max_dbm": "10.000000001"})
+# integers past the floats: these used to overflow with a traceback
+@example(command="sweep-power", kv={"k_neighbors": "9" * 401, "mean_engine": "closed"})
+@example(command="validate", kv={"replications": "9" * 401, "mean_engine": "closed"})
 def test_exits_with_finite_rows_or_names_its_keys(command, kv):
     check_outcome(command, *run_cli(command, kv), extreme_keys(kv))
 
@@ -167,15 +175,17 @@ def test_exits_with_finite_rows_or_names_its_keys(command, kv):
 @example(kv={**SIM_BASE, "p_tx_dbm": "-300", "n_thr_dbm": "-310"})
 @example(kv={**SIM_BASE, "n_thr_dbm": "-3000"})
 @example(kv={**SIM_BASE, "n_thr_dbm": "9.999"})
+@example(kv={**SIM_BASE, "replications": "9" * 401, "check_mode": "two-way"})
 def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
     with mock.patch.object(scenario, "MAX_SIM_ARRIVALS", SIM_ARRIVALS):
         check_outcome("simulate", *run_cli("simulate", kv), extreme_keys(kv))
 
 
 def extreme_keys(kv):
-    """The float keys kv sets away from every base its strategy starts from."""
-    bases = [dict(SIM_BASE, **load) for load in SIM_LOADS]
-    return {k for k, v in kv.items() if k in FLOAT_KEYS and all(v != b.get(k) for b in bases)}
+    """The float and integer keys kv sets away from every base its strategy starts from."""
+    bases = [dict(SIM_BASE, **load, replications=n) for load in SIM_LOADS for n in SIM_REPLICATIONS]
+    return {k for k, v in kv.items()
+            if k in FLOAT_KEYS + INT_KEYS and all(v != b.get(k) for b in bases)}
 
 
 def check_outcome(command, code, out, err, extremes):

@@ -22,8 +22,8 @@ from beamcap import (ChainParams, CheckMode, MeanEngine, NonConvergenceError, Ra
 from beamcap.cli import main
 from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_rows,
                               sweep_power_rows)
-from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, PRESETS, ScenarioError,
-                              build_scenario, check_simulation_budget, field_keys,
+from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, MAX_SIM_REPLICATIONS, PRESETS,
+                              ScenarioError, build_scenario, check_simulation_budget, field_keys,
                               load_scenario, parse_config_text, sweep_points)
 from beamcap.simulator import DeploymentParams, FixedDistance, PlacementError, place_pair
 from beamcap.throughput import optimizer_grid
@@ -58,7 +58,6 @@ BAD_VALUES = {
     "p_tx_min_dbm": ({"p_tx_min_dbm": "30"}, "p_tx_min_dbm, p_tx_max_dbm"),
     "p_tx_max_dbm": ({"p_tx_max_dbm": "-30"}, "p_tx_min_dbm, p_tx_max_dbm"),
     "p_tx_step_db": ({"p_tx_step_db": "0"}, "p_tx_step_db"),
-    "opt_tol_db": ({"opt_tol_db": "-0.1"}, "opt_tol_db"),
     "sweep_param": ({"sweep_param": "pair_model", "sweep_values": "1"}, "sweep_param"),
     "sweep_values": ({"sweep_param": "kappa", "sweep_values": "1,x"}, "sweep_values"),
 }
@@ -278,6 +277,23 @@ class TestConfigParsing:
         assert [s.k_neighbors for _, _, s in sweep_points(scn)] == [4, 6]
         with pytest.raises(ScenarioError, match="k_neighbors: not an integer"):
             build_scenario({"k_neighbors": "2.5"})
+
+    @pytest.mark.parametrize("key", ["k_neighbors", "seed", "replications"])
+    def test_integer_key_past_the_floats_is_refused(self, key):
+        # a 401-digit k_neighbors used to overflow in noise_power, and replications
+        # in the simulation budget, each with a traceback
+        with pytest.raises(ScenarioError, match=f"^{key}: must be finite, got '9{{401}}'$"):
+            build_scenario({key: "9" * 401})
+
+    def test_integer_key_stays_exact_past_two_to_the_53(self):
+        assert build_scenario({"seed": str(2**53 + 1)}).seed == 2**53 + 1
+
+    def test_unknown_key_is_refused(self):
+        # a library caller's misspelt key used to be kept in raw and ignored
+        with pytest.raises(ScenarioError, match="^lamda_per_m2: unknown key$"):
+            load_scenario(preset="desk-fig4", overrides={"lamda_per_m2": "9"})
+        with pytest.raises(ScenarioError, match="^horizon: unknown key$"):
+            build_scenario({}).with_value("horizon", 5)
 
     def test_with_value_takes_a_numpy_float(self):
         scn = build_scenario({}).with_value("kappa", np.float64(2.5))
@@ -521,7 +537,6 @@ class TestSweepPowerRows:
     def test_optimum_rows_per_sweep_value(self):
         scn = load_scenario(preset="paper-fig5", overrides={
             "p_tx_min_dbm": "-16", "p_tx_max_dbm": "-8", "p_tx_step_db": "2",
-            "opt_tol_db": "0.5",
         })
         rows = sweep_power_rows(scn)
         optima = [r for r in rows if r["row_type"] == "optimum"]
@@ -705,7 +720,7 @@ class TestCliEntry:
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err == (
             "beamcap: error: mean_engine, lambda_per_m2, r_d_m, mu_per_s, p_tx_min_dbm, "
-            "p_tx_max_dbm, p_tx_step_db, opt_tol_db, n_thr_dbm, theta_deg, kappa, c_const: the "
+            "p_tx_max_dbm, p_tx_step_db, n_thr_dbm, theta_deg, kappa, c_const: the "
             "series engine would walk about 1.55e+09 chain states, past the limit of 1e+08\n")
 
     @pytest.mark.parametrize("line, key, count", [
@@ -719,13 +734,17 @@ class TestCliEntry:
     def test_infeasible_power_grid_fails_before_any_work(self, line, key, count, tmp_path,
                                                         capsys):
         # a grid past 1e5 powers per sweep value would take hours and tens of GB
-        # at 1e-7; a range end below n_thr_dbm used to name p_tx_dbm, a key not set
+        # at 1e-7; a range end below n_thr_dbm used to name p_tx_dbm, a key not set;
+        # opt_tol_db is not a key: the optimizer's grid step is a constant
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(line + "\n")
         t0 = time.perf_counter()
         assert main(["sweep-power", "--preset", "paper-fig5", "--config", str(cfg)]) == 2
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
+        if key == "opt_tol_db":
+            assert err == f"beamcap: error: {cfg}:1: unknown key 'opt_tol_db'\n"
+            return
         line = ERROR_LINE.fullmatch(err)
         assert line and key in line.group(1).split(", ") and count in err
 
@@ -847,20 +866,19 @@ class TestCliEntry:
         assert all(math.isfinite(float(r[column])) for r in rows for column in
                    ("gamma", "mean_pairs", "link_rate_bps", "area_rate_bps_m2"))
 
-    @pytest.mark.parametrize("opt_tol_db, bandwidth_hz", [("80", "1e307"), ("40", "2.2e307")],
+    @pytest.mark.parametrize("bandwidth_hz", ["9.2084e306", "9.21e306"],
                              ids=["in-refinement", "on-opt-grid"])
-    def test_sweep_power_refuses_an_infinite_optimum(self, opt_tol_db, bandwidth_hz, tmp_path,
-                                                     capsys):
+    def test_sweep_power_refuses_an_infinite_optimum(self, bandwidth_hz, tmp_path, capsys):
         # the point rows at -60 and 20 dBm are finite, but the area rate itself
-        # overflows near its peak at -34 dBm: first in the refinement, or on the
-        # optimizer's grid at -20 dBm, where an infinite peak must not read as a
-        # flat objective
+        # overflows near its peak at -34.04 dBm: within 4e-6 of the peak, first in
+        # the refinement, or on the optimizer's grid from -34.2 to -33.8 dBm, where
+        # an infinite peak must not read as a flat objective
         keys = {"bandwidth_hz": bandwidth_hz, "lambda_per_m2": "1e5", "p_tx_min_dbm": "-60",
-                "p_tx_max_dbm": "20", "p_tx_step_db": "80", "opt_tol_db": opt_tol_db}
+                "p_tx_max_dbm": "20", "p_tx_step_db": "80"}
         scn = load_scenario(overrides=keys)
         grid = [rate_components(scn, p).area_rate_bps_m2 for p in optimizer_grid(scn)]
         assert grid[0] < math.inf and grid[-1] < math.inf
-        assert (math.inf in grid) == (opt_tol_db == "40")
+        assert (math.inf in grid) == (bandwidth_hz == "9.21e306")
         opt = optimize_power(scn)
         assert opt.point.area_rate_bps_m2 == math.inf and not opt.flat
         cfg = tmp_path / "peak.cfg"
@@ -877,7 +895,7 @@ class TestCliEntry:
         # but over the 2.8e7 m^2 disk the area rate is 1e302 b/s/m^2
         cfg = tmp_path / "peak.cfg"
         cfg.write_text("bandwidth_hz = 1e302\np_tx_min_dbm = -60\np_tx_max_dbm = 20\n"
-                       "p_tx_step_db = 80\nopt_tol_db = 80\n")
+                       "p_tx_step_db = 80\n")
         assert main(["sweep-power", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -1030,6 +1048,17 @@ class TestSimulationBudget:
         check_simulation_budget([below])
         with pytest.raises(ScenarioError, match="replications"):
             check_simulation_budget([below.with_value("replications", 11)])
+
+    def test_limit_on_replications_without_arrivals(self):
+        # no arrival is expected at zero load, but each replication still costs
+        # about 25 us and 430 B: 1e9 of them would take hours and hundreds of GB
+        idle = load_scenario(preset="desk-fig4", overrides={
+            "lambda_per_m2": "0", "replications": str(MAX_SIM_REPLICATIONS)})
+        check_simulation_budget([idle])
+        with pytest.raises(ScenarioError) as info:
+            check_simulation_budget([idle.with_value("replications", 10**9)])
+        assert str(info.value) == ("replications: 1e+09 replications exceed the limit of "
+                                   "1e+06")
 
 
 class TestLinkBudgetRange:

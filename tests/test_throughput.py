@@ -10,7 +10,7 @@ from beamcap import (RadioParams, link_rate, noise_power, optimize_power, rate_c
                      throughput)
 from beamcap.cli_rows import render_csv, sweep_power_rows
 from beamcap.scenario import build_scenario
-from beamcap.throughput import MAX_REFINE_EVALS
+from beamcap.throughput import MAX_REFINE_EVALS, OPT_TOL_DB, optimizer_grid
 
 DEG = math.pi / 180.0
 
@@ -123,14 +123,14 @@ class TestAreaRate:
 class TestOptimizePower:
     def test_increasing_objective_hits_upper_end(self):
         # interference negligible: rate grows with power
-        scn = scenario(lam=1e-9, p_tx_min_dbm="-40", p_tx_max_dbm="-30", opt_tol_db="0.5")
+        scn = scenario(lam=1e-9, p_tx_min_dbm="-40", p_tx_max_dbm="-30")
         opt = optimize_power(scn)
         assert opt.point.p_tx_dbm == pytest.approx(-30.0, abs=0.5)
         assert not opt.flat
 
     def test_decreasing_objective_hits_lower_end(self):
         # beyond the cap only interference grows
-        scn = scenario(lam=2.0, p_tx_min_dbm="5", p_tx_max_dbm="20", opt_tol_db="0.5")
+        scn = scenario(lam=2.0, p_tx_min_dbm="5", p_tx_max_dbm="20")
         opt = optimize_power(scn)
         assert opt.point.p_tx_dbm == pytest.approx(5.0, abs=0.5)
 
@@ -144,7 +144,7 @@ class TestOptimizePower:
 
     def test_flat_objective_flagged(self):
         for lo, hi in (("-10", "10"), ("-0.0", "0.0")):
-            scn = scenario(lam=0.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi, opt_tol_db="1")
+            scn = scenario(lam=0.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi)
             opt = optimize_power(scn)
             assert opt.flat
             # the range minimum itself, though the grid starts at lo + 0.0 (0.0 for -0.0)
@@ -159,13 +159,13 @@ class TestOptimizePower:
         assert abs(a.point.p_tx_dbm - b.point.p_tx_dbm) <= 0.1
 
     @settings(max_examples=examples(50), deadline=None)
-    @given(lo=st.floats(-30.0, 20.0), span=st.floats(0.0, 20.0), tol=st.floats(0.05, 2.0),
+    @given(lo=st.floats(-30.0, 20.0), span=st.floats(0.0, 20.0),
            variant=st.sampled_from(["exponential", "logistic", "piecewise-linear"]))
-    def test_evaluations_within_the_series_budget(self, lo, span, tol, variant):
+    def test_evaluations_within_the_series_budget(self, lo, span, variant):
         # sweep_power_rows budgets the series walks of optimize_power at its
         # grid plus MAX_REFINE_EVALS refinement evaluations
         scn = scenario(lam=2e-3, r_d=300.0, engine="series", variant=variant,
-                       p_tx_min_dbm=repr(lo), p_tx_max_dbm=repr(lo + span), opt_tol_db=repr(tol))
+                       p_tx_min_dbm=repr(lo), p_tx_max_dbm=repr(lo + span))
         calls = []
 
         def counted(scn, p_tx_dbm):
@@ -175,16 +175,15 @@ class TestOptimizePower:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(throughput, "rate_components", counted)
             optimize_power(scn)
-        grid = max(math.ceil((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / tol), 1) + 1
-        assert len(calls) <= grid + MAX_REFINE_EVALS
+        assert len(calls) <= len(optimizer_grid(scn)) + MAX_REFINE_EVALS
 
-    @pytest.mark.parametrize("lo, hi, tol", [
-        ("10", "10.00000000001", "1e-13"),   # tol/1000 is below the float spacing at 10
-        ("7.99999999999999", "8.00000000000001", "1e-15"),   # the spacing doubles at 8
+    @pytest.mark.parametrize("lo, hi", [
+        ("10", "10.00000000001"),   # a range some 5,600 floats wide
+        ("7.99999999999999", "8.00000000000001"),   # the spacing doubles at 8
     ])
-    def test_refinement_stops_at_the_float_spacing(self, lo, hi, tol):
-        scn = scenario(lam=2.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi, opt_tol_db=tol)
-        grid = max(math.ceil((scn.p_tx_max_dbm - scn.p_tx_min_dbm) / scn.opt_tol_db), 1) + 1
+    def test_refinement_stops_at_the_float_spacing(self, lo, hi):
+        scn = scenario(lam=2.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi)
+        grid = len(optimizer_grid(scn))
         calls = []
 
         def counted(scn, p_tx_dbm):   # fails where the refinement would never end
@@ -196,3 +195,9 @@ class TestOptimizePower:
             mp.setattr(throughput, "rate_components", counted)
             opt = optimize_power(scn)
         assert scn.p_tx_min_dbm <= opt.point.p_tx_dbm <= scn.p_tx_max_dbm
+
+    def test_refinement_thirds_stay_far_above_the_float_spacing(self):
+        # so the refinement needs no float-spacing guard: a range end with a
+        # coverage radius lies above n_thr_dbm, whose mW value is at least 5e-324
+        # (-3,233 dBm), and has a finite mW value itself (below 3,083 dBm)
+        assert OPT_TOL_DB * 1e-3 / 3.0 > 1e7 * math.ulp(3234.0)
