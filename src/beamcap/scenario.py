@@ -365,8 +365,10 @@ MAX_SIM_REPLICATIONS = 10**6   # about 25 us and 430 B each, even with no arriva
 
 
 def check_simulation_budget(scenarios) -> None:
-    """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals,
-    or running more than MAX_SIM_REPLICATIONS replications."""
+    """Refuse up front a simulation expecting more than MAX_SIM_ARRIVALS arrivals
+    at one sweep point or summed over its points, or running more than
+    MAX_SIM_REPLICATIONS replications at one point."""
+    total = 0.0
     for scn in scenarios:
         arrivals = scn.deployment.lambda_total * scn.horizon * scn.replications
         if arrivals > MAX_SIM_ARRIVALS:
@@ -376,3 +378,8 @@ def check_simulation_budget(scenarios) -> None:
         if scn.replications > MAX_SIM_REPLICATIONS:
             raise ScenarioError(f"replications: {scn.replications:.3g} replications exceed the "
                                 f"limit of {MAX_SIM_REPLICATIONS:.0e}")
+        total += arrivals
+    if total > MAX_SIM_ARRIVALS:
+        raise ScenarioError(f"lambda_per_m2, r_d_m, horizon_s, replications, sweep_values: "
+                            f"{total:.3g} expected arrivals summed over the sweep values "
+                            f"exceed the limit of {MAX_SIM_ARRIVALS:.0e}")

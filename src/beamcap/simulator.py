@@ -296,11 +296,19 @@ class _SectorGrid:
             self._listed[key] = own, box
 
     def remove(self, pair_id: int) -> None:
+        """Unlist the pair's devices; a cell leaves the index with its last device."""
+        rx, tx = self._rx, self._tx
         for key in (2 * pair_id, 2 * pair_id + 1):
             own, box = self._listed.pop(key)
-            del self._rx[own][key]
+            listed = rx[own]
+            del listed[key]
+            if not listed:
+                del rx[own]
             for cell in box:
-                del self._tx[cell][key]
+                listed = tx[cell]
+                del listed[key]
+                if not listed:
+                    del tx[cell]
 
     def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
         """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""

@@ -491,9 +491,9 @@ def beam_edge_pair(rng, active, radio):
 
 
 def grid_listing(index):
-    """Receivers and transmitters listed per cell, empty cells left out."""
-    return ({cell: dict(keys) for cell, keys in index._rx.items() if keys},
-            {cell: dict(keys) for cell, keys in index._tx.items() if keys}, index._listed)
+    """Receivers and transmitters listed per cell, and each device's cells."""
+    return ({cell: dict(keys) for cell, keys in index._rx.items()},
+            {cell: dict(keys) for cell, keys in index._tx.items()}, index._listed)
 
 
 class TestSectorGrid:
@@ -614,6 +614,50 @@ class TestSectorGrid:
                 index.remove(steps)
         assert grid_listing(index) == grid_listing(fresh)
 
+    @pytest.mark.parametrize("load", [0.0, math.inf])
+    @pytest.mark.parametrize("mode", CheckMode)
+    def test_removing_every_pair_empties_the_index(self, baseline_radio, mode, load):
+        # a cell leaves the index with its last device
+        radio, antenna = baseline_radio, AntennaModel.analytic()
+        reach = reach_of(radio, antenna)
+        rng = np.random.default_rng(3)
+        index = _SectorGrid(radio, antenna, mode, 0.0, load)
+        pairs = random_pairs(rng, 40, 3.0 * reach, 0.5 * reach)
+        for pair_id, placement in enumerate(pairs):
+            index.add(pair_id, placement)
+        assert index._tx and index._rx
+        for pair_id in rng.permutation(len(pairs)).tolist():
+            index.remove(pair_id)
+        assert index._tx == index._rx == index._listed == {}
+
+
+@pytest.fixture()
+def replication_grids(monkeypatch):
+    """The admission index of each replication the test runs, in order."""
+    grids = []
+
+    class Recorded(_SectorGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+    return grids
+
+
+@pytest.mark.parametrize("mode", ["two-way", "one-way"])
+def test_replication_index_holds_only_the_live_devices(replication_grids, mode):
+    # reach 1.41 m in a 300 m disk: about 280 arrivals, nearly all admitted,
+    # and every departure empties the cells its devices were alone in
+    scn = load_scenario(preset="desk-fig4", overrides={
+        "p_tx_dbm": "-20", "check_mode": mode, "warmup_s": "1", "horizon_s": "3"})
+    result = run_replication(scn, 0, snapshot_times=[scn.horizon])
+    (grid,) = replication_grids
+    (live,) = result.snapshots
+    assert result.accepted > len(live) > 0
+    assert all(grid._rx.values()) and all(grid._tx.values())
+    assert len(grid._listed) == 2 * len(live)
+
 
 @pytest.mark.parametrize("preset, overrides, half", [
     ("desk-fig5", {"lambda_per_m2": "0.02"}, True),       # load * radius^2 = 118
@@ -625,19 +669,12 @@ class TestSectorGrid:
     ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100"}, True),     # 396
     ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100", "check_mode": "one-way"}, True),
 ])
-def test_replication_cell_side_follows_the_offered_load(monkeypatch, preset, overrides, half):
-    grids = []
-
-    class Recorded(_SectorGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            grids.append(self)
-
-    monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+def test_replication_cell_side_follows_the_offered_load(replication_grids, preset, overrides,
+                                                        half):
     scn = load_scenario(preset=preset, overrides={**overrides, "sweep_param": "",
                                                   "warmup_s": "0.05", "horizon_s": "0.1"})
     run_replication(scn, 0)
-    (grid,) = grids
+    (grid,) = replication_grids
     assert grid._side == (0.5 if half else 1.0) * grid._radius
 
 

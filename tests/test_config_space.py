@@ -181,6 +181,16 @@ def test_simulate_exits_with_finite_rows_or_names_its_keys(kv):
         check_outcome("simulate", *run_cli("simulate", kv), extreme_keys(kv))
 
 
+def test_simulate_refuses_a_sweep_past_the_budget_at_once():
+    # each point expects fewer than 1e9 arrivals, the two 1.15e9 together: a
+    # check per point would let this run for hours
+    kv = {**scenario.PRESETS["desk-fig5"], "sweep_values": "0.8,0.9", "horizon_s": "120",
+          "replications": "20"}
+    code, out, err = run_cli("simulate", kv)
+    assert code == 2
+    check_outcome("simulate", code, out, err, {"sweep_values"})
+
+
 def extreme_keys(kv):
     """The float and integer keys kv sets away from every base its strategy starts from."""
     bases = [dict(SIM_BASE, **load, replications=n) for load in SIM_LOADS for n in SIM_REPLICATIONS]

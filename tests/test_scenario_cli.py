@@ -1049,6 +1049,25 @@ class TestSimulationBudget:
         with pytest.raises(ScenarioError, match="replications"):
             check_simulation_budget([below.with_value("replications", 11)])
 
+    def test_limit_is_on_the_arrivals_of_the_whole_sweep(self):
+        # 5.43e8 + 6.11e8 expected arrivals: each point passes alone, the sweep does not
+        scn = load_scenario(preset="desk-fig5", overrides={
+            "sweep_values": "0.8,0.9", "horizon_s": "120", "replications": "20"})
+        points = [point for _, _, point in sweep_points(scn)]
+        for point in points:
+            check_simulation_budget([point])
+        with pytest.raises(ScenarioError) as info:
+            check_simulation_budget(points)
+        assert str(info.value) == ("lambda_per_m2, r_d_m, horizon_s, replications, sweep_values: "
+                                   "1.15e+09 expected arrivals summed over the sweep values "
+                                   "exceed the limit of 1e+09")
+        # a point past the limit alone is refused as a single point
+        with pytest.raises(ScenarioError) as info:
+            check_simulation_budget([points[0], points[1].with_value("replications", 40)])
+        assert str(info.value) == ("lambda_per_m2, r_d_m, horizon_s, replications: 1.22e+09 "
+                                   "expected arrivals (lambda_per_m2 * disk area * horizon_s * "
+                                   "replications) exceed the limit of 1e+09")
+
     def test_limit_on_replications_without_arrivals(self):
         # no arrival is expected at zero load, but each replication still costs
         # about 25 us and 430 B: 1e9 of them would take hours and hundreds of GB
