@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from . import cli_rows, validation
 from .queueing import NonConvergenceError
-from .scenario import ScenarioError, load_scenario, refusal
+from .scenario import ScenarioError, load_scenario, pattern_file, refusal
 from .simulator import PlacementError
 
 
@@ -44,13 +45,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _output(path):
-    """The result stream; a file is opened before any work, so a bad --out fails at once."""
+    """The result stream.  A file is opened for appending before any work, so a bad --out
+    fails at once; main empties a regular file only once the output text exists."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", newline="")
+        return open(path, "a", newline="")
     except OSError as exc:
         raise ScenarioError(f"--out: {exc}") from None
+
+
+def _refuse_input(out, path, what: str) -> None:
+    """Refuse an --out that names an input file, which writing the output would destroy."""
+    with contextlib.suppress(OSError):   # a missing input is refused where it is read
+        if out and path and os.path.samefile(out, path):
+            raise ScenarioError(f"--out: {out!r} is the {what} file")
 
 
 def main(argv=None) -> int:
@@ -60,27 +69,30 @@ def main(argv=None) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         with _output(args.out) as out:
+            _refuse_input(args.out, args.config, "--config")
             preset = args.preset
             if args.command == "validate" and not (args.config or preset):
                 preset = "desk-fig4"
             overrides = {} if args.seed is None else {"seed": str(args.seed)}
             scenario = load_scenario(path=args.config, preset=preset, overrides=overrides)
+            _refuse_input(args.out, pattern_file(scenario), "antenna table")
+            render = cli_rows.render_json if args.format == "json" else cli_rows.render_csv
+            code = 0
             if args.command == "analyze":
-                rows = cli_rows.analyze_rows(scenario)
+                text = render(cli_rows.analyze_rows(scenario))
             elif args.command == "simulate":
-                rows = cli_rows.simulate_rows(scenario, jobs=args.jobs)
+                text = render(cli_rows.simulate_rows(scenario, jobs=args.jobs))
             elif args.command == "sweep-power":
-                rows = cli_rows.sweep_power_rows(scenario)
+                text = render(cli_rows.sweep_power_rows(scenario))
             else:
                 results = validation.run_all(scenario, jobs=args.jobs)
-                if args.format == "json":
-                    out.write(cli_rows.render_json([vars(r) for r in results]))
-                else:
-                    out.write("".join(r.line() + "\n" for r in results))
-                return 0 if all(r.passed for r in results) else 1
-            render = cli_rows.render_json if args.format == "json" else cli_rows.render_csv
-            out.write(render(rows))
-            return 0
+                code = 0 if all(r.passed for r in results) else 1
+                text = (render([vars(r) for r in results]) if args.format == "json"
+                        else "".join(r.line() + "\n" for r in results))
+            if args.out and os.path.isfile(args.out):   # a device cannot be truncated
+                out.truncate(0)   # the appending stream now writes from the start
+            out.write(text)
+            return code
     except (NonConvergenceError, PlacementError, ValueError) as exc:   # ScenarioError included
         print(f"beamcap: error: {refusal(exc)}", file=sys.stderr)
         return 2

@@ -12,8 +12,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 
 def dbm_to_mw(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0)
@@ -75,51 +73,40 @@ class RadioParams:
         return dbm_to_mw(self.n_thr_dbm)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AntennaModel:
     """Directional gain model: analytic cone or a sampled pattern table.
 
     With no samples (angles is None), the cone: maximum directivity times the linear roll-off.
-    With both arrays, a table: linear in dB between samples, clamped beyond the last angle.
+    With both sequences, a table: linear in dB between samples, clamped beyond the last angle.
     """
 
-    angles: np.ndarray | None = None      # radians, ascending, starting at 0
-    gains_dbi: np.ndarray | None = None
+    angles: tuple[float, ...] | None = None      # radians, ascending, starting at 0
+    gains_dbi: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.angles is None and self.gains_dbi is None:
             return
         if self.angles is None or self.gains_dbi is None:
             raise ValueError("table antenna requires angle and gain samples")
-        ang = np.asarray(self.angles, dtype=float)
-        g = np.asarray(self.gains_dbi, dtype=float)
-        if ang.ndim != 1 or ang.shape != g.shape or ang.size < 2:
+        ang, g = tuple(map(float, self.angles)), tuple(map(float, self.gains_dbi))
+        if len(ang) != len(g) or len(ang) < 2:
             raise ValueError("pattern table needs matching 1-D angle/gain samples")
         if ang[0] != 0.0:
             raise ValueError(f"pattern table must start at angle 0, got {ang[0]}")
-        if np.any(np.diff(ang) <= 0):
+        if not all(a < b for a, b in zip(ang, ang[1:])):   # a NaN angle fails here too
             raise ValueError("pattern table angles must be strictly increasing")
         if ang[-1] > math.pi + 1e-12:
             raise ValueError("pattern table angles must not exceed pi")
-        if not np.all(np.isfinite(g)):
+        if not all(map(math.isfinite, g)):
             raise ValueError("pattern table gains must be finite")
         object.__setattr__(self, "angles", ang)
         object.__setattr__(self, "gains_dbi", g)
 
     @classmethod
-    def analytic(cls) -> "AntennaModel":
-        return cls()
-
-    @classmethod
-    def from_table(cls, samples) -> "AntennaModel":
-        """Build from an iterable of (angle_rad, gain_dbi) pairs."""
-        arr = np.asarray(list(samples), dtype=float).reshape(-1, 2)  # no rows: shape (0, 2)
-        return cls(arr[:, 0].copy(), arr[:, 1].copy())
-
-    @classmethod
     def from_pattern_file(cls, path) -> "AntennaModel":
-        """Read a comma-separated pattern file with header angle_deg,gain_dbi."""
-        lines = Path(path).read_text().splitlines()
+        """Read a comma-separated pattern file with header angle_deg,gain_dbi, after any UTF-8 BOM."""
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         if not lines or lines[0].strip() != "angle_deg,gain_dbi":
             raise ValueError(f"{path}: expected header 'angle_deg,gain_dbi'")
         samples = []
@@ -134,7 +121,7 @@ class AntennaModel:
                 samples.append((math.radians(float(parts[0])), float(parts[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{i}: {exc}") from None
-        return cls.from_table(samples)
+        return cls(tuple(a for a, _ in samples), tuple(g for _, g in samples))
 
     def gain_law(self, radio: RadioParams):
         """The composite directional gain, linear, as a scalar function of the deviation angle.
@@ -145,7 +132,7 @@ class AntennaModel:
         if self.angles is None:   # D0 * max(1 - alpha/theta, 0), bit for bit
             d0, theta = max_directivity(radio.theta), radio.theta
             return lambda alpha: d0 * (1.0 - alpha / theta) if alpha < theta else 0.0
-        xp, fp = self.angles.tolist(), self.gains_dbi.tolist()
+        xp, fp = self.angles, self.gains_dbi
         end = len(xp) - 1
         slopes = [(fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) for j in range(end)]
 
@@ -163,7 +150,7 @@ class AntennaModel:
         """Largest gain at any angle; a table's largest sample may exceed D0."""
         if self.angles is None:
             return max_directivity(radio.theta)
-        return 10.0 ** (float(self.gains_dbi.max()) / 10.0)   # OverflowError, not inf
+        return 10.0 ** (max(self.gains_dbi) / 10.0)   # OverflowError, not inf
 
     def reach(self, radio: RadioParams) -> float:
         """(p_tx*G/(N_thr*C))^(1/kappa), the boresight range at the peak gain G: no
@@ -222,7 +209,7 @@ def received_power_mw(dx: float, dy: float, bore: float, radio: RadioParams,
 def coverage_radius(params: RadioParams) -> float:
     """Boresight distance at which the received power equals the sensitivity: the
     analytic cone's reach."""
-    return AntennaModel.analytic().reach(params)
+    return AntennaModel().reach(params)
 
 
 def beam_area(r: float, theta: float, kappa: float) -> float:

@@ -69,10 +69,16 @@ def _pair_model(spec: str) -> PairModel:
 
 def _antenna(spec: str) -> AntennaModel:
     if spec == "analytic":
-        return AntennaModel.analytic()
+        return AntennaModel()
     if not spec.startswith("table:"):
         raise ValueError(f"expected 'analytic' or 'table:<path>', got {spec!r}")
     return AntennaModel.from_pattern_file(spec[len("table:"):])
+
+
+def pattern_file(scn: Scenario) -> str | None:
+    """The path a table antenna was read from; None for the analytic cone."""
+    spec = scn.raw["antenna"]
+    return spec[len("table:"):] if spec.startswith("table:") else None
 
 
 def _sweep_values(text: str) -> tuple[float, ...]:
@@ -341,7 +347,7 @@ def load_scenario(path=None, preset: str | None = None,
         kv.update(PRESETS[preset])
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8-sig")   # a BOM is not part of a key
         except OSError as exc:
             raise ScenarioError(f"--config: {exc}") from None
         kv.update(parse_config_text(text, source=str(path)))

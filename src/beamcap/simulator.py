@@ -427,15 +427,22 @@ def _replicate(scn: Scenario, rep_index: int) -> ReplicationResult:
     return run_replication(scn, rep_index)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps one, else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(scn: Scenario, jobs: int = 1) -> SimStats:
     """Run every replication and aggregate time-averaged statistics.
 
     Identical scenarios (seed included) produce identical SimStats; the
     replication results are reduced in index order regardless of how many
-    workers execute them.  At most one worker per replication and per CPU is started.
+    workers execute them.  At most one worker per replication and per usable CPU is started.
     """
     indices = range(scn.replications)
-    workers = min(jobs, scn.replications, os.cpu_count() or 1)   # a pool forks all at once
+    workers = min(jobs, scn.replications, usable_cpus())   # a pool forks all at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: 10-20 ms of start-up
 

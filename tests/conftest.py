@@ -24,4 +24,4 @@ def baseline_radio() -> RadioParams:
 
 @pytest.fixture()
 def analytic_antenna() -> AntennaModel:
-    return AntennaModel.analytic()
+    return AntennaModel()

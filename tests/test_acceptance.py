@@ -4,7 +4,6 @@ Each test prints a PASS/FAIL line (visible with -s or on failure) and the
 same checks back the ``beamcap validate`` command.
 """
 
-import os
 import time
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import pytest
 from beamcap import cli_rows, simulator, validation
 from beamcap.scenario import load_scenario
 
-JOBS = min(4, os.cpu_count() or 1)
+JOBS = min(4, simulator.usable_cpus())
 
 
 def report(result, budget_s, elapsed_s):

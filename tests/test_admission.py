@@ -80,7 +80,7 @@ def table_antenna(theta, peak_offset_db):
     for angle, gain in rows[1:]:
         if kept[-1][0] < angle <= math.pi:
             kept.append((angle, gain))
-    return AntennaModel.from_table(kept)
+    return AntennaModel(*zip(*kept))
 
 
 ANTENNAS = ("analytic", "table-above", "table-below")
@@ -88,7 +88,7 @@ ANTENNAS = ("analytic", "table-above", "table-below")
 
 def make_antenna(kind, theta):
     if kind == "analytic":
-        return AntennaModel.analytic()
+        return AntennaModel()
     return table_antenna(theta, 3.5 if kind == "table-above" else -4.0)
 
 
@@ -209,7 +209,7 @@ class TestAdmissionAgainstReference:
         cand = pair_at(d, 0.0, d + 1.0, 0.0)
         assert not admission_check(cand, active, radio, antenna, CheckMode.ONE_WAY)
         assert not reference_admit(cand, active, radio, antenna, CheckMode.ONE_WAY)
-        assert admission_check(cand, active, radio, AntennaModel.analytic(), CheckMode.ONE_WAY)
+        assert admission_check(cand, active, radio, AntennaModel(), CheckMode.ONE_WAY)
 
 
 def rejecting_tests(candidate, active, radio, antenna):
@@ -264,7 +264,7 @@ class TestEachDirectedTest:
                                                   (-2.5, (7.0, -300.0))])
     def test_decision_is_the_reference(self, layout, rotation, offset):
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
-        antenna, r = AntennaModel.analytic(), coverage_radius(radio)
+        antenna, r = AntennaModel(), coverage_radius(radio)
         c, s = math.cos(rotation), math.sin(rotation)
 
         def placed(ax, ay, bx, by):
@@ -285,7 +285,7 @@ class TestEachDirectedTest:
     def test_one_way_builds_sector_boxes_only_for_an_admitted_pair(self, layout):
         # b-forward and a-reverse-and-b-forward are rejected by b's forward walk
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
-        antenna, r = AntennaModel.analytic(), coverage_radius(radio)
+        antenna, r = AntennaModel(), coverage_radius(radio)
         (active, cand), _ = DIRECTED_LAYOUTS[layout]
         active, cand = pair_at(*(r * v for v in active)), pair_at(*(r * v for v in cand))
         index = _SectorGrid(radio, antenna, CheckMode.ONE_WAY, 0.0)
@@ -309,7 +309,7 @@ def border_case(radio, bore, bearing, d):
     candidate device at distance d and the given bearing from it.  The other
     device of each pair lies 3 reach away, beyond reach of the rest (its
     direction points the candidate's beam away from the origin)."""
-    far = 3.0 * reach_of(radio, AntennaModel.analytic())
+    far = 3.0 * reach_of(radio, AntennaModel())
     active = [PairPlacement((0.0, 0.0), (far * math.cos(bore), far * math.sin(bore)),
                             bore, (bore + math.pi + math.pi) % (2.0 * math.pi) - math.pi)]
     vx, vy = d * math.cos(bearing), d * math.sin(bearing)
@@ -317,7 +317,7 @@ def border_case(radio, bore, bearing, d):
 
 
 def assert_matches_reference(active, cand, radio, antenna=None):
-    antenna = antenna or AntennaModel.analytic()
+    antenna = antenna or AntennaModel()
     for mode in CheckMode:
         assert (admission_check(cand, active, radio, antenna, mode)
                 == reference_admit(cand, active, radio, antenna, mode))
@@ -411,7 +411,7 @@ class TestScalarAdmission:
                 active, _ = border_case(radio, 0.0, 0.0, 1.0)
                 cand = pair_at(x * scale, y * scale, 3.0 * x, 3.0 * y)
                 assert_matches_reference(active, cand, radio)
-                decisions.add(admission_check(cand, active, radio, AntennaModel.analytic(),
+                decisions.add(admission_check(cand, active, radio, AntennaModel(),
                                               CheckMode.ONE_WAY))
             assert decisions == {True, False}
 
@@ -433,7 +433,7 @@ class TestScalarAdmission:
         for theta_deg, offset in ((30.0, 3.5), (52.0, -4.0), (120.0, 0.0)):
             radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, c)
             antenna = (table_antenna(radio.theta, offset) if case == "table"
-                       else AntennaModel.analytic())
+                       else AntennaModel())
             index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
             assert index._theta == (math.pi if case == "table" else radio.theta)
             reach = reach_of(radio, antenna)
@@ -565,7 +565,7 @@ class TestSectorGrid:
         # receiver just past the radius, still within the distance screen's
         # rounding, must fall in a listed cell
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-        index = _SectorGrid(radio, AntennaModel.analytic(), CheckMode.TWO_WAY, 0.0, load)
+        index = _SectorGrid(radio, AntennaModel(), CheckMode.TWO_WAY, 0.0, load)
         radius = index._radius
         side = index._side
         for j in range(-40, 41):
@@ -618,7 +618,7 @@ class TestSectorGrid:
     @pytest.mark.parametrize("mode", CheckMode)
     def test_removing_every_pair_empties_the_index(self, baseline_radio, mode, load):
         # a cell leaves the index with its last device
-        radio, antenna = baseline_radio, AntennaModel.analytic()
+        radio, antenna = baseline_radio, AntennaModel()
         reach = reach_of(radio, antenna)
         rng = np.random.default_rng(3)
         index = _SectorGrid(radio, antenna, mode, 0.0, load)
@@ -699,7 +699,7 @@ class TestPeakGain:
     @pytest.mark.parametrize("theta_deg", [2.0, 8.0, 30.0, 52.0, 120.0, 180.0])
     def test_analytic_peak_is_max_directivity(self, theta_deg):
         radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-        antenna = AntennaModel.analytic()
+        antenna = AntennaModel()
         peak, gain = antenna.peak_gain_linear(radio), antenna.gain_law(radio)
         assert peak == max_directivity(radio.theta)
         assert max(map(gain, self.ALPHA)) <= peak
@@ -717,6 +717,6 @@ class TestPeakGain:
 
     def test_table_peak_off_boresight(self):
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
-        antenna = AntennaModel.from_table([(0.0, 5.0), (0.2, 21.0), (math.pi, -30.0)])
+        antenna = AntennaModel((0.0, 0.2, math.pi), (5.0, 21.0, -30.0))
         assert antenna.peak_gain_linear(radio) == 10.0 ** 2.1
         assert max(map(antenna.gain_law(radio), self.ALPHA)) <= antenna.peak_gain_linear(radio)

@@ -130,3 +130,14 @@ def test_queueing_imports_no_beamcap_module():
     imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names if alias.name.split(".")[0] == "beamcap"]
     assert not imported, f"queueing imports {imported}"
+
+
+def test_radio_imports_no_numpy():
+    """The link budget is scalar Python: a table antenna keeps its samples as float
+    tuples, and no array kernel sits beside radio.power_kernel."""
+    tree = ast.parse((ROOT / "src" / "beamcap" / "radio.py").read_text())
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [m for m in imported if m.split(".")[0] == "numpy"], f"radio imports {imported}"

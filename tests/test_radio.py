@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestDirectivityReduction:
     @staticmethod
     def reduction(alpha):
         r = radio(theta_deg=52.0)
-        return AntennaModel.analytic().gain_law(r)(alpha) / max_directivity(r.theta)
+        return AntennaModel().gain_law(r)(alpha) / max_directivity(r.theta)
 
     def test_boresight(self):
         assert self.reduction(0.0) == 1.0
@@ -112,7 +113,7 @@ class TestReceivePower:
         # the scalar kernel returns what p_tx*gain/(C*d^kappa) gives on numpy
         # arrays, where d > 0, and inf at d = 0, without raising
         r = RadioParams(10.0, -78.0, 52 * DEG, kappa, c)
-        got = receive_power(r, AntennaModel.analytic(), d, alpha)
+        got = receive_power(r, AntennaModel(), d, alpha)
         gain = np.array([max_directivity(r.theta) * max(1.0 - alpha / r.theta, 0.0)])
         with np.errstate(all="ignore"):
             dist = np.array([d])
@@ -123,14 +124,14 @@ class TestReceivePower:
     @given(d1=st.floats(0.1, 1e4), scale=st.floats(1.01, 100.0))
     def test_decreasing_in_distance(self, d1, scale):
         r = radio()
-        ant = AntennaModel.analytic()
+        ant = AntennaModel()
         assert receive_power(r, ant, d1, 0.0) > receive_power(r, ant, d1 * scale, 0.0)
 
     @given(a1=st.floats(0.0, 1.5), a2=st.floats(0.0, 1.5))
     def test_non_increasing_in_deviation(self, a1, a2):
         lo, hi = sorted((a1, a2))
         r = radio()
-        ant = AntennaModel.analytic()
+        ant = AntennaModel()
         assert receive_power(r, ant, 25.0, lo) >= receive_power(r, ant, 25.0, hi)
 
     @settings(max_examples=examples(60))
@@ -140,7 +141,7 @@ class TestReceivePower:
     def test_radius_threshold_identity(self, p_tx, margin, theta_deg, kappa, c):
         r = RadioParams(p_tx, p_tx - margin, theta_deg * DEG, kappa, c)
         rr = coverage_radius(r)
-        p = receive_power(r, AntennaModel.analytic(), rr, 0.0)
+        p = receive_power(r, AntennaModel(), rr, 0.0)
         assert p == pytest.approx(r.n_thr_mw, rel=1e-9)
 
 
@@ -204,11 +205,11 @@ class TestAntennaTable:
             a += step_deg * DEG
         angles.append(r.theta)
         gains.append(-120.0)  # pattern floor at the beam edge
-        return AntennaModel.from_table(zip(angles, gains))
+        return AntennaModel(angles, gains)
 
     def test_matches_analytic_within_interpolation_error(self, baseline_radio):
         table = self.sampled_table(baseline_radio)
-        analytic = AntennaModel.analytic()
+        analytic = AntennaModel()
         for frac in np.linspace(0.0, 0.95, 40):
             alpha = frac * baseline_radio.theta
             pa = receive_power(baseline_radio, analytic, 20.0, alpha)
@@ -222,16 +223,16 @@ class TestAntennaTable:
         # np.interp's value in dB
         rng = np.random.default_rng(seed)
         angles = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n - 1))])
-        table = AntennaModel.from_table(zip(angles, rng.uniform(-60.0, 30.0, n)))
+        table = AntennaModel(angles, rng.uniform(-60.0, 30.0, n))
         gain = table.gain_law(radio())
-        alphas = [*table.angles.tolist(), *rng.uniform(0.0, math.pi, 50).tolist(),
+        alphas = [*table.angles, *rng.uniform(0.0, math.pi, 50).tolist(),
                   *rng.uniform(table.angles[-1], math.pi, 5).tolist()]
         for alpha in alphas:
             g_db = float(np.interp(alpha, table.angles, table.gains_dbi))
             assert gain(alpha) == 10.0 ** (g_db / 10.0)
 
     def test_clamps_beyond_last_angle(self, baseline_radio):
-        table = AntennaModel.from_table([(0.0, 10.0), (0.5, 0.0)])
+        table = AntennaModel((0.0, 0.5), (10.0, 0.0))
         assert table.gain_law(baseline_radio)(2.0) == pytest.approx(1.0)
 
     def test_pattern_file_roundtrip(self, tmp_path, baseline_radio):
@@ -241,6 +242,23 @@ class TestAntennaTable:
         assert ant.gain_law(baseline_radio)(0.0) == pytest.approx(10 ** 1.296)
         mid = ant.gain_law(baseline_radio)(13 * DEG)
         assert 10 ** 0.995 < mid < 10 ** 1.296
+
+    def test_numpy_samples_give_the_float_table(self, baseline_radio):
+        angles, gains = [0.0, 0.3, 0.9, math.pi], [12.5, 9.0, -20.0, -40.0]
+        arrays = AntennaModel(np.array(angles), np.array(gains))
+        floats = AntennaModel(tuple(angles), tuple(gains))
+        assert arrays == floats
+        mids = [(a + b) / 2.0 for a, b in zip(angles, angles[1:])]
+        gain_a, gain_f = arrays.gain_law(baseline_radio), floats.gain_law(baseline_radio)
+        for alpha in angles + mids:
+            assert gain_a(alpha) == gain_f(alpha)
+
+    def test_pattern_file_with_a_byte_order_mark(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts the file with a UTF-8 BOM
+        golden = Path(__file__).parent / "golden" / "antenna-peak-21dbi.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+        assert AntennaModel.from_pattern_file(bom) == AntennaModel.from_pattern_file(golden)
 
     def test_pattern_file_errors(self, tmp_path):
         bad_header = tmp_path / "a.csv"
@@ -257,7 +275,7 @@ class TestAntennaTable:
         blank = tmp_path / "blank.csv"
         blank.write_text("angle_deg,gain_dbi\n0,3\n\n  \n180,0\n")
         ant = AntennaModel.from_pattern_file(blank)
-        assert ant.angles.tolist() == [0.0, math.pi] and ant.gains_dbi.tolist() == [3.0, 0.0]
+        assert ant.angles == (0.0, math.pi) and ant.gains_dbi == (3.0, 0.0)
         three = tmp_path / "three.csv"
         three.write_text("angle_deg,gain_dbi\n0,3\n90,1,2\n")
         with pytest.raises(ValueError, match="three.csv:3: expected 'angle_deg,gain_dbi' row"):
@@ -273,15 +291,17 @@ class TestAntennaTable:
         with pytest.raises(ValueError, match="matching 1-D angle/gain samples"):
             AntennaModel.from_pattern_file(empty)
         with pytest.raises(ValueError, match="matching 1-D angle/gain samples"):
-            AntennaModel.from_table([])
+            AntennaModel((), ())
 
     def test_table_invariants(self):
         with pytest.raises(ValueError, match="start at angle 0"):
-            AntennaModel.from_table([(0.1, 1.0), (0.2, 0.0)])
+            AntennaModel((0.1, 0.2), (1.0, 0.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            AntennaModel.from_table([(0.0, 1.0), (0.0, 0.0)])
+            AntennaModel((0.0, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            AntennaModel((0.0, math.nan, 1.0), (1.0, 2.0, 0.0))
         with pytest.raises(ValueError, match="finite"):
-            AntennaModel.from_table([(0.0, 1.0), (0.2, -math.inf)])
+            AntennaModel((0.0, 0.2), (1.0, -math.inf))
         with pytest.raises(ValueError, match="requires angle and gain samples"):
             AntennaModel(angles=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="requires angle and gain samples"):

@@ -198,8 +198,8 @@ class TestConfigParsing:
         pattern = tmp_path / "pattern.csv"
         pattern.write_text("angle_deg,gain_dbi\n0,12.96\n26,9.95\n52,-150\n")
         scn = load_scenario(overrides={"antenna": f"table:{pattern}"})
-        assert scn.antenna.angles.tolist() == [0.0, math.radians(26.0), math.radians(52.0)]
-        assert scn.antenna.gains_dbi.tolist() == [12.96, 9.95, -150.0]
+        assert scn.antenna.angles == (0.0, math.radians(26.0), math.radians(52.0))
+        assert scn.antenna.gains_dbi == (12.96, 9.95, -150.0)
 
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
         pattern_dir = tmp_path / "a#b"
@@ -210,7 +210,7 @@ class TestConfigParsing:
         cfg.write_text(f"# antenna from a table\nantenna = table:{pattern}  # 3 points\n"
                        "theta_deg = 30 #52\n")
         scn = load_scenario(path=cfg)
-        assert scn.antenna.gains_dbi.tolist() == [12.96, 9.95, -150.0]
+        assert scn.antenna.gains_dbi == (12.96, 9.95, -150.0)
         assert scn.raw["antenna"] == f"table:{pattern}"
         assert scn.radio.theta == pytest.approx(math.radians(30.0))
 
@@ -801,6 +801,47 @@ class TestCliEntry:
         assert main(["analyze", "--preset", "paper-fig5", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("beamcap: error: --out: ")
 
+    @pytest.mark.parametrize("command, config", [
+        ("analyze", "r_d_m = -1\n"),
+        # the default 3 km disk expects ~6.8e10 arrivals
+        ("simulate", "lambda_per_m2 = 1.0\n"),
+    ], ids=["bad-value", "past-arrival-budget"])
+    def test_refused_run_leaves_out_as_it_was(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"earlier rows\r\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert ERROR_LINE.fullmatch(capsys.readouterr().err)
+        assert out.read_bytes() == b"earlier rows\r\n"
+
+    @pytest.mark.parametrize("target", ["config", "table"])
+    def test_out_naming_an_input_file_is_refused(self, target, tmp_path, capsys):
+        pattern = tmp_path / "pattern.csv"
+        pattern.write_text("angle_deg,gain_dbi\n0,12.96\n26,9.95\n52,-150\n")
+        cfg = tmp_path / "same.cfg"
+        cfg.write_text(f"r_d_m = 300\nantenna = table:{pattern}\n")
+        inputs = {p: p.read_bytes() for p in (cfg, pattern)}
+        out = f"{tmp_path}/./{cfg.name if target == 'config' else pattern.name}"
+        assert main(["analyze", "--config", str(cfg), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("beamcap: error: --out: ")
+        assert {p: p.read_bytes() for p in inputs} == inputs
+
+    def test_out_to_a_device(self, capsys):
+        assert main(["analyze", "--preset", "desk-fig4", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 BOM, as some editors write, is not part of the first key
+        text = "r_d_m = 300\nlambda_per_m2 = 3.33e-4\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert main(["analyze", "--config", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["analyze", "--config", str(bom)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_infeasible_fixed_pair_model_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("r_d_m = 2\npair_model = fixed:5\n")
@@ -909,10 +950,13 @@ class TestCliEntry:
         assert opt["area_rate_bps_m2"] == opt["link_rate_bps"] * (opt["mean_pairs"] / area)
 
     def test_out_file(self, tmp_path, capsys):
+        # the output replaces a longer file's contents
         out = tmp_path / "rows.csv"
+        out.write_text("x" * 100_000)
         assert main(["analyze", "--preset", "desk-fig4", "--out", str(out)]) == 0
+        assert main(["analyze", "--preset", "desk-fig4"]) == 0
+        assert out.read_text() == capsys.readouterr().out
         assert out.read_text().startswith("sweep_param,")
-        capsys.readouterr()
 
 
 class TestParser:

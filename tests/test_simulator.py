@@ -181,7 +181,7 @@ def reference_place_pair(rng, deployment, attempts=None):
 class TestAdmissionCheck:
     def setup_method(self):
         self.radio = small_radio()
-        self.antenna = AntennaModel.analytic()
+        self.antenna = AntennaModel()
         self.r = coverage_radius(self.radio)
 
     def test_empty_system_accepts(self):
@@ -265,7 +265,7 @@ class TestRun:
             a = radio.theta * i / steps
             rows.append((a, 10 * math.log10(d0 * (1 - a / radio.theta))))
         rows.append((radio.theta, -150.0))
-        table = AntennaModel.from_table(rows)
+        table = AntennaModel(*zip(*rows))
         base = sim_scenario(lam=20.0 / (math.pi * 200.0**2), r_d=200.0, seed=17,
                           warmup=5.0, horizon=30.0)
         tbl_cfg = replace(base, antenna=table)
@@ -384,13 +384,17 @@ class TestRun:
         assert capsys.readouterr().out == plain
         assert calls["place_pair"] == calls["admit"] >= int(plain.splitlines()[1].split(",")[9]) > 0
 
-    @pytest.mark.parametrize("cpus, reps, workers", [
-        (64, 2, [2]),
+    @pytest.mark.parametrize("affinity, cpus, reps, workers", [
+        (range(64), 64, 2, [2]),
         # a fork pool starts every worker at its first submit
-        (2, 3, [2]),
-        (None, 3, []),
-    ], ids=["replications", "cpus", "cpu-count-unknown"])
-    def test_workers_capped_at_replications(self, cpus, reps, workers, monkeypatch):
+        (range(2), 64, 3, [2]),
+        # a process pinned to one of the machine's CPUs starts no pool
+        (range(1), 2, 3, []),
+        # where the OS keeps no affinity mask, the machine's CPU count caps
+        (None, 2, 3, [2]),
+        (None, None, 3, []),
+    ], ids=["replications", "affinity", "one-cpu-in-affinity", "cpus", "cpu-count-unknown"])
+    def test_workers_capped_at_replications(self, affinity, cpus, reps, workers, monkeypatch):
         import concurrent.futures
         started = []
 
@@ -411,6 +415,10 @@ class TestRun:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
         cfg = sim_scenario(seed=3, reps=reps, warmup=5.0, horizon=10.0)
         fanned = run(cfg, jobs=10_000)
         assert started == workers
