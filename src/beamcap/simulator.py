@@ -11,8 +11,8 @@ one object serves both engines.
 One scalar kernel, radio.power_kernel (received_power_mw's), decides
 admission and the audit: a transmitter covers a receiver when it delivers
 the sensitivity threshold.  A replication keeps its active devices in one
-admission index for every antenna, a grid of beam sectors (_SectorGrid),
-which hands the kernel only the pairs two exact screens leave.
+admission index for every antenna, a grid with each device in its own cell
+(_CellGrid), which hands the kernel only the pairs two exact screens leave.
 """
 
 from __future__ import annotations
@@ -215,21 +215,18 @@ def place_pair(rng: np.random.Generator, deployment: DeploymentParams) -> PairPl
 
 
 _TWO_PI = 2.0 * math.pi
-_HALF_SIDE_LOAD = 100.0     # lambda/mu * radius^2 from which cells of side radius/2 pay
+# the 3x3 block around a cell, nearest first: a covering device is likeliest in the cell itself
+_BLOCK = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-class _SectorGrid:
-    """Admission index: a uniform grid of square cells of side radius, or radius/2
-    where the offered load per radius^2, load*radius^2 with load = lambda/mu,
-    reaches _HALF_SIDE_LOAD (shorter walks then outweigh listing each sector box
-    in more cells), at least min_side.  Each active device is listed as a
-    receiver in its own cell, and as a transmitter in every cell that meets the
-    box of its beam sector.  Each candidate device in turn, a then b, meets the
-    transmitters listed in its cell, then, in a two-way test, the receivers in
-    the cells of its own beam's box.  The kernel, radio.power_kernel, decides
-    each pair found, on the deviation angle alpha the scan computes as
-    radio.deviation_angle does; admission is "no pair covers", so the order of
-    the pairs does not matter.
+class _CellGrid:
+    """Admission index: a uniform grid of square cells, each active device listed
+    once, as (x, y, boresight), in its own cell.  A candidate device, a then b,
+    walks the 3x3 block around its cell in _BLOCK's order; for each listed device
+    the kernel, radio.power_kernel, decides whether it covers the candidate device
+    and, two-way, whether the candidate device covers it, on the deviation angle
+    alpha the scan computes as radio.deviation_angle does.  Admission is "no pair
+    covers", so the order of the pairs does not matter.
 
     Two screens skip a pair the kernel would not cover: d^2 > r2, and alpha >
     theta at d^2 > 0.  No pair covers past the antenna's reach; radius is reach
@@ -238,109 +235,71 @@ class _SectorGrid:
     keeps a subnormal square from falling below a d^2 the kernel covers.  Past
     theta the analytic gain is exactly 0 (alpha/theta rounds to at least 1):
     power 0 at d > 0, or NaN where d^kappa underflows.  A table may cover at
-    any angle, so its theta is pi and its sector the disk of that radius.
+    any angle, so its theta is pi.
 
-    The cells hold every pair the screens leave.  Such a receiver sits within
-    radius*(1 + 3u), u = 2^-53, of the transmitter (d^2 carries 2u) at an exact
-    bearing within theta + 4*eta of the boresight, eta = 40u bounding the
-    error of alpha (atan2, the subtraction of bore and the wrap) and 2u that of
-    dx and dy: within 1e-9*radius of the sector of that radius and half-angle
-    theta.  The box is widened by that much, plus 1e-12*(|x| + |y|) for its
-    corners' rounding; rounded x/side does not decrease as x grows, so the
-    receiver's cell is among the box's.  The side only chooses which pairs are
-    examined; its floor min_side, 1e-9 of the region radius, keeps that
-    rounding term within a cell or two of a box.
+    The block holds every pair that covers, and every pair d^2 <= r2 = radius^2
+    passes: |dx| <= radius(1 + 3u), u = 2^-53, while the side is max(radius,
+    min_side)(1 + 1e-6).  Where side >= 1e-9*|x| for every coordinate x (min_side
+    is 1e-9 of the largest coordinate, or of the region radius), rounded x/side
+    is within 1.2e-7 of exact, so the pair's cells differ by at most 1 an axis.
     """
 
     def __init__(self, radio: RadioParams, antenna: AntennaModel, mode: CheckMode,
-                 min_side: float, load: float = 0.0):
+                 min_side: float):
         self._radius = radius = antenna.reach(radio) * (1.0 + 1e-9)
         self._r2 = max(radius * radius, 1e-300)
-        self._theta = theta = radio.theta if antenna.angles is None else math.pi
+        self._theta = radio.theta if antenna.angles is None else math.pi
         self._power, self._thr = power_kernel(radio, antenna), radio.n_thr_mw
         self._two_way = mode is CheckMode.TWO_WAY
-        dense = load * radius * radius >= _HALF_SIDE_LOAD
-        self._side = max(0.5 * radius if dense else radius, min_side)
-        self._cos, self._sin = math.cos(theta), math.sin(theta)
-        self._tx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
-        self._rx: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
-        self._listed: dict[int, tuple] = {}     # device -> (its cell, its sector's cells)
+        self._side = max(radius, min_side) * (1.0 + 1e-6)
+        self._cells: defaultdict[tuple[int, int], dict[int, tuple]] = defaultdict(dict)
 
-    def _box_cells(self, x: float, y: float, bore: float) -> list[tuple[int, int]]:
-        """Cells that meet the widened box of the beam sector at (x, y) about bore."""
-        r, ch, sh, c, s = self._radius, self._cos, self._sin, math.cos(bore), math.sin(bore)
-        # the apex, the arc ends at bore -+ theta, and each axis direction within
-        # theta of the boresight (rounding included) bound the sector
-        x1, y1, x2, y2 = c * ch + s * sh, s * ch - c * sh, c * ch - s * sh, s * ch + c * sh
-        lo = ch - 1e-9
-        x_hi = r if c >= lo else r * max(0.0, x1, x2)
-        x_lo = -r if -c >= lo else r * min(0.0, x1, x2)
-        y_hi = r if s >= lo else r * max(0.0, y1, y2)
-        y_lo = -r if -s >= lo else r * min(0.0, y1, y2)
-        m, side, floor = 1e-9 * r + 1e-12 * (abs(x) + abs(y)), self._side, math.floor
-        rows = range(floor((y + y_lo - m) / side), floor((y + y_hi + m) / side) + 1)
-        return [(i, j) for i in range(floor((x + x_lo - m) / side),
-                                      floor((x + x_hi + m) / side) + 1) for j in rows]
-
-    def add(self, pair_id: int, placement: PairPlacement, boxes=None) -> None:
-        """List the devices as 2*pair_id and 2*pair_id + 1 (boxes: their sectors' cells)."""
+    def _devices(self, pair_id: int, placement: PairPlacement):
+        """(key, cell, entry) of the pair's devices, keys 2*pair_id and 2*pair_id + 1."""
         side, floor = self._side, math.floor
-        devices = ((placement.pos_a, placement.boresight_ab),
-                   (placement.pos_b, placement.boresight_ba))
-        boxes = boxes or [self._box_cells(x, y, bore) for (x, y), bore in devices]
-        for key, ((x, y), bore), box in zip((2 * pair_id, 2 * pair_id + 1), devices, boxes):
-            entry, own = (x, y, bore), (floor(x / side), floor(y / side))
-            self._rx[own][key] = entry
-            for cell in box:
-                self._tx[cell][key] = entry
-            self._listed[key] = own, box
+        for key, (x, y), bore in ((2 * pair_id, placement.pos_a, placement.boresight_ab),
+                                  (2 * pair_id + 1, placement.pos_b, placement.boresight_ba)):
+            yield key, (floor(x / side), floor(y / side)), (x, y, bore)
 
-    def remove(self, pair_id: int) -> None:
+    def add(self, pair_id: int, placement: PairPlacement) -> None:
+        """List the pair's devices, each in its own cell."""
+        for key, cell, entry in self._devices(pair_id, placement):
+            self._cells[cell][key] = entry
+
+    def remove(self, pair_id: int, placement: PairPlacement) -> None:
         """Unlist the pair's devices; a cell leaves the index with its last device."""
-        rx, tx = self._rx, self._tx
-        for key in (2 * pair_id, 2 * pair_id + 1):
-            own, box = self._listed.pop(key)
-            listed = rx[own]
+        cells = self._cells
+        for key, cell, _ in self._devices(pair_id, placement):
+            listed = cells[cell]
             del listed[key]
             if not listed:
-                del rx[own]
-            for cell in box:
-                listed = tx[cell]
-                del listed[key]
-                if not listed:
-                    del tx[cell]
+                del cells[cell]
 
-    def admit(self, pair_id: int, candidate: PairPlacement) -> bool:
-        """Admit candidate as pair_id unless a (transmitter, receiver) pair covers."""
-        r2, theta, power, thr = self._r2, self._theta, self._power, self._thr
-        side, floor, atan2, fabs, pi, two_pi = self._side, math.floor, math.atan2, math.fabs, \
-            math.pi, _TWO_PI
+    def blocked(self, candidate: PairPlacement) -> bool:
+        """Whether a listed device covers a candidate device or, two-way, a candidate
+        device covers a listed one.  The index is left as it was."""
+        get, r2, theta, power, thr = self._cells.get, self._r2, self._theta, self._power, self._thr
+        two_way, side, floor, atan2, fabs, pi, two_pi = self._two_way, self._side, math.floor, \
+            math.atan2, math.fabs, math.pi, _TWO_PI
         pos_a, pos_b, bore_ab, bore_ba = candidate
-        boxes = []
         for (cx, cy), cbore in ((pos_a, bore_ab), (pos_b, bore_ba)):
-            listed = self._tx.get((floor(cx / side), floor(cy / side)))
-            for px, py, pbore in listed.values() if listed else ():
-                dx, dy = cx - px, cy - py
-                d2 = dx * dx + dy * dy
-                if d2 > r2:
-                    continue
-                alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
-                if (alpha <= theta or d2 == 0.0) and power(dx, dy, alpha) >= thr:
-                    return False
-            box = self._box_cells(cx, cy, cbore) if self._two_way else ()
-            for cell in box:
-                listed = self._rx.get(cell)
-                for px, py, _ in listed.values() if listed else ():
-                    rx, ry = px - cx, py - cy
-                    d2 = rx * rx + ry * ry
+            i, j = floor(cx / side), floor(cy / side)
+            for di, dj in _BLOCK:
+                listed = get((i + di, j + dj))
+                for px, py, pbore in listed.values() if listed else ():
+                    dx, dy = cx - px, cy - py
+                    d2 = dx * dx + dy * dy
                     if d2 > r2:
                         continue
-                    alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
-                    if (alpha <= theta or d2 == 0.0) and power(rx, ry, alpha) >= thr:
-                        return False
-            boxes.append(box)
-        self.add(pair_id, candidate, boxes if self._two_way else None)   # one-way: add builds them
-        return True
+                    alpha = fabs((atan2(dy, dx) - pbore + pi) % two_pi - pi)
+                    if (alpha <= theta or d2 == 0.0) and power(dx, dy, alpha) >= thr:
+                        return True
+                    if two_way:
+                        rx, ry = px - cx, py - cy
+                        alpha = fabs((atan2(ry, rx) - cbore + pi) % two_pi - pi)
+                        if (alpha <= theta or d2 == 0.0) and power(rx, ry, alpha) >= thr:
+                            return True
+        return False
 
 
 def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
@@ -355,10 +314,10 @@ def admission_check(candidate: PairPlacement, active: Sequence[PairPlacement],
     reject if either candidate transmitter would do so at any active device.
     """
     extent = max(abs(v) for p in (candidate, *active) for v in (*p.pos_a, *p.pos_b))
-    index = _SectorGrid(radio, antenna, mode, 1e-9 * extent)
+    index = _CellGrid(radio, antenna, mode, 1e-9 * extent)
     for pair_id, placement in enumerate(active):
         index.add(pair_id, placement)
-    return index.admit(len(active), candidate)
+    return not index.blocked(candidate)
 
 
 def run_replication(scn: Scenario, rep_index: int, *,
@@ -375,9 +334,8 @@ def run_replication(scn: Scenario, rep_index: int, *,
     dep = scn.deployment
     lam = dep.lambda_total
     warmup, horizon = scn.warmup, scn.horizon
-    index = _SectorGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius,
-                        dep.lambda_density / dep.mu)
-    admit, remove = index.admit, index.remove
+    index = _CellGrid(scn.radio, scn.antenna, scn.check_mode, 1e-9 * dep.region_radius)
+    blocked, add, remove = index.blocked, index.add, index.remove
     exponential, push, pop = rng.exponential, heapq.heappush, heapq.heappop
     mean_gap, mean_service = (1.0 / lam if lam > 0.0 else math.inf), 1.0 / dep.mu
     departures: list[tuple[float, int, PairPlacement]] = []
@@ -409,14 +367,16 @@ def run_replication(scn: Scenario, rep_index: int, *,
             post = t >= warmup
             if post:
                 observed += 1
-            if admit(next_pair_id, placement):
+            if not blocked(placement):
                 if post:
                     accepted += 1
+                add(next_pair_id, placement)
                 push(departures, (t + exponential(mean_service), next_pair_id, placement))
                 next_pair_id += 1
             t_arrival = t + exponential(mean_gap)
         else:
-            remove(pop(departures)[1])
+            _, pair_id, placement = pop(departures)
+            remove(pair_id, placement)
 
     return ReplicationResult(observed, accepted, state_time, tuple(snapshots))
 

@@ -115,11 +115,10 @@ def test_hard_core_audit_follows_check_mode(mode):
 
 
 def test_hard_core_audit_catches_overlapping_pairs(monkeypatch):
-    def admit_all(self, pair_id, candidate):
-        self.add(pair_id, candidate)
-        return True
+    def admit_all(self, candidate):
+        return False        # blocked by nothing
 
-    monkeypatch.setattr(simulator._SectorGrid, "admit", admit_all)
+    monkeypatch.setattr(simulator._CellGrid, "blocked", admit_all)
     scn = load_scenario(preset="desk-fig4", overrides={"horizon_s": "50"})
     result = validation.check_hard_core(scn)
     assert not result.passed and result.measured > 1.0

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from beamcap import (AntennaModel, CheckMode, PairPlacement, RadioParams, admission_check,
                      coverage_radius, load_scenario, simulator)
 from beamcap.radio import max_directivity, received_power_mw
-from beamcap.simulator import _SectorGrid, max_cross_pair_power, run_replication
+from beamcap.simulator import _CellGrid, max_cross_pair_power, run_replication
 
 ETA = 40.0 * 2.0 ** -53     # a bound on the rounding of a computed deviation angle [rad]
 
 
 def reach_of(radio, antenna):
-    """The grid's cell side, reach widened by its rounding: beyond it no gain covers."""
-    return _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)._radius
+    """The grid's radius, reach widened by its rounding: beyond it no gain covers."""
+    return _CellGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)._radius
 
 
 def devices_of(placements):
@@ -226,22 +226,6 @@ def rejecting_tests(candidate, active, radio, antenna):
     return found
 
 
-def grid_decisions(active, cand, radio, antenna, mode):
-    """The decisions of a grid of cells of side radius and of one of side radius/2,
-    the side a replication takes at a dense offered load (an infinite load is dense
-    at any radius > 0), each built from active; cells at least 1e-9 of the largest
-    coordinate wide, as admission_check's."""
-    extent = max(abs(v) for p in (cand, *active) for v in (*p.pos_a, *p.pos_b))
-    decisions = []
-    for load in (0.0, math.inf):
-        index = _SectorGrid(radio, antenna, mode, 1e-9 * extent, load)
-        assert index._side == max((0.5 if load else 1.0) * index._radius, 1e-9 * extent)
-        for pair_id, placement in enumerate(active):
-            index.add(pair_id, placement)
-        decisions.append(index.admit(len(active), cand))
-    return decisions
-
-
 # (active pair, candidate pair) as (ax, ay, bx, by) in coverage radii: each beam reaches
 # one device half a radius down its boresight, every other device lies beyond reach or
 # more than 30 degrees off the beam
@@ -250,7 +234,7 @@ DIRECTED_LAYOUTS = {
     "a-reverse": (((0.5, 0.0, 0.5, 3.0), (0.0, 0.0, 3.0, 0.0)), {("a", "reverse")}),
     "b-forward": (((0.0, 0.0, 3.0, 0.0), (0.5, 3.0, 0.5, 0.0)), {("b", "forward")}),
     "b-reverse": (((0.5, 0.0, 0.5, 3.0), (3.0, 0.0, 0.0, 0.0)), {("b", "reverse")}),
-    # a's own beam rejects before the active beam that covers b is walked
+    # a's own beam rejects before the active device that covers b is met
     "a-reverse-and-b-forward": (((0.0, 0.5, 0.0, 3.5), (0.0, 0.0, 0.0, 3.0)),
                                 {("a", "reverse"), ("b", "forward")}),
 }
@@ -279,22 +263,37 @@ class TestEachDirectedTest:
                                for _, kind in rejecting)
             assert admission_check(cand, active, radio, antenna, mode) == expected
             assert reference_admit(cand, active, radio, antenna, mode) == expected
-            assert grid_decisions(active, cand, radio, antenna, mode) == [expected, expected]
 
     @pytest.mark.parametrize("layout", DIRECTED_LAYOUTS)
-    def test_one_way_builds_sector_boxes_only_for_an_admitted_pair(self, layout):
-        # b-forward and a-reverse-and-b-forward are rejected by b's forward walk
+    def test_blocked_stops_at_the_first_covering_pair(self, layout):
+        # the active pair listed twice: the kernel decides each close pair once one-way,
+        # at most twice two-way, and the first power at the threshold rejects before the
+        # copy is met; the index is left as it was
         radio = RadioParams(10.0, -78.0, math.radians(30.0), 2.0, 6.3e6)
         antenna, r = AntennaModel(), coverage_radius(radio)
-        (active, cand), _ = DIRECTED_LAYOUTS[layout]
+        (active, cand), rejecting = DIRECTED_LAYOUTS[layout]
         active, cand = pair_at(*(r * v for v in active)), pair_at(*(r * v for v in cand))
-        index = _SectorGrid(radio, antenna, CheckMode.ONE_WAY, 0.0)
-        index.add(0, active)
-        calls, box_cells = [], index._box_cells
-        index._box_cells = lambda *args: calls.append(args) or box_cells(*args)
-        admitted = index.admit(1, cand)
-        assert admitted == reference_admit(cand, [active], radio, antenna, CheckMode.ONE_WAY)
-        assert len(calls) == (2 if admitted else 0)
+        for mode in CheckMode:
+            index = _CellGrid(radio, antenna, mode, 0.0)
+            index.add(0, active)
+            index.add(1, active)
+            listing = grid_listing(index)
+            close = 2 * sum(math.dist(c, p) ** 2 <= index._r2 for c in (cand.pos_a, cand.pos_b)
+                            for p in (active.pos_a, active.pos_b))
+            powers, kernel = [], index._power
+
+            def recorded(dx, dy, alpha):
+                powers.append(kernel(dx, dy, alpha))
+                return powers[-1]
+
+            index._power = recorded
+            expected = any(kind == "forward" or mode is CheckMode.TWO_WAY
+                           for _, kind in rejecting)
+            assert index.blocked(cand) == expected
+            assert grid_listing(index) == listing
+            assert len(powers) <= (2 if mode is CheckMode.TWO_WAY else 1) * close
+            assert all(p < radio.n_thr_mw for p in powers[:-1])
+            assert (bool(powers) and powers[-1] >= radio.n_thr_mw) == expected
 
 
 def nudge(x, ulps):
@@ -434,7 +433,7 @@ class TestScalarAdmission:
             radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, c)
             antenna = (table_antenna(radio.theta, offset) if case == "table"
                        else AntennaModel())
-            index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
+            index = _CellGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)
             assert index._theta == (math.pi if case == "table" else radio.theta)
             reach = reach_of(radio, antenna)
             active = random_pairs(rng, 10, 3.0 * reach, 0.3 * reach)
@@ -491,21 +490,24 @@ def beam_edge_pair(rng, active, radio):
 
 
 def grid_listing(index):
-    """Receivers and transmitters listed per cell, and each device's cells."""
-    return ({cell: dict(keys) for cell, keys in index._rx.items()},
-            {cell: dict(keys) for cell, keys in index._tx.items()}, index._listed)
+    """The devices listed per cell."""
+    return {cell: dict(keys) for cell, keys in index._cells.items()}
 
 
-class TestSectorGrid:
-    """The grid index: every decision the reference's, and the index after
-    any admit/depart sequence the one built from the live set."""
+def cell_of(index, x, y):
+    return math.floor(x / index._side), math.floor(y / index._side)
+
+
+class TestCellGrid:
+    """The grid index: every decision the reference's, blocked leaves it as it was,
+    and after any add/remove sequence it is the one built from the live set."""
 
     @settings(max_examples=examples(200), deadline=None)
     @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
            seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), span=st.integers(1, 4))
     def test_matches_reference_on_hard_layouts(self, radio, kind, seed, n, span):
         antenna = make_antenna(kind, radio.theta)
-        side = reach_of(radio, antenna)
+        side = _CellGrid(radio, antenna, CheckMode.TWO_WAY, 0.0)._side
         rng = np.random.default_rng(seed)
         active = lattice_pairs(rng, n, side, span)
         shared = active[int(rng.integers(n))].pos_b
@@ -516,132 +518,159 @@ class TestSectorGrid:
         for cand in candidates:
             assert_matches_reference(active, cand, radio, antenna)
 
-    @settings(max_examples=examples(150), deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
-           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), span=st.integers(1, 6),
-           spread=st.floats(0.2, 3.0))
-    def test_half_reach_cells_decide_as_reach_cells(self, radio, kind, seed, n, span, spread):
-        # devices on and an ulp off the half-reach grid's cell edges, random
-        # layouts and beam-edge candidates: both sides decide as the reference
+           x=st.floats(-1e4, 1e4), y=st.floats(-1e4, 1e4),
+           where=st.sampled_from(["inside", "x-edge", "y-edge", "corner"]),
+           ulps=st.integers(-4, 4), far=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_holds_every_device_within_radius(self, radio, kind, x, y, where, ulps, far,
+                                                    seed):
+        # a candidate device (x, y) reaches from the origin, or 1e10 times that, where the
+        # min_side floor sets the side, optionally on a cell edge or corner nudged by
+        # ulps; every device within radius*(1 + 2^-50) of it, in the 8 neighbour
+        # directions and at random bearings, lies in the 3x3 block around its cell
+        antenna = make_antenna(kind, radio.theta)
+        reach = reach_of(radio, antenna)
+        cx, cy = (v * reach * (1e10 if far else 1.0) for v in (x, y))
+        index = _CellGrid(radio, antenna, CheckMode.TWO_WAY,
+                          1e-9 * (max(abs(cx), abs(cy)) + 2.0 * reach))
+        side = index._side
+        assert side == max(reach, 1e-9 * (max(abs(cx), abs(cy)) + 2.0 * reach)) * (1.0 + 1e-6)
+        if where in ("x-edge", "corner"):
+            cx = nudge(math.floor(cx / side) * side, ulps)
+        if where in ("y-edge", "corner"):
+            cy = nudge(math.floor(cy / side) * side, ulps)
+        i, j = cell_of(index, cx, cy)
+        rng = np.random.default_rng(seed)
+        radius = reach * (1.0 + 2.0 ** -50)
+        bearings = [k * 0.25 * math.pi for k in range(-4, 4)] + list(rng.uniform(-3.2, 3.2, 8))
+        for bearing in bearings:
+            for d in (0.0, min(1e-160, radius), radius * rng.random(), radius):
+                px, py = cx + d * math.cos(bearing), cy + d * math.sin(bearing)
+                pi, pj = cell_of(index, px, py)
+                assert (pi - i, pj - j) in simulator._BLOCK
+
+    @pytest.mark.parametrize("kind", ["analytic", "table-above"])
+    @pytest.mark.parametrize("theta_deg", [4.0, 30.0, 180.0])
+    def test_block_holds_a_device_past_a_cell_edge(self, theta_deg, kind):
+        # a candidate device on a cell edge or corner, or one radius*(1 + 2^-50) short of
+        # it, each coordinate nudged by up to 4 ulps: the device that far off in each of
+        # the 8 neighbour directions lies in the 3x3 block around the candidate's cell
+        radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
+        index = _CellGrid(radio, make_antenna(kind, radio.theta), CheckMode.TWO_WAY, 0.0)
+        radius, side = index._radius * (1.0 + 2.0 ** -50), index._side
+        for di, dj in simulator._BLOCK[1:]:
+            ux, uy = di / math.hypot(di, dj), dj / math.hypot(di, dj)
+            for j in range(-40, 41, 4):
+                for ulps in range(-4, 5):
+                    for short in (0.0, radius):
+                        cx, cy = (nudge(j * side - short * u, ulps) for u in (ux, uy))
+                        i, k = cell_of(index, cx, cy)
+                        pi, pk = cell_of(index, cx + radius * ux, cy + radius * uy)
+                        assert (pi - i, pk - k) in simulator._BLOCK
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(radio=radios, kind=st.sampled_from(ANTENNAS), mode=st.sampled_from(CheckMode),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), spread=st.floats(0.2, 3.0))
+    def test_blocked_leaves_the_index_as_it_was(self, radio, kind, mode, seed, n, spread):
+        # a candidate on an active device is rejected, one 3 reaches past every active
+        # device admitted (random_pairs' 1e-3 floor on the separation can outrun reach)
         antenna = make_antenna(kind, radio.theta)
         reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
-        for active in (lattice_pairs(rng, n, 0.5 * reach, span),
-                       random_pairs(rng, n, spread * reach, 0.5 * reach)):
-            candidates = (lattice_pairs(rng, 3, 0.5 * reach, span)
-                          + random_pairs(rng, 3, spread * reach, 0.5 * reach)
-                          + [beam_edge_pair(rng, active, radio) for _ in range(3)])
-            for cand, mode in itertools.product(candidates, CheckMode):
-                want = reference_admit(cand, active, radio, antenna, mode)
-                assert grid_decisions(active, cand, radio, antenna, mode) == [want, want]
-
-    @settings(max_examples=examples(200), deadline=None)
-    @given(radio=radios, kind=st.sampled_from(ANTENNAS), bore=angles, x=st.floats(-1e4, 1e4),
-           y=st.floats(-1e4, 1e4), seed=st.integers(0, 2 ** 32 - 1),
-           load=st.sampled_from([0.0, math.inf]))
-    def test_sector_cells_hold_the_sector(self, radio, kind, bore, x, y, seed, load):
-        # points of the sector, its border widened by the screens' rounding,
-        # and the axis extremes, all in cells the sector lists; a table's
-        # sector is the disk; in cells of side radius and radius/2
-        antenna = make_antenna(kind, radio.theta)
-        index = _SectorGrid(radio, antenna, CheckMode.TWO_WAY, 0.0, load)
-        cells = set(index._box_cells(x, y, bore))
-        radius = index._radius * (1.0 + 2.0 ** -50)
-        half = min(index._theta + 4.0 * ETA, math.pi)
-        rng = np.random.default_rng(seed)
-        offsets = [-half, half, *rng.uniform(-half, half, 20)]
-        axes = [a - bore + k * 2.0 * math.pi for a in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)
-                for k in (-1, 0, 1)]
-        offsets += [a for a in axes if abs(a) <= half]
-        for offset in offsets:
-            for d in (0.0, 1e-160, radius * rng.random(), radius):
-                px, py = x + d * math.cos(bore + offset), y + d * math.sin(bore + offset)
-                assert (math.floor(px / index._side), math.floor(py / index._side)) in cells
-
-    @pytest.mark.parametrize("load", [0.0, math.inf])
-    @pytest.mark.parametrize("theta_deg", [4.0, 30.0, 180.0])
-    def test_sector_cells_hold_a_receiver_past_a_cell_edge(self, theta_deg, load):
-        # a beam along +x whose radius ends within ulps of a cell edge: a
-        # receiver just past the radius, still within the distance screen's
-        # rounding, must fall in a listed cell
-        radio = RadioParams(10.0, -78.0, math.radians(theta_deg), 2.0, 6.3e6)
-        index = _SectorGrid(radio, AntennaModel(), CheckMode.TWO_WAY, 0.0, load)
-        radius = index._radius
-        side = index._side
-        for j in range(-40, 41):
-            for ulps in range(-4, 5):
-                x = nudge(j * side - radius, ulps)
-                px = x + radius * (1.0 + 2.0 ** -50)
-                assert (math.floor(px / side), 0) in set(index._box_cells(x, 0.5, 0.0))
+        active = random_pairs(rng, n, spread * reach, 0.5 * reach)
+        index = _CellGrid(radio, antenna, mode, 0.0)
+        for pair_id, placement in enumerate(active):
+            index.add(pair_id, placement)
+        listing = grid_listing(index)
+        x, y = active[0].pos_a
+        far = 3.0 * reach + max(abs(v) for p in active for v in (*p.pos_a, *p.pos_b))
+        candidates = [pair_at(x, y, x + 2.0 * reach, y),
+                      pair_at(far, 0.0, far + 0.5 * reach, 0.0),
+                      *random_pairs(rng, 4, spread * reach, 0.5 * reach)]
+        decisions = []
+        for cand in candidates:
+            decisions.append(index.blocked(cand))
+            assert decisions[-1] == (not reference_admit(cand, active, radio, antenna, mode))
+            assert grid_listing(index) == listing
+        assert decisions[:2] == [True, False]
 
     @settings(max_examples=examples(100), deadline=None)
     @given(radio=radios | far_radios, kind=st.sampled_from(ANTENNAS),
            seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(CheckMode),
-           steps=st.integers(1, 80), spread=st.floats(0.5, 4.0),
-           load=st.sampled_from([0.0, math.inf]))
-    def test_upkeep_lists_exactly_the_live_devices(self, radio, kind, seed, mode, steps, spread,
-                                                   load):
+           steps=st.integers(1, 80), spread=st.floats(0.5, 4.0))
+    def test_upkeep_lists_exactly_the_live_devices(self, radio, kind, seed, mode, steps, spread):
         antenna = make_antenna(kind, radio.theta)
         reach = reach_of(radio, antenna)
         rng = np.random.default_rng(seed)
         # cells at least 1e-9 of the largest coordinate wide, as admission_check's
         min_side = 1e-9 * ((spread + 0.5) * reach + 1e-3)
-        index = _SectorGrid(radio, antenna, mode, min_side, load)
+        index = _CellGrid(radio, antenna, mode, min_side)
         live = {}
         for pair_id in range(steps):
             if live and rng.random() < 0.4:
                 gone = list(live)[int(rng.integers(len(live)))]
-                index.remove(gone)
-                del live[gone]
+                index.remove(gone, live.pop(gone))
                 continue
             cand = random_pairs(rng, 1, spread * reach, 0.5 * reach)[0]
-            if rng.random() < 0.3:
-                index.add(pair_id, cand)         # listed whatever it covers
+            if rng.random() < 0.3 or not index.blocked(cand):   # listed whatever it covers
+                index.add(pair_id, cand)
                 live[pair_id] = cand
-            elif index.admit(pair_id, cand):
-                live[pair_id] = cand
-        fresh = _SectorGrid(radio, antenna, mode, min_side, load)
+        fresh = _CellGrid(radio, antenna, mode, min_side)
         for pair_id, placement in live.items():
             fresh.add(pair_id, placement)
-        assert grid_listing(index) == grid_listing(fresh)
-        rx, _, listed = grid_listing(index)
-        assert sorted(key for keys in rx.values() for key in keys) == sorted(listed)
-        assert set(listed) == {2 * p + k for p in live for k in (0, 1)}
+        listing = grid_listing(index)
+        assert listing == grid_listing(fresh)
+        assert sorted(key for keys in listing.values() for key in keys) == sorted(
+            2 * p + k for p in live for k in (0, 1))
         for cand in random_pairs(rng, 4, spread * reach, 0.5 * reach):
-            admitted = index.admit(steps, cand)
+            admitted = not index.blocked(cand)
             assert admitted == reference_admit(cand, list(live.values()), radio, antenna, mode)
-            if admitted:
-                index.remove(steps)
-        assert grid_listing(index) == grid_listing(fresh)
+        assert grid_listing(index) == listing
 
-    @pytest.mark.parametrize("load", [0.0, math.inf])
+    @pytest.mark.parametrize("kind", ["analytic", "table-above"])
     @pytest.mark.parametrize("mode", CheckMode)
-    def test_removing_every_pair_empties_the_index(self, baseline_radio, mode, load):
+    def test_removing_every_pair_empties_the_index(self, baseline_radio, mode, kind):
         # a cell leaves the index with its last device
-        radio, antenna = baseline_radio, AntennaModel()
+        radio, antenna = baseline_radio, make_antenna(kind, baseline_radio.theta)
         reach = reach_of(radio, antenna)
         rng = np.random.default_rng(3)
-        index = _SectorGrid(radio, antenna, mode, 0.0, load)
+        index = _CellGrid(radio, antenna, mode, 0.0)
         pairs = random_pairs(rng, 40, 3.0 * reach, 0.5 * reach)
         for pair_id, placement in enumerate(pairs):
             index.add(pair_id, placement)
-        assert index._tx and index._rx
+        assert index._cells
         for pair_id in rng.permutation(len(pairs)).tolist():
-            index.remove(pair_id)
-        assert index._tx == index._rx == index._listed == {}
+            index.remove(pair_id, pairs[pair_id])
+        assert index._cells == {}
 
 
 @pytest.fixture()
 def replication_grids(monkeypatch):
-    """The admission index of each replication the test runs, in order."""
+    """The admission index of each replication the test runs, in order, each with
+    the placements it lists (live) and every blocked call's (candidate, live, answer)."""
     grids = []
 
-    class Recorded(_SectorGrid):
+    class Recorded(_CellGrid):
         def __init__(self, *args):
             super().__init__(*args)
+            self.live, self.decisions = {}, []
             grids.append(self)
 
-    monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+        def add(self, pair_id, placement):
+            super().add(pair_id, placement)
+            self.live[pair_id] = placement
+
+        def remove(self, pair_id, placement):
+            super().remove(pair_id, placement)
+            del self.live[pair_id]
+
+        def blocked(self, candidate):
+            answer = super().blocked(candidate)
+            self.decisions.append((candidate, list(self.live.values()), answer))
+            return answer
+
+    monkeypatch.setattr(simulator, "_CellGrid", Recorded)
     return grids
 
 
@@ -655,27 +684,42 @@ def test_replication_index_holds_only_the_live_devices(replication_grids, mode):
     (grid,) = replication_grids
     (live,) = result.snapshots
     assert result.accepted > len(live) > 0
-    assert all(grid._rx.values()) and all(grid._tx.values())
-    assert len(grid._listed) == 2 * len(live)
+    assert all(grid._cells.values())
+    assert sum(map(len, grid._cells.values())) == 2 * len(live)
 
 
-@pytest.mark.parametrize("preset, overrides, half", [
-    ("desk-fig5", {"lambda_per_m2": "0.02"}, True),       # load * radius^2 = 118
-    ("desk-fig5", {"lambda_per_m2": "0.018"}, True),      # 106
-    ("desk-fig5", {"lambda_per_m2": "0.016"}, False),     # 94
-    ("desk-fig5", {"lambda_per_m2": "0.005"}, False),     # 29.4
-    ("desk-fig4", {}, False),                             # 0.66
-    ("desk-fig4", {"check_mode": "one-way"}, False),
-    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100"}, True),     # 396
-    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100", "check_mode": "one-way"}, True),
+@pytest.mark.parametrize("preset, overrides", [
+    ("desk-fig5", {"lambda_per_m2": "0.02"}),         # load * radius^2 = 118
+    ("desk-fig5", {"lambda_per_m2": "0.018"}),        # 106
+    ("desk-fig5", {"lambda_per_m2": "0.016"}),        # 94
+    ("desk-fig5", {"lambda_per_m2": "0.005"}),        # 29.4
+    ("desk-fig4", {}),                                # 0.66
+    ("desk-fig4", {"check_mode": "one-way"}),
+    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100"}),          # 396
+    ("desk-fig4", {"lambda_per_m2": "0.2", "r_d_m": "100", "check_mode": "one-way"}),
 ])
-def test_replication_cell_side_follows_the_offered_load(replication_grids, preset, overrides,
-                                                        half):
+def test_replication_cell_side_is_the_radius_at_any_load(replication_grids, preset, overrides):
     scn = load_scenario(preset=preset, overrides={**overrides, "sweep_param": "",
                                                   "warmup_s": "0.05", "horizon_s": "0.1"})
     run_replication(scn, 0)
     (grid,) = replication_grids
-    assert grid._side == (0.5 if half else 1.0) * grid._radius
+    assert grid._radius > 1e-9 * scn.deployment.region_radius
+    assert grid._side == grid._radius * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("mode", CheckMode)
+def test_replication_decisions_are_the_references(replication_grids, mode):
+    # desk-fig5 geometry at 0.02 /s/m^2, the first ~2k arrivals: each decision of
+    # the replication, one by one, is the kernel's on the live set
+    scn = load_scenario(preset="desk-fig5", overrides={
+        "lambda_per_m2": "0.02", "check_mode": mode.value, "sweep_param": "",
+        "warmup_s": "0.01", "horizon_s": "0.35"})
+    result = run_replication(scn, 0)
+    (grid,) = replication_grids
+    assert len(grid.decisions) > result.observed > 1500
+    for candidate, live, answer in grid.decisions:
+        assert answer == (not reference_admit(candidate, live, scn.radio, scn.antenna, mode))
+    assert {answer for _, _, answer in grid.decisions} == {True, False}
 
 
 class TestPowerMatrixAgainstReference:

@@ -1162,21 +1162,32 @@ class TestLinkBudgetRange:
     def test_tiny_reach_runs_in_seconds(self, overrides, monkeypatch):
         from beamcap import simulator
 
-        grids = []
+        grids, looked = [], []
 
-        class Recorded(simulator._SectorGrid):
+        class Recorded(simulator._CellGrid):
             def __init__(self, *args):
                 super().__init__(*args)
                 grids.append(self)
 
-        monkeypatch.setattr(simulator, "_SectorGrid", Recorded)
+        class Cells(dict):
+            def get(self, cell, default=None):
+                looked.append(cell)
+                return super().get(cell, default)
+
+        monkeypatch.setattr(simulator, "_CellGrid", Recorded)
         scn = load_scenario(preset="desk-fig4", overrides=dict(
             overrides, replications="1", warmup_s="20", horizon_s="25"))
-        # a replication's cells are at least 1e-9 of the region radius wide, so
-        # a box spans a cell or two; cells of side reach would number ~6*10^4 a box
+        # a replication's cells are at least 1e-9 of the region radius wide, which
+        # keeps the 3x3 block exact; a candidate device looks up 9 cells, whatever the reach
         simulator.run_replication(scn.with_value("lambda_per_m2", 0.0), 0)
-        assert grids[0]._side >= 1e-9 * 300.0
-        assert len(grids[0]._box_cells(-212.0, 212.0, 0.7)) <= 4
+        grid = grids[0]
+        assert grid._side >= 1e-9 * 300.0
+        grid._cells = Cells()
+        assert not grid.blocked(simulator.PairPlacement((-212.0, 212.0), (-211.5, 212.0), 0.0,
+                                                        math.pi))
+        i, j = math.floor(-212.0 / grid._side), math.floor(212.0 / grid._side)
+        assert looked[0] == (i, j) and len(looked) == 18
+        assert set(looked[:9]) == {(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
         t0 = time.perf_counter()
         row = simulate_rows(scn)[0]
         assert time.perf_counter() - t0 < 10.0

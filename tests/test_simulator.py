@@ -369,7 +369,7 @@ class TestRun:
         argv = ["simulate", "--config", str(cfg), "--seed", "5"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        calls = {"place_pair": 0, "admit": 0}
+        calls = {"place_pair": 0, "blocked": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -378,11 +378,12 @@ class TestRun:
             return wrapper
 
         monkeypatch.setattr(simulator, "place_pair", counting("place_pair", simulator.place_pair))
-        monkeypatch.setattr(simulator._SectorGrid, "admit",
-                            counting("admit", simulator._SectorGrid.admit))
+        monkeypatch.setattr(simulator._CellGrid, "blocked",
+                            counting("blocked", simulator._CellGrid.blocked))
         assert main(argv) == 0
         assert capsys.readouterr().out == plain
-        assert calls["place_pair"] == calls["admit"] >= int(plain.splitlines()[1].split(",")[9]) > 0
+        observed = int(plain.splitlines()[1].split(",")[9])
+        assert calls["place_pair"] == calls["blocked"] >= observed > 0
 
     @pytest.mark.parametrize("affinity, cpus, reps, workers", [
         (range(64), 64, 2, [2]),
