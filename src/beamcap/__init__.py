@@ -14,8 +14,7 @@ from .radio import (AntennaModel, RadioParams, beam_area, coverage_radius, dbm_t
 from .simulator import (CheckMode, CuboidProjection, DeploymentParams, FixedDistance,
                         PairPlacement, SimStats, UniformDistance, admission_check,
                         place_pair, run, run_replication)
-from .throughput import (MeanEngine, PowerOptimum, link_rate, noise_power, optimize_power,
-                         rate_components)
+from .throughput import MeanEngine, link_rate, noise_power, optimize_power, rate_components
 from .scenario import Scenario, ScenarioError, load_scenario
 
 __version__ = "0.1.0"

@@ -63,23 +63,9 @@ def simulate_rows(scenario: Scenario, jobs: int = 1) -> list[dict]:
     whole sweep is checked against the simulation budget before any run."""
     points = list(sweep_points(scenario))
     check_simulation_budget(scn for _, _, scn in points)
-    rows = []
-    for param, value, scn in points:
-        stats = simulator.run(scn, jobs=jobs)
-        rows.append({
-            "sweep_param": param,
-            "sweep_value": value,
-            "seed": scn.seed,
-            "replications": scn.replications,
-            "mean_pairs": stats.mean_pairs,
-            "ci_mean_pairs": stats.ci_halfwidth_mean_pairs,
-            "mean_pairs_per_m2": stats.mean_pairs / scn.deployment.area,
-            "p_accept": stats.p_accept,
-            "ci_p_accept": stats.ci_halfwidth_p_accept,
-            "arrivals_observed": stats.arrivals_observed,
-            "flags": ";".join(stats.flags),
-        })
-    return rows
+    return [{"sweep_param": param, "sweep_value": value, "seed": scn.seed,
+             "replications": scn.replications, **vars(simulator.run(scn, jobs=jobs))}
+            for param, value, scn in points]
 
 
 def sweep_power_rows(scenario: Scenario) -> list[dict]:
@@ -116,8 +102,8 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                 raise ScenarioError(f"{', '.join(field_keys(exc, 'p_tx_min_dbm'))}: {exc}") from None
     n_steps = math.floor((hi - lo) / scenario.p_tx_step_db + 1e-9)
     grid = [lo + i * scenario.p_tx_step_db for i in range(n_steps + 1)]
-    # a step that does not divide the range ends on the maximum itself
-    grid = [p for p in grid if p < hi - 1e-9] + [hi]
+    # from the minimum on; a step that does not divide the range ends on the maximum itself
+    grid = ([lo] if lo < hi else []) + [p for p in grid[1:] if p < hi - 1e-9] + [hi]
     powers = grid + throughput.optimizer_grid(scenario) + [lo] * throughput.MAX_REFINE_EVALS
     states = sum(queueing.mean_pairs_closed_form(scn.chain(p)) for _, _, scn in points
                  if scn.mean_engine is throughput.MeanEngine.SERIES for p in powers)
@@ -128,23 +114,18 @@ def sweep_power_rows(scenario: Scenario) -> list[dict]:
                             f"states, past the limit of {MAX_SERIES_STATES:.0e}")
     rows = []
     for param, value, scn in points:
-        found = [("point", throughput.rate_components(scn, p), "") for p in grid]
+        found = [("point", throughput.rate_components(scn, p)) for p in grid]
         _check_area_rates(scn, found)   # before any optimizer work
-        opt = throughput.optimize_power(scn)
-        found.append(("optimum", opt.point, "flat" if opt.flat else ""))
+        found.append(("optimum", throughput.optimize_power(scn)))
         _check_area_rates(scn, found[-1:])
-        rows.extend({
-            "row_type": row_type, "sweep_param": param, "sweep_value": value,
-            "p_tx_dbm": pt.p_tx_dbm, "gamma": pt.gamma, "mean_pairs": pt.mean_pairs,
-            "link_rate_bps": pt.link_rate_bps, "area_rate_bps_m2": pt.area_rate_bps_m2,
-            "flags": flags,
-        } for row_type, pt, flags in found)
+        rows.extend({"row_type": row_type, "sweep_param": param, "sweep_value": value, **vars(pt)}
+                    for row_type, pt in found)
     return rows
 
 
 def _check_area_rates(scn: Scenario, found: list) -> None:
     """Refuse a row whose area rate is inf, or NaN: an infinite link rate times no pairs."""
-    for _, pt, _ in found:
+    for _, pt in found:
         if not math.isfinite(pt.area_rate_bps_m2):
             raise ScenarioError(
                 f"r_d_m, bandwidth_hz, lambda_per_m2, mu_per_s: the area rate at {pt.p_tx_dbm:g} "

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # scenario imports the parameter classes from here
     from .scenario import Scenario
 
 _PLACEMENT_RETRIES = 100
+MAX_ACTIVE_PAIRS = 10**6   # about 1.7 KB each in a replication: 1.7 GB per worker
 
 
 class CheckMode(Enum):
@@ -149,24 +150,25 @@ class PairPlacement(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimStats:
-    """Replication-aggregated simulation outputs.
+    """Replication-aggregated simulation outputs: simulate's columns, in order.
 
     p_accept is NaN (with an 'undefined' flag) when no post-warmup arrival
     was observed.  CI halfwidths are 95% Student-t over replication means
-    and infinite when fewer than two replications are available.
+    and infinite when fewer than two replications are available.  Flags are ;-joined.
     """
 
     mean_pairs: float
+    ci_mean_pairs: float
+    mean_pairs_per_m2: float
     p_accept: float
-    ci_halfwidth_mean_pairs: float
-    ci_halfwidth_p_accept: float
+    ci_p_accept: float
     arrivals_observed: int
-    flags: tuple[str, ...] = ()
+    flags: str
 
     def __post_init__(self) -> None:
         if not math.isnan(self.p_accept) and not 0.0 <= self.p_accept <= 1.0:
             raise ValueError(f"p_accept must lie in [0, 1], got {self.p_accept}")
-        if self.ci_halfwidth_mean_pairs < 0 or self.ci_halfwidth_p_accept < 0:
+        if self.ci_mean_pairs < 0 or self.ci_p_accept < 0:
             raise ValueError("CI halfwidths must be >= 0")
 
 
@@ -328,7 +330,8 @@ def run_replication(scn: Scenario, rep_index: int, *,
     departure heap is the active set, (time, pair id, placement) per pair.  Pair
     ids rise in admission order, which orders tied departures and snapshots.
     An arrival and a departure at exactly the same time (probability zero)
-    are taken arrival first.
+    are taken arrival first.  An admission past MAX_ACTIVE_PAIRS active pairs
+    raises ValueError, before the run outgrows memory.
     """
     rng = np.random.default_rng(np.random.SeedSequence(scn.seed, spawn_key=(rep_index,)))
     dep = scn.deployment
@@ -368,6 +371,10 @@ def run_replication(scn: Scenario, rep_index: int, *,
             if post:
                 observed += 1
             if not blocked(placement):
+                if len(departures) >= MAX_ACTIVE_PAIRS:
+                    raise ValueError(f"lambda_total, mu, gamma keep {len(departures)} pairs "
+                                     f"active at t = {t:g} s, the limit of one replication "
+                                     f"(load lambda_total/mu = {lam / dep.mu:g})")
                 if post:
                     accepted += 1
                 add(next_pair_id, placement)
@@ -433,11 +440,12 @@ def aggregate(reps: Sequence[ReplicationResult], scn: Scenario) -> SimStats:
         flags.append("low-confidence")
     return SimStats(
         mean_pairs=mean_pairs,
+        ci_mean_pairs=ci_mean,
+        mean_pairs_per_m2=mean_pairs / scn.deployment.area,
         p_accept=p_accept,
-        ci_halfwidth_mean_pairs=ci_mean,
-        ci_halfwidth_p_accept=ci_p,
+        ci_p_accept=ci_p,
         arrivals_observed=int(sum(r.observed for r in reps)),
-        flags=tuple(flags),
+        flags=";".join(flags),
     )
 
 

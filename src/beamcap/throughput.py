@@ -57,11 +57,14 @@ def link_rate(radio: RadioParams, p_rx_mw: float, p_n_mw: float) -> float:
 
 @dataclass(frozen=True)
 class RatePoint:
+    """The area rate at one power: sweep-power's columns, in order; flags is "flat" or ""."""
+
     p_tx_dbm: float
     gamma: float
     mean_pairs: float
     link_rate_bps: float
     area_rate_bps_m2: float
+    flags: str = ""
 
 
 def rate_components(scn: Scenario, p_tx_dbm: float) -> RatePoint:
@@ -92,26 +95,20 @@ def optimizer_grid(scn: Scenario) -> list[float]:
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class PowerOptimum:
-    point: RatePoint
-    flat: bool
-
-
-def optimize_power(scn: Scenario) -> PowerOptimum:
+def optimize_power(scn: Scenario) -> RatePoint:
     """Maximize the area rate over [p_tx_min_dbm, p_tx_max_dbm].
 
     Grid search over optimizer_grid, then ternary refinement between the grid
     neighbours of the best point, each two evaluations cutting a third off the
     bracket (<= 2*OPT_TOL_DB) down to OPT_TOL_DB/1000.  Ties break toward lower power.
     A flat, finite objective returns the point at the range minimum,
-    p_tx_min_dbm itself, with the flat flag set.
+    p_tx_min_dbm itself, flagged "flat".
     """
     points = [rate_components(scn, p) for p in optimizer_grid(scn)]
     vals = [pt.area_rate_bps_m2 for pt in points]
     hi = max(vals)
     if hi < math.inf and hi - min(vals) <= 1e-12 * max(1.0, abs(hi)):   # inf is a peak
-        return PowerOptimum(replace(points[0], p_tx_dbm=scn.p_tx_min_dbm), True)
+        return replace(points[0], p_tx_dbm=scn.p_tx_min_dbm, flags="flat")
     i = vals.index(hi)
     lo_p = points[max(i - 1, 0)].p_tx_dbm
     hi_p = points[min(i + 1, len(points) - 1)].p_tx_dbm
@@ -129,4 +126,4 @@ def optimize_power(scn: Scenario) -> PowerOptimum:
             hi_p = m2
         else:
             lo_p = m1
-    return PowerOptimum(best, False)
+    return best

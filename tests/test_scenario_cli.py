@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -25,8 +26,9 @@ from beamcap.cli_rows import (analyze_rows, render_csv, render_json, simulate_ro
 from beamcap.scenario import (DEFAULTS, KEYS, MAX_SIM_ARRIVALS, MAX_SIM_REPLICATIONS, PRESETS,
                               ScenarioError, build_scenario, check_simulation_budget, field_keys,
                               load_scenario, parse_config_text, sweep_points)
-from beamcap.simulator import DeploymentParams, FixedDistance, PlacementError, place_pair
-from beamcap.throughput import optimizer_grid
+from beamcap.simulator import (DeploymentParams, FixedDistance, PlacementError, SimStats,
+                               place_pair)
+from beamcap.throughput import RatePoint, optimizer_grid
 
 # a refusal: one line whose key list names the keys its check compares, each
 # once: the message after it does not start with another key list
@@ -391,6 +393,23 @@ class TestScenarioChain:
             at_p = scn.with_value("p_tx_dbm", p)
             assert scn.chain(p) == at_p.chain(at_p.radio.p_tx_dbm)
 
+    def test_chain_ignores_a_table_antenna(self):
+        # gamma comes from the analytic cone's coverage radius whatever the antenna
+        # (README, Known limits): analyze prints the same bytes and sweep-power the
+        # same gamma and mean, while its link rate follows the table's peak gain
+        table = Path(__file__).parent / "golden" / "antenna-peak-21dbi.csv"
+        cone = load_scenario(preset="desk-fig4")
+        tbl = load_scenario(preset="desk-fig4", overrides={"antenna": f"table:{table}"})
+        assert tbl.antenna.angles is not None and cone.antenna.angles is None
+        assert render_csv(analyze_rows(tbl)) == render_csv(analyze_rows(cone))
+        points = [[r for r in sweep_power_rows(scn) if r["row_type"] == "point"]
+                  for scn in (cone, tbl)]
+        assert [(r["p_tx_dbm"], r["gamma"], r["mean_pairs"]) for r in points[0]] == \
+            [(r["p_tx_dbm"], r["gamma"], r["mean_pairs"]) for r in points[1]]
+        # at -20 dBm both link rates lie below the SNR cap, which both reach by 20 dBm
+        assert points[0][0]["link_rate_bps"] == pytest.approx(6.61e9, rel=1e-3)
+        assert points[1][0]["link_rate_bps"] == pytest.approx(1.205e10, rel=1e-3)
+
     def test_readme_library_example_runs(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         section = readme.split("## Library example\n", 1)[1]
@@ -464,6 +483,16 @@ class TestSimulateRows:
             "sweep_param,sweep_value,seed,replications,mean_pairs,ci_mean_pairs,"
             "mean_pairs_per_m2,p_accept,ci_p_accept,arrivals_observed,flags")
 
+    def test_columns_are_the_result_fields(self):
+        # a row is its result object behind the sweep and echo columns, for
+        # simulate and sweep-power alike
+        sim = simulate_rows(load_scenario(overrides=FAST_SIM))[0]
+        assert list(sim) == ["sweep_param", "sweep_value", "seed", "replications",
+                             *(f.name for f in dataclasses.fields(SimStats))]
+        rate = [f.name for f in dataclasses.fields(RatePoint)]
+        for row in sweep_power_rows(load_scenario(preset="paper-fig5")):
+            assert list(row) == ["row_type", "sweep_param", "sweep_value", *rate]
+
 
 class TestSeedOverride:
     """--seed overrides the seed key at load time, for every command."""
@@ -512,7 +541,8 @@ class TestSweepPowerRows:
         assert optima[0]["area_rate_bps_m2"] == pytest.approx(
             points[0]["area_rate_bps_m2"], rel=1e-12)
 
-    @pytest.mark.parametrize("lo, hi, step", [(-20, 20, 0.45), (0, 0.3, 0.1), (-20, 20, 0.5)])
+    @pytest.mark.parametrize("lo, hi, step", [(-20, 20, 0.45), (0, 0.3, 0.1), (-20, 20, 0.5),
+                                              (10, 10.000000001, 1e-10)])
     def test_power_grid_stays_in_range_and_ends_on_max(self, lo, hi, step):
         scn = load_scenario(preset="paper-fig5", overrides={
             "sweep_param": "", "p_tx_min_dbm": str(lo), "p_tx_max_dbm": str(hi),
@@ -860,6 +890,23 @@ class TestCliEntry:
         assert err.startswith("beamcap: error: pair_model, r_d_m: pair_model, region_radius leave "
                               "no placement inside the disk after 100 attempts")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_active_pair_cap_exit_code(self, jobs, tmp_path, capsys, monkeypatch):
+        # a 1.4-cm reach admits every arrival and a 1e6-s session keeps it: a
+        # replication is refused at the cap, before it outgrows memory
+        from beamcap import simulator
+        monkeypatch.setattr(simulator, "MAX_ACTIVE_PAIRS", 50)
+        cfg = tmp_path / "crowd.cfg"
+        cfg.write_text("r_d_m = 1000\np_tx_dbm = -60\nlambda_per_m2 = 1e-4\nmu_per_s = 1e-6\n"
+                       "replications = 2\nwarmup_s = 1\nhorizon_s = 2\n")
+        assert main(["simulate", "--config", str(cfg), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ERROR_LINE.fullmatch(captured.err)
+        assert captured.err.startswith(
+            "beamcap: error: lambda_per_m2, r_d_m, mu_per_s, p_tx_dbm, n_thr_dbm, theta_deg, "
+            "kappa, c_const: lambda_total, mu, gamma keep 50 pairs active at t = ")
+
     @pytest.mark.parametrize("argv, lines, keys", [
         # a load past the state limit: the footprint ratio is set by the link budget
         (["analyze"], "n_thr_dbm = 1e-150\n",
@@ -921,14 +968,14 @@ class TestCliEntry:
         assert grid[0] < math.inf and grid[-1] < math.inf
         assert (math.inf in grid) == (bandwidth_hz == "9.21e306")
         opt = optimize_power(scn)
-        assert opt.point.area_rate_bps_m2 == math.inf and not opt.flat
+        assert opt.area_rate_bps_m2 == math.inf and opt.flags == ""
         cfg = tmp_path / "peak.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         assert main(["sweep-power", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("beamcap: error: r_d_m, bandwidth_hz, lambda_per_m2, "
-                                       f"mu_per_s: the area rate at {opt.point.p_tx_dbm:g} dBm "
+                                       f"mu_per_s: the area rate at {opt.p_tx_dbm:g} dBm "
                                        "is inf b/s/m^2")
 
     def test_sweep_power_area_rate_where_only_rate_times_pairs_overflows(self, tmp_path, capsys):

@@ -125,38 +125,38 @@ class TestOptimizePower:
         # interference negligible: rate grows with power
         scn = scenario(lam=1e-9, p_tx_min_dbm="-40", p_tx_max_dbm="-30")
         opt = optimize_power(scn)
-        assert opt.point.p_tx_dbm == pytest.approx(-30.0, abs=0.5)
-        assert not opt.flat
+        assert opt.p_tx_dbm == pytest.approx(-30.0, abs=0.5)
+        assert opt.flags == ""
 
     def test_decreasing_objective_hits_lower_end(self):
         # beyond the cap only interference grows
         scn = scenario(lam=2.0, p_tx_min_dbm="5", p_tx_max_dbm="20")
         opt = optimize_power(scn)
-        assert opt.point.p_tx_dbm == pytest.approx(5.0, abs=0.5)
+        assert opt.p_tx_dbm == pytest.approx(5.0, abs=0.5)
 
     def test_interior_optimum_and_density_ordering(self):
         dense = optimize_power(scenario(lam=2.0))
         sparse = optimize_power(scenario(lam=0.5))
-        assert -20.0 < dense.point.p_tx_dbm < 20.0
-        assert -20.0 < sparse.point.p_tx_dbm < 20.0
-        assert dense.point.p_tx_dbm <= sparse.point.p_tx_dbm + 0.1
-        assert dense.point == rate_components(scenario(lam=2.0), dense.point.p_tx_dbm)
+        assert -20.0 < dense.p_tx_dbm < 20.0
+        assert -20.0 < sparse.p_tx_dbm < 20.0
+        assert dense.p_tx_dbm <= sparse.p_tx_dbm + 0.1
+        assert dense == rate_components(scenario(lam=2.0), dense.p_tx_dbm)
 
     def test_flat_objective_flagged(self):
         for lo, hi in (("-10", "10"), ("-0.0", "0.0")):
             scn = scenario(lam=0.0, p_tx_min_dbm=lo, p_tx_max_dbm=hi)
             opt = optimize_power(scn)
-            assert opt.flat
+            assert opt.flags == "flat"
             # the range minimum itself, though the grid starts at lo + 0.0 (0.0 for -0.0)
-            assert repr(opt.point.p_tx_dbm) == repr(float(lo))
-            assert opt.point.area_rate_bps_m2 == 0.0
+            assert repr(opt.p_tx_dbm) == repr(float(lo))
+            assert opt.area_rate_bps_m2 == 0.0
             optimum = render_csv(sweep_power_rows(scn)).splitlines()[-1]
             assert optimum.startswith(f"optimum,,,{float(lo)!r},") and optimum.endswith(",flat")
 
     def test_grid_offset_stability(self):
         a = optimize_power(scenario(lam=2.0))
         b = optimize_power(scenario(lam=2.0, p_tx_min_dbm="-20.05", p_tx_max_dbm="20.05"))
-        assert abs(a.point.p_tx_dbm - b.point.p_tx_dbm) <= 0.1
+        assert abs(a.p_tx_dbm - b.p_tx_dbm) <= 0.1
 
     @settings(max_examples=examples(50), deadline=None)
     @given(lo=st.floats(-30.0, 20.0), span=st.floats(0.0, 20.0),
@@ -194,7 +194,7 @@ class TestOptimizePower:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(throughput, "rate_components", counted)
             opt = optimize_power(scn)
-        assert scn.p_tx_min_dbm <= opt.point.p_tx_dbm <= scn.p_tx_max_dbm
+        assert scn.p_tx_min_dbm <= opt.p_tx_dbm <= scn.p_tx_max_dbm
 
     def test_refinement_thirds_stay_far_above_the_float_spacing(self):
         # so the refinement needs no float-spacing guard: a range end with a
